@@ -1,89 +1,30 @@
 """Hot numeric kernels: nearest-codeword search and cluster accumulation.
 
-Two interchangeable implementations exist for each kernel: a numba @njit
-version, used when the optional `numba` extra is installed, and a pure-numpy
-one. Selection is controlled by the CODEC_LM_BACKEND environment variable
-("auto", "numba", "numpy"); "auto" prefers numba when it imports.
-
-Both backends meet one contract. `nearest_codeword` returns, for each row,
+One numpy implementation of each. `nearest_codeword` returns, for each row,
 the index of the book row at the smallest direct L2 distance
 sum((r - c)**2), the smallest such index on ties, and the residual
 r - book[code]. `cluster_accumulate` returns per-cluster row sums and
 counts equal to `np.bincount` of the codes. `tests/test_kernels.py` holds
-both backends to it; the traced run of `perfbench/run.py` (`--trace 1`)
+both to this contract; the traced run of `perfbench/run.py` (`--trace 1`)
 reports the time of `kernels.nearest_codeword` and
 `kernels.cluster_accumulate`.
 """
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit, prange
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # numba is an optional extra; the numpy backend needs none
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        def decorator(func):
-            return func
-
-        return decorator
-
-    def prange(*args):
-        return range(*args)
-
-
-_VALID_BACKENDS = ("auto", "numba", "numpy")
-
-
-def _resolve(name: str) -> str:
-    if name not in _VALID_BACKENDS:
-        raise ValueError(f"unknown backend {name!r}, expected one of {_VALID_BACKENDS}")
-    if name == "auto":
-        return "numba" if NUMBA_AVAILABLE else "numpy"
-    if name == "numba" and not NUMBA_AVAILABLE:
-        raise ValueError("backend 'numba' requested but numba is not importable")
-    return name
-
-
-BACKEND = _resolve(os.environ.get("CODEC_LM_BACKEND", "auto"))
-
-
-def select_backend(name: str) -> str:
-    """Switch the active kernel backend; returns the resolved name."""
-    global BACKEND
-    BACKEND = _resolve(name)
-    return BACKEND
-
-
-@njit(parallel=True, fastmath=True, cache=True)
-def _nearest_codeword_numba(frames, book, codes, resid):
-    n, dim = frames.shape
-    k = book.shape[0]
-    for t in prange(n):
-        best = 0
-        best_d = np.inf
-        for c in range(k):
-            d = 0.0
-            for j in range(dim):
-                diff = frames[t, j] - book[c, j]
-                d += diff * diff
-            if d < best_d:  # strict: ties keep the smallest index
-                best_d = d
-                best = c
-        codes[t] = best
-        for j in range(dim):
-            resid[t, j] = frames[t, j] - book[best, j]
-
 
 # Elements of the (rows, K, D) difference array one re-scoring block may hold.
 _RESCORE_BLOCK = 1 << 20
 
 
-def _nearest_codeword_numpy(frames, book, codes, resid):
+def nearest_codeword(frames: np.ndarray, book: np.ndarray):
+    """Per row of `frames`, find the nearest row of `book` (L2, smallest-index
+    ties) and the residual. Returns (codes, residuals)."""
+    frames = np.ascontiguousarray(frames, dtype=np.float64)
+    book = np.ascontiguousarray(book, dtype=np.float64)
+    if frames.ndim != 2 or book.ndim != 2 or frames.shape[1] != book.shape[1]:
+        raise ValueError(
+            f"shape mismatch: frames {frames.shape} vs codebook {book.shape}"
+        )
     # Score ||c||^2 - 2 r.c, which is ||r - c||^2 less the row term ||r||^2
     # and has the same argmin. Each computed score is off by at most about
     # (D+2)*eps*(||c||^2 + 2||r|| ||c||), so a row whose runner-up lies within
@@ -93,6 +34,7 @@ def _nearest_codeword_numpy(frames, book, codes, resid):
     # direct differences, as the oracle in the contract does.
     n, dim = frames.shape
     k = book.shape[0]
+    codes = np.empty(n, dtype=np.int64)
     book_sq = np.einsum("kd,kd->k", book, book)
     scores = frames @ book.T
     scores *= -2.0
@@ -108,40 +50,7 @@ def _nearest_codeword_numpy(frames, book, codes, resid):
         blk = rows[i : i + step]
         dist = ((frames[blk, None, :] - book[None, :, :]) ** 2).sum(axis=-1)
         codes[blk] = np.argmin(dist, axis=1)  # first index of the minimum
-    np.subtract(frames, book[codes], out=resid)
-
-
-def nearest_codeword(frames: np.ndarray, book: np.ndarray):
-    """Per row of `frames`, find the nearest row of `book` (L2, smallest-index
-    ties) and the residual. Returns (codes, residuals)."""
-    frames = np.ascontiguousarray(frames, dtype=np.float64)
-    book = np.ascontiguousarray(book, dtype=np.float64)
-    if frames.ndim != 2 or book.ndim != 2 or frames.shape[1] != book.shape[1]:
-        raise ValueError(
-            f"shape mismatch: frames {frames.shape} vs codebook {book.shape}"
-        )
-    codes = np.empty(frames.shape[0], dtype=np.int64)
-    resid = np.empty_like(frames)
-    if BACKEND == "numba":
-        _nearest_codeword_numba(frames, book, codes, resid)
-    else:
-        _nearest_codeword_numpy(frames, book, codes, resid)
-    return codes, resid
-
-
-@njit(cache=True)
-def _cluster_accumulate_numba(frames, codes, sums, counts):
-    n, dim = frames.shape
-    for t in range(n):
-        c = codes[t]
-        counts[c] += 1
-        for j in range(dim):
-            sums[c, j] += frames[t, j]
-
-
-def _cluster_accumulate_numpy(frames, codes, sums, counts):
-    np.add.at(sums, codes, frames)
-    np.add.at(counts, codes, 1)
+    return codes, frames - book[codes]
 
 
 def cluster_accumulate(frames: np.ndarray, codes: np.ndarray, k: int):
@@ -150,8 +59,6 @@ def cluster_accumulate(frames: np.ndarray, codes: np.ndarray, k: int):
     codes = np.ascontiguousarray(codes, dtype=np.int64)
     sums = np.zeros((k, frames.shape[1]), dtype=np.float64)
     counts = np.zeros(k, dtype=np.int64)
-    if BACKEND == "numba":
-        _cluster_accumulate_numba(frames, codes, sums, counts)
-    else:
-        _cluster_accumulate_numpy(frames, codes, sums, counts)
+    np.add.at(sums, codes, frames)
+    np.add.at(counts, codes, 1)
     return sums, counts

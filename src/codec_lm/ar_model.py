@@ -56,15 +56,6 @@ def _validate_ids(phon_ids, acoustic_ids, cfg: ModelConfig):
     return phon_ids, acoustic_ids
 
 
-def build_ar_sequence(phon_ids, acoustic_ids, cfg: ModelConfig) -> lm_core.SegmentedSequence:
-    """Token layout: [phonemes, phoneme-EOS] ++ [codes, acoustic-EOS]; the
-    acoustic prompt and continuation share one position segment."""
-    phon_ids, acoustic_ids = _validate_ids(phon_ids, acoustic_ids, cfg)
-    phon_part = np.concatenate([phon_ids, [cfg.phoneme_eos]])
-    ac_part = np.concatenate([acoustic_ids, [cfg.acoustic_eos]])
-    return lm_core.SegmentedSequence.from_segments([phon_part, ac_part])
-
-
 def _embed(params, cfg, phon_part, ac_part):
     emb = np.concatenate(
         [params["phoneme_emb"][phon_part], params["acoustic_emb"][ac_part]], axis=0
@@ -159,8 +150,11 @@ def ar_loss(params, cfg: ModelConfig, batch, *, train=False, rng=None):
 class ArDecoder:
     """Incremental decoder with per-layer key/value caches.
 
-    The prefill pass and the per-token steps perform the same per-position
-    computation as ar_forward, so cached decoding matches the one-shot pass.
+    The prefill and every step run the same `lm_core.stack_forward` as
+    ar_forward: the prefill over the prompt under a causal mask, each step
+    over the one new token against the cached keys and values (`past_kv`).
+    So cached decoding performs the same per-position computation as the
+    one-shot pass.
     """
 
     def __init__(self, params, cfg: ModelConfig, phon_ids, prefix_codes):
@@ -173,11 +167,11 @@ class ArDecoder:
         n = self.p + self.ac_len
         if n + 1 > cfg.max_len:
             raise ValidationError(f"sequence length {n} exceeds max_len {cfg.max_len}")
-        emb = np.concatenate(
-            [params["phoneme_emb"][phon_part], params["acoustic_emb"][prefix_codes]], axis=0
-        )
-        emb = emb + lm_core.segment_position_encoding([self.p, self.ac_len], cfg.embed_dim)
-        out, cache = lm_core.stack_forward(params, cfg, emb, lm_core.causal_mask(n), train=False)
+        self.kv = None
+        self._advance(_embed(params, cfg, phon_part, prefix_codes), lm_core.causal_mask(n))
+
+    def _advance(self, x, mask):
+        out, cache = lm_core.stack_forward(self.params, self.cfg, x, mask, past_kv=self.kv)
         self.kv = [(lc["kh"], lc["vh"]) for lc in cache["layers"]]
         self._last_hidden = out[-1]
 
@@ -186,34 +180,13 @@ class ArDecoder:
 
     def push(self, token: int) -> None:
         """Append one acoustic token and advance the caches."""
-        cfg, params = self.cfg, self.params
-        if self.p + self.ac_len + 1 > cfg.max_len:
+        cfg = self.cfg
+        n = self.p + self.ac_len + 1
+        if n > cfg.max_len:
             raise ValidationError("sequence exceeded max_len during generation")
-        pos = lm_core.sinusoidal_positions(self.ac_len + 1, cfg.embed_dim)[-1]
-        x = (params["acoustic_emb"][int(token)] + pos)[None, :]
-        h, hd = cfg.heads, cfg.head_dim
-        for i in range(cfg.layers):
-            p = f"layers.{i}"
-            xhat, _ = lm_core._ln_core_forward(x)
-            n1 = params[f"{p}.ln1.g"] * xhat + params[f"{p}.ln1.b"]
-            q = (n1 @ params[f"{p}.attn.wq"] + params[f"{p}.attn.bq"]).reshape(1, h, hd)
-            k = (n1 @ params[f"{p}.attn.wk"] + params[f"{p}.attn.bk"]).reshape(1, h, hd)
-            v = (n1 @ params[f"{p}.attn.wv"] + params[f"{p}.attn.bv"]).reshape(1, h, hd)
-            kh = np.concatenate([self.kv[i][0], k.transpose(1, 0, 2)], axis=1)
-            vh = np.concatenate([self.kv[i][1], v.transpose(1, 0, 2)], axis=1)
-            self.kv[i] = (kh, vh)
-            qh = q.transpose(1, 0, 2)
-            ctx, _ = lm_core._attention_forward(
-                qh, kh, vh, np.ones((1, kh.shape[1]), dtype=bool)
-            )
-            attn_out = ctx.transpose(1, 0, 2).reshape(1, cfg.embed_dim)
-            x = x + (attn_out @ params[f"{p}.attn.wo"] + params[f"{p}.attn.bo"])
-            xhat, _ = lm_core._ln_core_forward(x)
-            n2 = params[f"{p}.ln2.g"] * xhat + params[f"{p}.ln2.b"]
-            r = np.maximum(n2 @ params[f"{p}.ffn.w1"] + params[f"{p}.ffn.b1"], 0.0)
-            x = x + (r @ params[f"{p}.ffn.w2"] + params[f"{p}.ffn.b2"])
-        xhat, _ = lm_core._ln_core_forward(x)
-        self._last_hidden = (params["ln_f.g"] * xhat + params["ln_f.b"])[0]
+        x = self.params["acoustic_emb"][[int(token)]]
+        x = x + lm_core.sinusoidal_positions(1, cfg.embed_dim, start=self.ac_len)
+        self._advance(x, np.ones((1, n), dtype=bool))
         self.ac_len += 1
 
 

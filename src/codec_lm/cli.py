@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the zero-shot synthesis proxy")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("inspect", help="dump any CLM1/CBK1/CDM1/CKP1 file")
+    p = sub.add_parser("inspect", help="dump any CLM1/CBK1/CKP1 file")
     p.add_argument("path")
     p.set_defaults(func=cmd_inspect)
     return parser

@@ -1,7 +1,7 @@
 """Binary and line-oriented artifact formats.
 
 All binary headers are little-endian. Magics: CLM1 (audio), CBK1 (codebooks),
-CDM1 (code matrix), CKP1 (model checkpoint).
+CKP1 (model checkpoint).
 """
 
 import struct
@@ -13,7 +13,6 @@ from .errors import ValidationError
 
 AUDIO_MAGIC = b"CLM1"
 CODEBOOK_MAGIC = b"CBK1"
-CODES_MAGIC = b"CDM1"
 CHECKPOINT_MAGIC = b"CKP1"
 
 
@@ -91,31 +90,6 @@ def read_codebooks(path):
         stride,
         sample_rate,
     )
-
-
-# -- code matrices (CDM1): u16 row-major --------------------------------------
-
-def write_codes(path, codes: np.ndarray) -> None:
-    codes = np.asarray(codes)
-    if codes.ndim != 2:
-        raise ValidationError(f"code matrix must be 2-D, got shape {codes.shape}")
-    if codes.min(initial=0) < 0 or codes.max(initial=0) > np.iinfo(np.uint16).max:
-        raise ValidationError("code values out of u16 range")
-    t, q = codes.shape
-    with open(path, "wb") as fh:
-        fh.write(CODES_MAGIC)
-        fh.write(struct.pack("<II", t, q))
-        fh.write(codes.astype("<u2").tobytes())
-
-
-def read_codes(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != CODES_MAGIC:
-            raise ValidationError(f"{path}: not a CDM1 code file (magic {magic!r})")
-        t, q = struct.unpack("<II", _read_exact(fh, 8, "header"))
-        data = _read_exact(fh, 2 * t * q, "codes")
-    return np.frombuffer(data, dtype="<u2").reshape(t, q).astype(np.int64)
 
 
 # -- checkpoints (CKP1): config lines + named float32 blocks ------------------
@@ -238,7 +212,7 @@ def read_loss_log(path):
 # -- inspection ----------------------------------------------------------------
 
 def describe_file(path) -> str:
-    """Human-readable dump of any CLM1/CBK1/CDM1/CKP1 file."""
+    """Human-readable dump of any CLM1/CBK1/CKP1 file."""
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -257,10 +231,6 @@ def describe_file(path) -> str:
             f"CBK1 codebooks: Q={q} K={k} D={dim} stride={stride} "
             f"sample_rate={sample_rate} frame_rate={sample_rate / stride:g}Hz"
         )
-    if magic == CODES_MAGIC:
-        codes = read_codes(path)
-        t, q = codes.shape
-        return f"CDM1 code matrix: T={t} Q={q} min={codes.min()} max={codes.max()}"
     if magic == CHECKPOINT_MAGIC:
         config, params = read_checkpoint(path)
         lines = [f"CKP1 checkpoint: {len(params)} parameter blocks"]

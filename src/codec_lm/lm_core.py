@@ -61,41 +61,22 @@ class ModelConfig:
 
 # -- positions -------------------------------------------------------------------
 
-def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
-    """Fixed sinusoid table: entry (p, 2k) = sin(p / 10000^(2k/dim)),
-    entry (p, 2k+1) = cos of the same angle."""
+def sinusoidal_positions(length: int, dim: int, start: int = 0) -> np.ndarray:
+    """Fixed sinusoid table for positions start..start+length-1: entry
+    (p, 2k) = sin(p / 10000^(2k/dim)), entry (p, 2k+1) = cos of the same
+    angle. Each row depends only on its position, so a window equals the
+    same rows of a table that starts at 0."""
     if dim % 2 != 0:
         raise ValidationError("position encoding dim must be even")
-    if length < 0:
-        raise ValidationError("length must be nonnegative")
-    pos = np.arange(length, dtype=np.float64)[:, None]
+    if length < 0 or start < 0:
+        raise ValidationError("length and start must be nonnegative")
+    pos = np.arange(start, start + length, dtype=np.float64)[:, None]
     k2 = np.arange(0, dim, 2, dtype=np.float64)[None, :]
     angles = pos / np.power(10000.0, k2 / dim)
     out = np.empty((length, dim), dtype=np.float64)
     out[:, 0::2] = np.sin(angles)
     out[:, 1::2] = np.cos(angles)
     return out
-
-
-@dataclass(frozen=True)
-class SegmentedSequence:
-    """Token ids with segment labels; positions restart at 0 per segment."""
-
-    ids: np.ndarray
-    segment_ids: np.ndarray
-    positions: np.ndarray
-
-    @classmethod
-    def from_segments(cls, segments):
-        segments = [np.asarray(s, dtype=np.int64) for s in segments]
-        ids = np.concatenate(segments) if segments else np.empty(0, dtype=np.int64)
-        seg_ids = np.concatenate(
-            [np.full(len(s), i, dtype=np.int64) for i, s in enumerate(segments)]
-        ) if segments else np.empty(0, dtype=np.int64)
-        pos = np.concatenate(
-            [np.arange(len(s), dtype=np.int64) for s in segments]
-        ) if segments else np.empty(0, dtype=np.int64)
-        return cls(ids=ids, segment_ids=seg_ids, positions=pos)
 
 
 def segment_position_encoding(segment_lengths, dim: int) -> np.ndarray:
@@ -132,17 +113,6 @@ def _attention_forward(q, k, v, mask):
     return probs @ v, probs
 
 
-def attention(q, k, v, mask) -> np.ndarray:
-    """Public single-shot attention: softmax(q k^T / sqrt(head_dim)) v."""
-    out, _ = _attention_forward(
-        np.asarray(q, dtype=np.float64),
-        np.asarray(k, dtype=np.float64),
-        np.asarray(v, dtype=np.float64),
-        np.asarray(mask, dtype=bool),
-    )
-    return out
-
-
 def _attention_backward(dctx, q, k, v, probs):
     """Backward of _attention_forward (mask handled implicitly: masked
     probabilities are exactly zero)."""
@@ -172,34 +142,9 @@ def _ln_core_backward(dxhat, xhat, inv):
     return inv * (dxhat - m1 - xhat * m2)
 
 
-def layer_norm(x, gain, bias):
-    xhat, _ = _ln_core_forward(np.asarray(x, dtype=np.float64))
-    return gain * xhat + bias
-
-
 def adaln_modulation(stage_vec, pa, ba, pb, bb):
     """Scale/shift vectors from a linear projection of the stage embedding."""
     return stage_vec @ pa + ba, stage_vec @ pb + bb
-
-
-def ada_layer_norm(h, stage: int, params, site: str = "ln_f") -> np.ndarray:
-    """AdaLN(h, stage) = a_stage * LayerNorm(h) + b_stage for stage in [2, Q].
-
-    `site` selects which projection bank to use (each norm site has its own).
-    """
-    n_stages = params["stage_emb"].shape[0]
-    if not 2 <= stage <= n_stages + 1:
-        raise ValidationError(f"stage must lie in [2, {n_stages + 1}], got {stage}")
-    s = params["stage_emb"][stage - 2]
-    a, b = adaln_modulation(
-        s,
-        params[f"{site}.pa"],
-        params[f"{site}.ba"],
-        params[f"{site}.pb"],
-        params[f"{site}.bb"],
-    )
-    xhat, _ = _ln_core_forward(np.asarray(h, dtype=np.float64))
-    return a * xhat + b
 
 
 # -- parameter initialization --------------------------------------------------------
@@ -258,11 +203,16 @@ def _dropout(x, rate, rng, train):
     return x * mask, mask
 
 
-def stack_forward(params, cfg: ModelConfig, x, mask, *, stage_vec=None, train=False, rng=None):
+def stack_forward(params, cfg: ModelConfig, x, mask, *, stage_vec=None, train=False, rng=None,
+                  past_kv=None):
     """Run the transformer trunk. x: (T, d) summed embeddings (+ positions).
 
     stage_vec selects AdaLN conditioning (NAR); None selects plain LayerNorm
-    with learned gain/bias (AR). Returns (output (T, d), cache).
+    with learned gain/bias (AR). past_kv, for incremental decoding, is a
+    per-layer list of (kh, vh) of shape (H, T_past, hd) that each layer puts
+    before its own keys and values; mask is then (T, T_past + T). Returns
+    (output (T, d), cache); the cache's per-layer kh/vh hold every key and
+    value the layer attended to. Backward needs a cache made without past_kv.
     """
     adaln = stage_vec is not None
     cache = {"adaln": adaln, "stage_vec": stage_vec, "layers": [], "mask": mask}
@@ -292,6 +242,9 @@ def stack_forward(params, cfg: ModelConfig, x, mask, *, stage_vec=None, train=Fa
         qh = q.reshape(t, h, hd).transpose(1, 0, 2)
         kh = k.reshape(t, h, hd).transpose(1, 0, 2)
         vh = v.reshape(t, h, hd).transpose(1, 0, 2)
+        if past_kv is not None:
+            kh = np.concatenate([past_kv[i][0], kh], axis=1)
+            vh = np.concatenate([past_kv[i][1], vh], axis=1)
         ctx, probs = _attention_forward(qh, kh, vh, mask)
         ctx_flat = ctx.transpose(1, 0, 2).reshape(t, cfg.embed_dim)
         attn_out = ctx_flat @ params[f"{p}.attn.wo"] + params[f"{p}.attn.bo"]
@@ -507,9 +460,6 @@ class GradCheckReport:
     max_rel_error: float
     probes: list
     worst: tuple | None
-
-    def passed(self, tolerance: float) -> bool:
-        return self.max_rel_error < tolerance
 
 
 def grad_check(

@@ -91,7 +91,7 @@ def nar_forward(params, cfg: ModelConfig, phon_ids, acoustic_prompt, partial_tar
     phon_ids = np.asarray(phon_ids, dtype=np.int64)
     if phon_ids.size == 0:
         raise ValidationError("phoneme sequence is empty")
-    if phon_ids.min() < 0 or phon_ids.max() > cfg.phoneme_vocab:
+    if phon_ids.min() < 0 or phon_ids.max() >= cfg.phoneme_vocab:
         raise ValidationError("phoneme id out of range")
     forward_calls += 1
 

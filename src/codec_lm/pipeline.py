@@ -213,13 +213,13 @@ def _check_dims(model_cfg: ModelConfig, cs: CodebookSet):
             f"model (K={model_cfg.codebook_size}, Q={model_cfg.quantizers}) does not match "
             f"codec (K={cs.codebook_size}, Q={cs.quantizers})"
         )
-    if model_cfg.dropout and model_cfg.dropout >= 1.0:
-        raise ValidationError("dropout must be < 1")
 
 
-def _train_common(corpus_dir, cs, model_cfg, train_cfg):
+def _train_common(corpus_dir, cs, model_cfg, train_cfg, out_path):
     model_cfg.validate()
     train_cfg.validate()
+    if train_cfg.checkpoint_every and out_path is None:
+        raise ValidationError("checkpoint_every needs an output path to name the step checkpoints")
     _check_dims(model_cfg, cs)
     if int(train_cfg.crop_min * cs.frame_rate) < 1:
         raise ValidationError(
@@ -242,7 +242,7 @@ def _finish(params, cfg, kind, train_cfg, rows, out_path, log_path, extra):
 def train_ar(corpus_dir, cs: CodebookSet, model_cfg: ModelConfig, train_cfg: TrainConfig,
              out_path=None, log_path=None):
     """Pure causal training over [phonemes, EOS, stage-1 codes, EOS] crops."""
-    items = _train_common(corpus_dir, cs, model_cfg, train_cfg)
+    items = _train_common(corpus_dir, cs, model_cfg, train_cfg, out_path)
     rng_init = np.random.default_rng(np.random.SeedSequence([train_cfg.seed, 31]))
     rng_batch = np.random.default_rng(np.random.SeedSequence([train_cfg.seed, 37]))
     rng_drop = np.random.default_rng(np.random.SeedSequence([train_cfg.seed, 41]))
@@ -282,7 +282,7 @@ def train_ar(corpus_dir, cs: CodebookSet, model_cfg: ModelConfig, train_cfg: Tra
 def train_nar(corpus_dir, cs: CodebookSet, model_cfg: ModelConfig, train_cfg: TrainConfig,
               out_path=None, log_path=None):
     """Stage-conditioned training: one uniform stage in [2, Q] per step."""
-    items = _train_common(corpus_dir, cs, model_cfg, train_cfg)
+    items = _train_common(corpus_dir, cs, model_cfg, train_cfg, out_path)
     prompt_len = int(NAR_PROMPT_SECONDS * cs.frame_rate)
     usable = [tu for tu in items if tu.num_frames >= prompt_len + 1]
     for tu in items:

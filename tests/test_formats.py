@@ -37,20 +37,6 @@ def test_codebooks_round_trip(tmp_path, rng):
     np.testing.assert_allclose(b, books.astype(np.float32))
 
 
-def test_codes_round_trip(tmp_path, rng):
-    codes = rng.integers(0, 1024, size=(750, 8))
-    path = tmp_path / "codes.cdm"
-    formats.write_codes(path, codes)
-    back = formats.read_codes(path)
-    np.testing.assert_array_equal(back, codes)
-    assert path.stat().st_size == 12 + 2 * 750 * 8
-
-
-def test_codes_reject_out_of_range(tmp_path):
-    with pytest.raises(ValidationError):
-        formats.write_codes(tmp_path / "x.cdm", np.array([[-1, 2]]))
-
-
 def test_checkpoint_round_trip(tmp_path, rng):
     params = {
         "emb": rng.normal(size=(7, 3)),
@@ -101,11 +87,3 @@ def test_describe_unknown_magic(tmp_path):
     path.write_bytes(b"WHAT" + b"\x00" * 8)
     with pytest.raises(ValidationError):
         formats.describe_file(path)
-
-
-def test_describe_codes(tmp_path, rng):
-    codes = rng.integers(0, 1024, size=(750, 8))
-    path = tmp_path / "codes.cdm"
-    formats.write_codes(path, codes)
-    text = formats.describe_file(path)
-    assert "T=750" in text and "Q=8" in text

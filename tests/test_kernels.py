@@ -1,23 +1,12 @@
 """Kernel contract: nearest row by direct L2 distance (smallest index on
-ties) and per-cluster sums.
-
-The four oracle tests run the numpy backend, which every machine has, against
-`_brute_nearest` and `np.bincount`. `test_numba_backend_matches_numpy_and_oracle`
-runs the same checks on the numba backend, and checks that it agrees with
-numpy; it is skipped where numba does not import.
+ties) and per-cluster sums, checked against `_brute_nearest` and
+`np.bincount`.
 """
 
 import numpy as np
 import pytest
 
 from codec_lm import _kernels
-
-
-@pytest.fixture
-def both_backends():
-    original = _kernels.BACKEND
-    yield
-    _kernels.select_backend(original)
 
 
 def _brute_nearest(frames, book):
@@ -37,16 +26,22 @@ def _near_duplicate_book(seed):
     return book
 
 
-def _check_random_data(rng):
+def _check_exact_match(book):
+    frames = book[[4, 7]].copy()
+    codes, resid = _kernels.nearest_codeword(frames, book)
+    np.testing.assert_array_equal(codes, [4, 7])
+    np.testing.assert_array_equal(resid, np.zeros((2, book.shape[1])))
+
+
+def test_backends_agree_on_random_data(rng):
     frames = rng.normal(size=(257, 12))
     book = rng.normal(size=(33, 12))
     codes, resid = _kernels.nearest_codeword(frames, book)
     np.testing.assert_array_equal(codes, _brute_nearest(frames, book))
     np.testing.assert_array_equal(resid, frames - book[codes])
-    return frames, book, codes, resid
 
 
-def _check_tie_break():
+def test_smallest_index_tie_break():
     frames = np.array([[1.0, 0.0]])
     book = np.array([[1.0, 0.5], [1.0, -0.5], [9.0, 9.0]])  # rows 0/1 equidistant
     codes, _ = _kernels.nearest_codeword(frames, book)
@@ -60,14 +55,13 @@ def _check_tie_break():
     assert codes[0] == 0
 
 
-def _check_exact_match(book):
-    frames = book[[4, 7]].copy()
-    codes, resid = _kernels.nearest_codeword(frames, book)
-    np.testing.assert_array_equal(codes, [4, 7])
-    np.testing.assert_array_equal(resid, np.zeros((2, book.shape[1])))
+def test_exact_match_gives_zero_residual(rng):
+    _check_exact_match(rng.normal(size=(9, 5)))
+    for seed in range(200):
+        _check_exact_match(_near_duplicate_book(seed))
 
 
-def _check_cluster_accumulate(rng):
+def test_cluster_accumulate_matches_bincount(rng):
     frames = rng.normal(size=(100, 4))
     codes = rng.integers(0, 7, size=100)
     sums, counts = _kernels.cluster_accumulate(frames, codes, 7)
@@ -76,51 +70,6 @@ def _check_cluster_accumulate(rng):
         np.testing.assert_allclose(sums[c], frames[codes == c].sum(axis=0), atol=1e-12)
 
 
-def test_backends_agree_on_random_data(both_backends, rng):
-    _kernels.select_backend("numpy")
-    _check_random_data(rng)
-
-
-def test_smallest_index_tie_break(both_backends):
-    _kernels.select_backend("numpy")
-    _check_tie_break()
-
-
-def test_exact_match_gives_zero_residual(both_backends, rng):
-    _kernels.select_backend("numpy")
-    _check_exact_match(rng.normal(size=(9, 5)))
-    for seed in range(200):
-        _check_exact_match(_near_duplicate_book(seed))
-
-
-def test_cluster_accumulate_matches_bincount(both_backends, rng):
-    _kernels.select_backend("numpy")
-    _check_cluster_accumulate(rng)
-
-
-@pytest.mark.skipif(not _kernels.NUMBA_AVAILABLE, reason="numba is not importable")
-def test_numba_backend_matches_numpy_and_oracle(both_backends):
-    _kernels.select_backend("numba")
-    frames, book, codes_nb, resid_nb = _check_random_data(np.random.default_rng(12345))
-    _kernels.select_backend("numpy")
-    codes_np, resid_np = _kernels.nearest_codeword(frames, book)
-    np.testing.assert_array_equal(codes_nb, codes_np)
-    np.testing.assert_allclose(resid_nb, resid_np, atol=1e-12)
-
-    _kernels.select_backend("numba")
-    _check_tie_break()
-    _check_exact_match(np.random.default_rng(12345).normal(size=(9, 5)))
-    for seed in range(200):
-        _check_exact_match(_near_duplicate_book(seed))
-    _check_cluster_accumulate(np.random.default_rng(12345))
-
-
-def test_shape_mismatch_rejected(both_backends):
+def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         _kernels.nearest_codeword(np.zeros((3, 4)), np.zeros((5, 6)))
-
-
-def test_backend_selection_env_names():
-    assert _kernels._resolve("auto") in ("numba", "numpy")
-    with pytest.raises(ValueError):
-        _kernels._resolve("gpu")

@@ -29,13 +29,18 @@ class TestSinusoidalPositions:
         with pytest.raises(ValidationError):
             lm_core.sinusoidal_positions(4, 5)
 
+    def test_window_equals_table_row(self):
+        """A one-row window at position p is bitwise the last row of the
+        table of positions 0..p."""
+        d = ModelConfig().embed_dim
+        for p in (0, 1, 299, 4095):
+            np.testing.assert_array_equal(
+                lm_core.sinusoidal_positions(1, d, start=p),
+                lm_core.sinusoidal_positions(p + 1, d)[-1:],
+            )
+
 
 class TestSegmentedPositions:
-    def test_positions_restart_per_segment(self):
-        seq = lm_core.SegmentedSequence.from_segments([[7, 8, 9], [1, 2]])
-        np.testing.assert_array_equal(seq.positions, [0, 1, 2, 0, 1])
-        np.testing.assert_array_equal(seq.segment_ids, [0, 0, 0, 1, 1])
-
     def test_encoding_blocks(self):
         enc = lm_core.segment_position_encoding([3, 2], 8)
         single = lm_core.sinusoidal_positions(3, 8)
@@ -43,19 +48,24 @@ class TestSegmentedPositions:
         np.testing.assert_array_equal(enc[3:], single[:2])
 
 
+def _attend(q, k, v, mask):
+    """The context output of the trunk's attention."""
+    return lm_core._attention_forward(q, k, v, mask)[0]
+
+
 class TestAttention:
     def test_identity_mask_returns_v(self, rng):
         q = rng.normal(size=(4, 8))
         k = rng.normal(size=(4, 8))
         v = rng.normal(size=(4, 8))
-        out = lm_core.attention(q, k, v, np.eye(4, dtype=bool))
+        out = _attend(q, k, v, np.eye(4, dtype=bool))
         np.testing.assert_allclose(out, v, atol=1e-12)
 
     def test_uniform_scores_average_v(self, rng):
         q = np.zeros((3, 8))
         k = rng.normal(size=(3, 8))
         v = rng.normal(size=(3, 8))
-        out = lm_core.attention(q, k, v, np.ones((3, 3), dtype=bool))
+        out = _attend(q, k, v, np.ones((3, 3), dtype=bool))
         np.testing.assert_allclose(out, np.tile(v.mean(axis=0), (3, 1)), atol=1e-12)
 
     def test_matches_reference_formula(self, rng):
@@ -67,26 +77,26 @@ class TestAttention:
         ref = np.exp(scores - scores.max(axis=1, keepdims=True))
         ref /= ref.sum(axis=1, keepdims=True)
         ref = ref @ v
-        out = lm_core.attention(q, k, v, np.ones((3, 3), dtype=bool))
+        out = _attend(q, k, v, np.ones((3, 3), dtype=bool))
         np.testing.assert_allclose(out, ref, atol=1e-6)
 
     def test_fully_masked_row_rejected(self, rng):
         mask = np.ones((3, 3), dtype=bool)
         mask[1] = False
         with pytest.raises(ValidationError):
-            lm_core.attention(rng.normal(size=(3, 4)), rng.normal(size=(3, 4)),
-                              rng.normal(size=(3, 4)), mask)
+            _attend(rng.normal(size=(3, 4)), rng.normal(size=(3, 4)),
+                    rng.normal(size=(3, 4)), mask)
 
     def test_masked_positions_are_ignored(self, rng):
         q = rng.normal(size=(4, 8))
         k = rng.normal(size=(4, 8))
         v = rng.normal(size=(4, 8))
         mask = lm_core.causal_mask(4)
-        base = lm_core.attention(q, k, v, mask)
+        base = _attend(q, k, v, mask)
         k2, v2 = k.copy(), v.copy()
         k2[3] = 99.0
         v2[3] = -99.0
-        out = lm_core.attention(q, k2, v2, mask)
+        out = _attend(q, k2, v2, mask)
         np.testing.assert_array_equal(base[:3], out[:3])
 
     def test_softmax_rows_sum_to_one(self, rng):
@@ -98,49 +108,69 @@ class TestAttention:
 
 
 class TestAdaLayerNorm:
-    def _params(self, rng, d=8, q=4):
-        params = {"stage_emb": rng.normal(size=(q - 1, d))}
-        for nm in ("ln_f",):
-            params[f"{nm}.pa"] = rng.normal(size=(d, d)) * 0.1
-            params[f"{nm}.ba"] = np.ones(d)
-            params[f"{nm}.pb"] = rng.normal(size=(d, d)) * 0.1
-            params[f"{nm}.bb"] = np.zeros(d)
-        return params
+    """AdaLN as the trunk runs it: stack_forward with a stage vector."""
+
+    CFG = ModelConfig(layers=2, heads=2, embed_dim=8, ffn_dim=16, dropout=0.0, quantizers=4)
+
+    def _trunks(self, rng, c, e):
+        """An AdaLN trunk with pa = pb = 0, ba = c, bb = e at every norm site,
+        and the plain-LN trunk with g = c, b = e and the same weights."""
+        ada = lm_core.init_stack_params(self.CFG, rng, adaln=True)
+        plain = {}
+        for name, value in ada.items():
+            site, _, leaf = name.rpartition(".")
+            if leaf in ("pa", "pb"):
+                ada[name] = np.zeros_like(value)
+            elif leaf == "ba":
+                ada[name] = np.full_like(value, c)
+                plain[f"{site}.g"] = ada[name]
+            elif leaf == "bb":
+                ada[name] = np.full_like(value, e)
+                plain[f"{site}.b"] = ada[name]
+            else:
+                plain[name] = value
+        return ada, plain
+
+    def _check_reduces_to_layernorm(self, rng, c, e):
+        ada, plain = self._trunks(rng, c, e)
+        x = rng.normal(size=(5, 8))
+        mask = lm_core.causal_mask(5)
+        out, _ = lm_core.stack_forward(ada, self.CFG, x, mask, stage_vec=rng.normal(size=8))
+        ref, _ = lm_core.stack_forward(plain, self.CFG, x, mask)
+        np.testing.assert_array_equal(out, ref)
 
     def test_identity_modulation_is_layernorm(self, rng):
-        params = self._params(rng)
-        params["ln_f.pa"][:] = 0.0
-        params["ln_f.pb"][:] = 0.0
-        h = rng.normal(size=(5, 8))
-        out = lm_core.ada_layer_norm(h, 2, params)
-        ref = lm_core.layer_norm(h, np.ones(8), np.zeros(8))
-        np.testing.assert_allclose(out, ref, atol=1e-12)
-
-    def test_distinct_stages_differ(self, rng):
-        params = self._params(rng)
-        h = rng.normal(size=(5, 8))
-        a = lm_core.ada_layer_norm(h, 2, params)
-        b = lm_core.ada_layer_norm(h, 3, params)
-        assert np.abs(a - b).max() > 1e-6
+        self._check_reduces_to_layernorm(rng, 1.0, 0.0)
 
     def test_scalar_affine_composition(self, rng):
-        """Oracle: 2 * LayerNorm(h) + 0.5 elementwise."""
-        params = self._params(rng)
-        params["ln_f.pa"][:] = 0.0
-        params["ln_f.pb"][:] = 0.0
-        params["ln_f.ba"][:] = 2.0
-        params["ln_f.bb"][:] = 0.5
-        h = rng.normal(size=(4, 8))
-        out = lm_core.ada_layer_norm(h, 3, params)
-        ref = 2.0 * lm_core.layer_norm(h, np.ones(8), np.zeros(8)) + 0.5
-        np.testing.assert_allclose(out, ref, atol=1e-12)
+        """Oracle: a = 2, b = 0.5 is the plain trunk with g = 2, b = 0.5, and
+        per-channel a, b are the plain trunk with those gains and biases."""
+        self._check_reduces_to_layernorm(rng, 2.0, 0.5)
+        self._check_reduces_to_layernorm(rng, rng.normal(size=8), rng.normal(size=8))
 
-    def test_stage_out_of_range(self, rng):
-        params = self._params(rng)
-        with pytest.raises(ValidationError):
-            lm_core.ada_layer_norm(rng.normal(size=(2, 8)), 1, params)
-        with pytest.raises(ValidationError):
-            lm_core.ada_layer_norm(rng.normal(size=(2, 8)), 5, params)
+    def test_distinct_stages_differ(self, rng):
+        params = lm_core.init_stack_params(self.CFG, rng, adaln=True)
+        x = rng.normal(size=(5, 8))
+        mask = lm_core.full_mask(5)
+        a, _ = lm_core.stack_forward(params, self.CFG, x, mask, stage_vec=rng.normal(size=8))
+        b, _ = lm_core.stack_forward(params, self.CFG, x, mask, stage_vec=rng.normal(size=8))
+        assert np.abs(a - b).max() > 1e-6
+
+
+class TestPastKV:
+    def test_chunked_forward_matches_one_pass(self, rng):
+        """Rows 3..4 run against the cached keys/values of rows 0..2 equal
+        the same rows of one causal pass over all five."""
+        cfg = ModelConfig(layers=2, heads=2, embed_dim=8, ffn_dim=16, dropout=0.0)
+        params = lm_core.init_stack_params(cfg, rng, adaln=False)
+        x = rng.normal(size=(5, 8))
+        mask = lm_core.causal_mask(5)
+        full, _ = lm_core.stack_forward(params, cfg, x, mask)
+        _, head = lm_core.stack_forward(params, cfg, x[:3], mask[:3, :3])
+        past = [(lc["kh"], lc["vh"]) for lc in head["layers"]]
+        tail, cache = lm_core.stack_forward(params, cfg, x[3:], mask[3:], past_kv=past)
+        np.testing.assert_allclose(tail, full[3:], atol=1e-12)
+        assert all(lc["kh"].shape == (2, 5, 4) for lc in cache["layers"])
 
 
 class TestCrossEntropy:

@@ -124,6 +124,12 @@ class TestForward:
         with pytest.raises(ValidationError):
             nar_model.nar_forward(params, cfg, phon, prompt, target, cfg.quantizers + 1)
 
+    def test_phoneme_eos_rejected(self, params, cfg, inputs):
+        """The phoneme-EOS id is not a phoneme, as in the AR model."""
+        _, prompt, target = inputs
+        with pytest.raises(ValidationError):
+            nar_model.nar_forward(params, cfg, [2, cfg.phoneme_eos], prompt, target[:, :1], 2)
+
     def test_head_ties_to_stage_table(self, params, cfg, inputs):
         """Zeroing table Q makes stage-Q logits exactly zero (the head is that
         same array), while the input path for stage Q only uses tables < Q."""
