@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codec_lm import ar_model, lm_core
+from codec_lm import ar_model, lm_core, nar_model
 from codec_lm.errors import OptimizerError, ValidationError
 from codec_lm.lm_core import AdamWConfig, AdamWState, ModelConfig
 
@@ -155,6 +155,20 @@ class TestAdaLayerNorm:
         a, _ = lm_core.stack_forward(params, self.CFG, x, mask, stage_vec=rng.normal(size=8))
         b, _ = lm_core.stack_forward(params, self.CFG, x, mask, stage_vec=rng.normal(size=8))
         assert np.abs(a - b).max() > 1e-6
+
+    def test_stage_out_of_range(self, rng):
+        """The AdaLN stage vector exists for stages 2..Q only: stage 1 must not
+        wrap round to the last row of the stage table, nor Q + 1 run past it."""
+        cfg = self.CFG
+        params = nar_model.init_nar_params(cfg, rng)
+        prompt = rng.integers(0, cfg.codebook_size, size=(3, cfg.quantizers))
+        target = rng.integers(0, cfg.codebook_size, size=(2, cfg.quantizers))
+        for stage in (2, cfg.quantizers):
+            nar_model.nar_forward(params, cfg, [2, 3], prompt, target[:, : stage - 1], stage)
+        with pytest.raises(ValidationError):
+            nar_model.nar_forward(params, cfg, [2, 3], prompt, target[:, :0], 1)
+        with pytest.raises(ValidationError):
+            nar_model.nar_forward(params, cfg, [2, 3], prompt, target, cfg.quantizers + 1)
 
 
 class TestPastKV:
