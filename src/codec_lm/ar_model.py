@@ -56,6 +56,14 @@ def _validate_ids(phon_ids, acoustic_ids, cfg: ModelConfig):
     return phon_ids, acoustic_ids
 
 
+def _check_length(p, ac_len, cfg: ModelConfig):
+    """`p` phoneme positions, `ac_len` acoustic codes and the acoustic EOS (or
+    the next token) must fit in max_len."""
+    n = p + ac_len + 1
+    if n > cfg.max_len:
+        raise ValidationError(f"sequence length {n} exceeds max_len {cfg.max_len}")
+
+
 def _embed(params, cfg, phon_part, ac_part):
     emb = np.concatenate(
         [params["phoneme_emb"][phon_part], params["acoustic_emb"][ac_part]], axis=0
@@ -74,10 +82,9 @@ def ar_forward(params, cfg: ModelConfig, phon_ids, acoustic_ids, *, train=False,
     """
     phon_ids, acoustic_ids = _validate_ids(phon_ids, acoustic_ids, cfg)
     phon_part = np.concatenate([phon_ids, [cfg.phoneme_eos]])
+    _check_length(len(phon_part), len(acoustic_ids), cfg)
     ac_part = np.concatenate([acoustic_ids, [cfg.acoustic_eos]])
     n = len(phon_part) + len(ac_part)
-    if n > cfg.max_len:
-        raise ValidationError(f"sequence length {n} exceeds max_len {cfg.max_len}")
     emb = _embed(params, cfg, phon_part, ac_part)
     out, stack_cache = lm_core.stack_forward(
         params, cfg, emb, lm_core.causal_mask(n), train=train, rng=rng
@@ -164,9 +171,8 @@ class ArDecoder:
         phon_part = np.concatenate([phon_ids, [cfg.phoneme_eos]])
         self.p = len(phon_part)
         self.ac_len = len(prefix_codes)
+        _check_length(self.p, self.ac_len, cfg)
         n = self.p + self.ac_len
-        if n + 1 > cfg.max_len:
-            raise ValidationError(f"sequence length {n} exceeds max_len {cfg.max_len}")
         self.kv = None
         self._advance(_embed(params, cfg, phon_part, prefix_codes), lm_core.causal_mask(n))
 
@@ -181,9 +187,8 @@ class ArDecoder:
     def push(self, token: int) -> None:
         """Append one acoustic token and advance the caches."""
         cfg = self.cfg
+        _check_length(self.p, self.ac_len + 1, cfg)
         n = self.p + self.ac_len + 1
-        if n > cfg.max_len:
-            raise ValidationError("sequence exceeded max_len during generation")
         x = self.params["acoustic_emb"][[int(token)]]
         x = x + lm_core.sinusoidal_positions(1, cfg.embed_dim, start=self.ac_len)
         self._advance(x, np.ones((1, n), dtype=bool))

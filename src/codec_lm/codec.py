@@ -241,6 +241,7 @@ def _kmeans_plusplus(data: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     centers = np.empty((k, data.shape[1]))
     centers[0] = data[rng.integers(n)]
     d2 = ((data - centers[0]) ** 2).sum(axis=1)
+    data_sq = np.einsum("nd,nd->n", data, data)
     for i in range(1, k):
         total = d2.sum()
         if total <= 0:
@@ -248,15 +249,20 @@ def _kmeans_plusplus(data: np.ndarray, k: int, rng: np.random.Generator) -> np.n
             continue
         probs = d2 / total
         centers[i] = data[rng.choice(n, p=probs)]
-        d2 = np.minimum(d2, ((data - centers[i]) ** 2).sum(axis=1))
+        _kernels.shrink_sq_dist(data, data_sq, centers[i], d2)
     return centers
 
 
 def kmeans_fit(data: np.ndarray, k: int, iters: int, rng: np.random.Generator) -> np.ndarray:
-    """Lloyd iterations with k-means++ init; empty clusters keep their previous
-    centroid. Pads with zero vectors (and warns) when data has fewer than k
-    distinct rows."""
-    data = np.asarray(data, dtype=np.float64)
+    """At most `iters` Lloyd iterations with k-means++ init; empty clusters keep
+    their previous centroid. Pads with zero vectors (and warns) when data has
+    fewer than k distinct rows.
+
+    Stops early at a fixed point: once an iteration assigns every row as the
+    one before did, its sums, counts and so its centroids equal the current
+    ones bit for bit, and so would every later iteration's. The result is the
+    same as running all `iters`."""
+    data = np.ascontiguousarray(data, dtype=np.float64)
     distinct = np.unique(data, axis=0)
     if distinct.shape[0] < k:
         log.warning(
@@ -268,11 +274,15 @@ def kmeans_fit(data: np.ndarray, k: int, iters: int, rng: np.random.Generator) -
         centers[: distinct.shape[0]] = distinct
         return centers
     centers = _kmeans_plusplus(data, k, rng)
+    prev = None
     for _ in range(iters):
         codes, _ = _kernels.nearest_codeword(data, centers)
+        if prev is not None and np.array_equal(codes, prev):
+            break
         sums, counts = _kernels.cluster_accumulate(data, codes, k)
         nonempty = counts > 0
         centers[nonempty] = sums[nonempty] / counts[nonempty, None]
+        prev = codes
     return centers
 
 

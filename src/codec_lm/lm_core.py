@@ -536,8 +536,15 @@ def save_model(path, kind: str, cfg: ModelConfig, params: dict, extra: dict | No
 
 
 def load_model(path):
-    """Returns (kind, ModelConfig, params, raw config dict)."""
+    """Returns (kind, ModelConfig, params, raw config dict). Rejects a
+    checkpoint of another format or written for another phoneme inventory."""
     config, params = formats.read_checkpoint(path)
+    if config.get("format") != CHECKPOINT_FORMAT:
+        raise ValidationError(
+            f"{path}: checkpoint format {config.get('format')!r}, expected {CHECKPOINT_FORMAT!r}"
+        )
+    if config.get("phoneme_table") != frontend.vocab_table():
+        raise ValidationError(f"{path}: checkpoint was written for another phoneme inventory")
     cfg = ModelConfig(
         layers=int(config["layers"]),
         heads=int(config["heads"]),

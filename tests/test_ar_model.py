@@ -187,18 +187,25 @@ class TestGeneration:
         np.testing.assert_allclose(dec.next_logits(), logits[len(ac)], atol=1e-10)
 
     def test_push_past_max_len_rejected(self, params):
-        """The decoder holds at most max_len tokens; the push that would pass
-        it raises and leaves the decoder as it was."""
+        """The decoder's context stops one short of max_len, the longest
+        ar_forward accepts (it appends the acoustic EOS); the push that would
+        pass it raises and leaves the decoder as it was."""
         small = ModelConfig(layers=2, heads=2, embed_dim=32, ffn_dim=64, dropout=0.0,
                             codebook_size=17, quantizers=4, max_len=9)
-        dec = ar_model.ArDecoder(params, small, [2, 9, 4], [3, 1])
-        while dec.p + dec.ac_len < small.max_len:
+        phon, codes = [2, 9, 4], [3, 1]
+        dec = ar_model.ArDecoder(params, small, phon, codes)
+        while dec.p + dec.ac_len + 1 < small.max_len:
             dec.push(5)
+            codes.append(5)
+        assert dec.p + dec.ac_len == small.max_len - 1
         held, logits = dec.ac_len, dec.next_logits()
         with pytest.raises(ValidationError):
             dec.push(5)
         assert dec.ac_len == held
         np.testing.assert_array_equal(dec.next_logits(), logits)
+        ar_model.ar_forward(params, small, phon, codes)
+        with pytest.raises(ValidationError):
+            ar_model.ar_forward(params, small, phon, codes + [5])
 
 
 class TestDropoutPaths:

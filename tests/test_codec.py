@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codec_lm import codec
+from codec_lm import _kernels, codec
 from codec_lm.corpus import Waveform
 from codec_lm.errors import ValidationError
 
@@ -212,6 +212,83 @@ class TestSnr:
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             codec.reconstruction_snr(Waveform(np.zeros(5), 8000), Waveform(np.zeros(6), 8000))
+
+
+# -- k-means oracles: the direct-distance k-means++ loop and the fixed-iteration
+# Lloyd loop with np.add.at, as the codec first fitted them ----------------------
+
+def _oracle_kmeans_plusplus(data, k, rng):
+    n = data.shape[0]
+    centers = np.empty((k, data.shape[1]))
+    centers[0] = data[rng.integers(n)]
+    d2 = ((data - centers[0]) ** 2).sum(axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centers[i] = data[rng.integers(n)]
+            continue
+        probs = d2 / total
+        centers[i] = data[rng.choice(n, p=probs)]
+        d2 = np.minimum(d2, ((data - centers[i]) ** 2).sum(axis=1))
+    return centers
+
+
+def _oracle_kmeans_fit(data, k, iters, rng):
+    data = np.asarray(data, dtype=np.float64)
+    distinct = np.unique(data, axis=0)
+    if distinct.shape[0] < k:
+        centers = np.zeros((k, data.shape[1]))
+        centers[: distinct.shape[0]] = distinct
+        return centers
+    centers = _oracle_kmeans_plusplus(data, k, rng)
+    for _ in range(iters):
+        codes, _ = _kernels.nearest_codeword(data, centers)
+        sums = np.zeros((k, data.shape[1]))
+        counts = np.zeros(k, dtype=np.int64)
+        np.add.at(sums, codes, data)
+        np.add.at(counts, codes, 1)
+        nonempty = counts > 0
+        centers[nonempty] = sums[nonempty] / counts[nonempty, None]
+    return centers
+
+
+class TestKmeansOracles:
+    def test_plusplus_matches_direct_distance_loop(self, make_rows):
+        for seed in range(60):
+            data = make_rows(np.random.default_rng(seed))
+            got = codec._kmeans_plusplus(data, 32, np.random.default_rng(seed + 1000))
+            want = _oracle_kmeans_plusplus(data, 32, np.random.default_rng(seed + 1000))
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("iters", [1, 2, 20])
+    def test_fit_matches_fixed_iteration_loop(self, make_rows, iters):
+        for seed in range(5):
+            data = make_rows(np.random.default_rng(seed))
+            got = codec.kmeans_fit(data, 32, iters, np.random.default_rng(seed + 1000))
+            want = _oracle_kmeans_fit(data, 32, iters, np.random.default_rng(seed + 1000))
+            np.testing.assert_array_equal(got, want)
+
+    def test_fit_stops_at_fixed_point(self, rng, monkeypatch):
+        """The known centroids of test_recovers_known_centroids (exact and
+        jittered) settle in a few updates; the later ones are skipped."""
+        calls = []
+        accumulate = _kernels.cluster_accumulate
+
+        def counted(*args):
+            calls.append(1)
+            return accumulate(*args)
+
+        monkeypatch.setattr(_kernels, "cluster_accumulate", counted)
+        centroids = np.array(
+            [[1.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0], [0.0, 0.0, -3.0, 0.0]]
+        )
+        for jitter in (0.0, 0.01):
+            data = centroids[rng.integers(0, 3, size=300)] + jitter * rng.normal(size=(300, 4))
+            calls.clear()
+            got = codec.kmeans_fit(data, 3, 50, np.random.default_rng(5))
+            assert 0 < len(calls) < 50
+            want = _oracle_kmeans_fit(data, 3, 50, np.random.default_rng(5))
+            np.testing.assert_array_equal(got, want)
 
 
 class TestTrainCodebooks:

@@ -1,6 +1,6 @@
 """Kernel contract: nearest row by direct L2 distance (smallest index on
-ties) and per-cluster sums, checked against `_brute_nearest` and
-`np.bincount`.
+ties), the k-means++ distance update and per-cluster sums, checked against
+`_brute_nearest`, `np.minimum` of direct distances and `np.bincount`.
 """
 
 import numpy as np
@@ -61,13 +61,35 @@ def test_exact_match_gives_zero_residual(rng):
         _check_exact_match(_near_duplicate_book(seed))
 
 
+def test_shrink_sq_dist_matches_minimum_oracle(make_rows, rng):
+    data = make_rows(rng)
+    data_sq = np.einsum("nd,nd->n", data, data)
+    d2 = ((data - data[0]) ** 2).sum(axis=1)
+    centers = [data[i] for i in rng.integers(0, data.shape[0], size=40)]
+    centers += [np.zeros(data.shape[1]), data[0], rng.normal(size=data.shape[1]) * 1e-13]
+    for center in centers:
+        want = np.minimum(d2, ((data - center) ** 2).sum(axis=1))
+        _kernels.shrink_sq_dist(data, data_sq, center, d2)
+        np.testing.assert_array_equal(d2, want)
+
+
 def test_cluster_accumulate_matches_bincount(rng):
     frames = rng.normal(size=(100, 4))
     codes = rng.integers(0, 7, size=100)
     sums, counts = _kernels.cluster_accumulate(frames, codes, 7)
     np.testing.assert_array_equal(counts, np.bincount(codes, minlength=7))
-    for c in range(7):
-        np.testing.assert_allclose(sums[c], frames[codes == c].sum(axis=0), atol=1e-12)
+    for j in range(4):
+        np.testing.assert_array_equal(
+            sums[:, j], np.bincount(codes, weights=frames[:, j], minlength=7)
+        )
+
+
+@pytest.mark.parametrize("bad", [-1, 7])
+def test_cluster_accumulate_rejects_codes_out_of_range(bad, rng):
+    codes = rng.integers(0, 7, size=100)
+    codes[37] = bad
+    with pytest.raises(ValueError):
+        _kernels.cluster_accumulate(rng.normal(size=(100, 4)), codes, 7)
 
 
 def test_shape_mismatch_rejected():

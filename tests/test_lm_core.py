@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codec_lm import ar_model, lm_core, nar_model
+from codec_lm import ar_model, formats, lm_core, nar_model
 from codec_lm.errors import OptimizerError, ValidationError
 from codec_lm.lm_core import AdamWConfig, AdamWState, ModelConfig
 
@@ -331,6 +331,22 @@ class TestCheckpointHelpers:
         assert "phoneme_table" in raw
         for name in params:
             np.testing.assert_allclose(params2[name], params[name].astype(np.float32))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("format", "2", "format"),
+        ("phoneme_table", "a,b,c", "phoneme inventory"),
+    ])
+    def test_foreign_checkpoint_rejected(self, tmp_path, rng, field, value, message):
+        cfg = ModelConfig(layers=1, heads=2, embed_dim=8, ffn_dim=16, dropout=0.0,
+                          codebook_size=7, quantizers=3)
+        params = ar_model.init_ar_params(cfg, rng)
+        path = tmp_path / "m.ckp"
+        lm_core.save_model(path, "ar", cfg, params)
+        config, _ = formats.read_checkpoint(path)
+        config[field] = value
+        formats.write_checkpoint(path, config, params)
+        with pytest.raises(ValidationError, match=message):
+            lm_core.load_model(path)
 
 
 @settings(max_examples=25, deadline=None)
