@@ -12,7 +12,7 @@ import logging
 import sys
 from pathlib import Path
 
-from . import codec, config, corpus, formats, lm_core, pipeline
+from . import codec, config, corpus, formats, pipeline
 from .errors import ConfigError, UsageError, ValidationError
 
 log = logging.getLogger("codec_lm.cli")
@@ -60,7 +60,7 @@ def cmd_gen_corpus(args) -> int:
     out = Path(args.out)
     if (out / "manifest.tsv").exists() and not args.force:
         raise UsageError(f"corpus manifest {out / 'manifest.tsv'} exists; pass --force")
-    manifest = corpus.build_corpus(run.corpus_config(out))
+    manifest = corpus.build_corpus(run.build("corpus", out_dir=out))
     log.info("manifest: %s", manifest)
     return 0
 
@@ -69,7 +69,7 @@ def cmd_train_codec(args) -> int:
     run = _load_run_config(args)
     out = _guard_out(args.out, args.force)
     waves = _load_train_split_waveforms(args.corpus)
-    cs = codec.train_codebooks(waves, run.codec_config())
+    cs = codec.train_codebooks(waves, run.build("codec"))
     cs.save(out)
     log.info("codebooks written to %s", out)
     return 0
@@ -82,8 +82,8 @@ def _train_lm(args, kind: str) -> int:
     if log_path.exists() and not args.force:
         raise UsageError(f"loss log {log_path} exists; pass --force")
     cs = codec.CodebookSet.load(args.codec)
-    model_cfg = run.model_config(cs.codebook_size, cs.quantizers)
-    train_cfg = run.train_config()
+    model_cfg = run.build("model", codebook_size=cs.codebook_size, quantizers=cs.quantizers)
+    train_cfg = run.build("train")
     trainer = pipeline.train_ar if kind == "ar" else pipeline.train_nar
     summary = trainer(args.corpus, cs, model_cfg, train_cfg, out_path=out, log_path=log_path)
     log.info("%s training done: loss %.4f -> %.4f", kind,
@@ -129,7 +129,7 @@ def cmd_synthesize(args) -> int:
             enrolled_text=args.enrolled_text,
             target_text=args.text,
         )
-    sampling = run.sampling_spec()
+    sampling = run.build("sampling")
     result = pipeline.synthesize(spec, ar, nar, cs, sampling)
     formats.write_audio(out, result.waveform.samples, cs.sample_rate)
     log.info("wrote %d samples (%.2fs) to %s", result.waveform.samples.size,
@@ -143,12 +143,12 @@ def cmd_eval(args) -> int:
     cs = codec.CodebookSet.load(args.codec)
     ar = pipeline.ModelBundle.load(args.ar)
     nar = pipeline.ModelBundle.load(args.nar)
-    train_cfg = run.train_config()
+    train_cfg = run.build("train")
     rows = pipeline.evaluate(
         args.corpus, cs, ar, nar,
         split=args.split,
         seeds=range(args.seeds),
-        sampling=run.sampling_spec(),
+        sampling=run.build("sampling"),
         crop_min=train_cfg.crop_min,
         crop_max=train_cfg.crop_max,
         with_synthesis=not args.no_synthesis,

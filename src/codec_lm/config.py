@@ -3,9 +3,17 @@
 The file format is deliberately parser-free: `[section]` headers, one
 `key = value` per line, `#` comments. Unknown sections or keys are errors,
 and every offending key is reported at once.
+
+The config dataclasses are the only definition of the fields: `SCHEMA` is
+derived from `dataclasses.fields`, so every file key has its field's type and
+default. The one alias is `corpus.held_out` for `held_out_speakers`. A file
+cannot set `corpus.out_dir` (the `--out` directory), `model.phoneme_vocab`
+(the frontend's inventory) or `model.codebook_size`/`quantizers` (the
+trained codec's K and Q); the commands fill these in.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 from .ar_model import SamplingSpec
 from .codec import CodecConfig
@@ -14,67 +22,27 @@ from .errors import ConfigError
 from .lm_core import ModelConfig
 from .pipeline import TrainConfig
 
-# section -> key -> (type, default)
-SCHEMA = {
-    "corpus": {
-        "speakers": (int, 10),
-        "held_out": (int, 2),
-        "utterances_per_speaker": (int, 2),
-        "duration_min": (float, 4.0),
-        "duration_max": (float, 6.0),
-        "sample_rate": (int, 8000),
-        "seed": (int, 0),
-        "f0_min": (float, 120.0),
-        "f0_max": (float, 300.0),
-        "f0_grid_step": (float, 20.0),
-        "max_harmonics": (int, 5),
-        "vibrato_rate_min": (float, 4.0),
-        "vibrato_rate_max": (float, 6.0),
-        "vibrato_depth_max": (float, 0.0),
-        "unit_min": (float, 0.10),
-        "unit_max": (float, 0.30),
-        "unit_quantum": (float, 0.01),
-        "pitch_offset_max": (float, 0.0),
-        "alphabet": (str, "aeioubdg"),
-        "workers": (int, 0),
-    },
-    "codec": {
-        "sample_rate": (int, 8000),
-        "stride": (int, 80),
-        "dim": (int, 80),
-        "quantizers": (int, 8),
-        "codebook_size": (int, 256),
-        "kmeans_iters": (int, 20),
-        "pitch_augment": (float, 0.02),
-        "seed": (int, 0),
-    },
-    "model": {
-        "layers": (int, 4),
-        "heads": (int, 4),
-        "embed_dim": (int, 128),
-        "ffn_dim": (int, 512),
-        "dropout": (float, 0.1),
-        "max_len": (int, 4096),
-    },
-    "train": {
-        "crop_min": (float, 1.0),
-        "crop_max": (float, 3.0),
-        "batch_tokens": (int, 512),
-        "total_steps": (int, 1000),
-        "warmup_steps": (int, 100),
-        "peak_lr": (float, 1e-3),
-        "weight_decay": (float, 0.01),
-        "seed": (int, 0),
-        "log_every": (int, 50),
-        "checkpoint_every": (int, 0),
-    },
-    "sampling": {
-        "temperature": (float, 1.0),
-        "top_p": (float, 0.9),
-        "max_new_tokens": (int, 600),
-        "seed": (int, 0),
-    },
+# section -> (dataclass, {file key: field name}, fields the file cannot set)
+SECTIONS = {
+    "corpus": (CorpusConfig, {"held_out": "held_out_speakers"}, ("out_dir",)),
+    "codec": (CodecConfig, {}, ()),
+    "model": (ModelConfig, {}, ("phoneme_vocab", "codebook_size", "quantizers")),
+    "train": (TrainConfig, {}, ()),
+    "sampling": (SamplingSpec, {}, ()),
 }
+
+
+def _file_keys(cls, aliases, fixed):
+    key_of = {name: key for key, name in aliases.items()}
+    return {
+        key_of.get(f.name, f.name): (f.type, f.default, f.name)
+        for f in fields(cls)
+        if f.name not in fixed
+    }
+
+
+# section -> file key -> (type, default, field name)
+SCHEMA = {sec: _file_keys(*entry) for sec, entry in SECTIONS.items()}
 
 
 @dataclass
@@ -85,103 +53,39 @@ class RunConfig:
     def defaults(cls):
         return cls(
             sections={
-                sec: {key: default for key, (_, default) in keys.items()}
+                sec: {key: default for key, (_, default, _) in keys.items()}
                 for sec, keys in SCHEMA.items()
             }
         )
-
-    def get(self, section, key):
-        return self.sections[section][key]
 
     def set_seed(self, seed: int):
         """Route one seed to every stochastic component."""
         for sec in ("corpus", "codec", "train", "sampling"):
             self.sections[sec]["seed"] = seed
 
-    def corpus_config(self, out_dir) -> CorpusConfig:
-        c = self.sections["corpus"]
-        return CorpusConfig(
-            out_dir=out_dir,
-            speakers=c["speakers"],
-            held_out_speakers=c["held_out"],
-            utterances_per_speaker=c["utterances_per_speaker"],
-            duration_min=c["duration_min"],
-            duration_max=c["duration_max"],
-            sample_rate=c["sample_rate"],
-            seed=c["seed"],
-            f0_min=c["f0_min"],
-            f0_max=c["f0_max"],
-            f0_grid_step=c["f0_grid_step"],
-            max_harmonics=c["max_harmonics"],
-            vibrato_rate_min=c["vibrato_rate_min"],
-            vibrato_rate_max=c["vibrato_rate_max"],
-            vibrato_depth_max=c["vibrato_depth_max"],
-            unit_min=c["unit_min"],
-            unit_max=c["unit_max"],
-            unit_quantum=c["unit_quantum"],
-            pitch_offset_max=c["pitch_offset_max"],
-            alphabet=c["alphabet"],
-            workers=c["workers"],
-        )
-
-    def codec_config(self) -> CodecConfig:
-        c = self.sections["codec"]
-        return CodecConfig(
-            sample_rate=c["sample_rate"],
-            stride=c["stride"],
-            dim=c["dim"],
-            quantizers=c["quantizers"],
-            codebook_size=c["codebook_size"],
-            kmeans_iters=c["kmeans_iters"],
-            pitch_augment=c["pitch_augment"],
-            seed=c["seed"],
-        )
-
-    def model_config(self, codebook_size: int, quantizers: int) -> ModelConfig:
-        m = self.sections["model"]
-        return ModelConfig(
-            layers=m["layers"],
-            heads=m["heads"],
-            embed_dim=m["embed_dim"],
-            ffn_dim=m["ffn_dim"],
-            dropout=m["dropout"],
-            codebook_size=codebook_size,
-            quantizers=quantizers,
-            max_len=m["max_len"],
-        )
-
-    def train_config(self) -> TrainConfig:
-        t = self.sections["train"]
-        return TrainConfig(
-            crop_min=t["crop_min"],
-            crop_max=t["crop_max"],
-            batch_tokens=t["batch_tokens"],
-            total_steps=t["total_steps"],
-            warmup_steps=t["warmup_steps"],
-            peak_lr=t["peak_lr"],
-            weight_decay=t["weight_decay"],
-            seed=t["seed"],
-            log_every=t["log_every"],
-            checkpoint_every=t["checkpoint_every"],
-        )
-
-    def sampling_spec(self) -> SamplingSpec:
-        s = self.sections["sampling"]
-        return SamplingSpec(
-            temperature=s["temperature"],
-            top_p=s["top_p"],
-            seed=s["seed"],
-            max_new_tokens=s["max_new_tokens"],
-        )
+    def build(self, section, **fixed):
+        """The section's dataclass from the file keys plus the fields the
+        file cannot set, given by the caller."""
+        values = {name: self.sections[section][key]
+                  for key, (_, _, name) in SCHEMA[section].items()}
+        return SECTIONS[section][0](**values, **fixed)
 
 
-def _convert(section, key, raw, problems):
-    typ, _ = SCHEMA[section][key]
+def _assign(cfg, section, key, raw, where, problems):
+    """Set one file key from its text, or record why it cannot be set."""
+    if key not in SCHEMA[section]:
+        problems.append(f"{where}: unknown key {key!r} in section [{section}]")
+        return
+    typ = SCHEMA[section][key][0]
     try:
-        return typ(raw)
+        value = typ(raw)
     except ValueError:
         problems.append(f"[{section}] {key}: cannot parse {raw!r} as {typ.__name__}")
-        return None
+        return
+    if typ is float and not math.isfinite(value):
+        problems.append(f"[{section}] {key}: {raw!r} is not a finite number")
+        return
+    cfg.sections[section][key] = value
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
@@ -206,12 +110,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         if section is None:
             problems.append(f"{source}:{lineno}: key {key!r} outside any known section")
             continue
-        if key not in SCHEMA[section]:
-            problems.append(f"{source}:{lineno}: unknown key {key!r} in section [{section}]")
-            continue
-        value = _convert(section, key, raw, problems)
-        if value is not None:
-            cfg.sections[section][key] = value
+        _assign(cfg, section, key, raw, f"{source}:{lineno}", problems)
     if problems:
         raise ConfigError(problems)
     return cfg
@@ -235,12 +134,7 @@ def apply_overrides(cfg: RunConfig, overrides) -> RunConfig:
         if not dot or sec not in SCHEMA:
             problems.append(f"--set {item!r}: unknown section {sec!r}")
             continue
-        if key not in SCHEMA[sec]:
-            problems.append(f"--set {item!r}: unknown key {key!r} in section [{sec}]")
-            continue
-        value = _convert(sec, key, raw.strip(), problems)
-        if value is not None:
-            cfg.sections[sec][key] = value
+        _assign(cfg, sec, key, raw.strip(), f"--set {item!r}", problems)
     if problems:
         raise ConfigError(problems)
     return cfg

@@ -11,7 +11,7 @@ training split, which is what makes zero-shot cloning checkable.
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -88,10 +88,6 @@ class ContentSeq:
                 raise ValidationError(
                     f"content.units[{i}].symbol_id {unit.symbol_id} not in frontend vocabulary"
                 )
-
-    @property
-    def total_duration(self) -> float:
-        return sum(u.duration for u in self.units)
 
     def text(self) -> str:
         return "".join(frontend.ID_TO_SYMBOL[u.symbol_id] for u in self.units)
@@ -228,14 +224,6 @@ def frame_f0(
         f0s.append(sample_rate / lag_refined)
         voiced.append(True)
     return np.asarray(f0s), np.asarray(voiced, dtype=bool)
-
-
-def estimate_f0(samples: np.ndarray, sample_rate: int, **kwargs) -> float:
-    """Utterance-level f0: median over voiced frames (nan if none)."""
-    f0s, voiced = frame_f0(samples, sample_rate, **kwargs)
-    if not voiced.any():
-        return float("nan")
-    return float(np.median(f0s[voiced]))
 
 
 def resample_waveform(w: Waveform, factor: float) -> Waveform:

@@ -176,37 +176,11 @@ def write_report(path, rows) -> None:
             fh.write(f"{metric}\t{split}\t{value:.6f}\n")
 
 
-def read_report(path):
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValidationError(f"{path}:{lineno}: expected 3 fields, got {len(fields)}")
-            rows.append((fields[0], fields[1], float(fields[2])))
-    return rows
-
-
 def write_loss_log(path, rows) -> None:
     """Rows: iterable of (step, loss, lr)."""
     with open(path, "w", encoding="utf-8") as fh:
         for step, loss, lr in rows:
             fh.write(f"{step}\t{loss:.6f}\t{lr:.8g}\n")
-
-
-def read_loss_log(path):
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            step, loss, lr = line.split("\t")
-            rows.append((int(step), float(loss), float(lr)))
-    return rows
 
 
 # -- inspection ----------------------------------------------------------------

@@ -34,9 +34,6 @@ class PhonemeSeq:
     ids: tuple
     source_text: str
 
-    def __len__(self):
-        return len(self.ids)
-
 
 def dedup_consecutive(ids):
     """Collapse runs of equal adjacent ids, preserving order."""

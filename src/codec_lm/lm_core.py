@@ -3,9 +3,8 @@
 Everything is plain numpy with hand-written backward passes: embeddings,
 per-segment sinusoidal positions, masked multi-head self-attention, LayerNorm
 and its stage-conditioned AdaLN variant, position-wise feed-forward blocks,
-cross-entropy, AdamW with linear warmup/decay, nucleus sampling, and a
-central-finite-difference gradient checker used to validate the backward
-passes.
+cross-entropy, AdamW with linear warmup/decay, nucleus sampling, and model
+checkpoints.
 
 Parameters live in a flat dict of name -> float64 ndarray. Weight sharing is
 by construction: shared tensors are stored once and referenced by the code
@@ -14,7 +13,7 @@ table), so tying cannot drift.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -186,10 +185,6 @@ def init_stack_params(cfg: ModelConfig, rng: np.random.Generator, adaln: bool) -
         params[f"{p}.ffn.b2"] = np.zeros(d)
     norm_site("ln_f")
     return params
-
-
-def count_params(params: dict) -> int:
-    return sum(int(v.size) for v in params.values())
 
 
 # -- transformer stack ----------------------------------------------------------------
@@ -453,83 +448,14 @@ def nucleus_sample(logits, temperature: float, top_p: float, rng: np.random.Gene
     return int(kept[min(idx, cut - 1)])
 
 
-# -- gradient checking --------------------------------------------------------------------
-
-@dataclass
-class GradCheckReport:
-    max_rel_error: float
-    probes: list
-    worst: tuple | None
-
-
-def grad_check(
-    loss_fn,
-    params: dict,
-    *,
-    param_names=None,
-    n_probe: int = 64,
-    step: float = 1e-4,
-    rng: np.random.Generator | None = None,
-    floor: float = 1e-6,
-) -> GradCheckReport:
-    """Compare backprop gradients against central finite differences.
-
-    `loss_fn(params) -> (loss, grads)` must be deterministic (dropout off).
-    Probes are drawn uniformly over the coordinates of `param_names` (all
-    names by default). The relative error uses a small floor so coordinates
-    with near-zero gradient compare absolutely.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    work = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
-    _, grads = loss_fn(work)
-    names = sorted(param_names) if param_names is not None else sorted(grads)
-    sizes = np.array([work[n].size for n in names])
-    total = int(sizes.sum())
-    probes = []
-    max_rel = 0.0
-    worst = None
-    for _ in range(n_probe):
-        flat = int(rng.integers(total))
-        sel = int(np.searchsorted(np.cumsum(sizes), flat, side="right"))
-        name = names[sel]
-        idx = flat - int(np.cumsum(sizes)[sel]) + work[name].size
-        orig = work[name].flat[idx]
-        work[name].flat[idx] = orig + step
-        lo_plus, _ = loss_fn(work)
-        work[name].flat[idx] = orig - step
-        lo_minus, _ = loss_fn(work)
-        work[name].flat[idx] = orig
-        fd = (lo_plus - lo_minus) / (2.0 * step)
-        bp = float(grads[name].flat[idx]) if name in grads else 0.0
-        rel = abs(fd - bp) / max(abs(fd), abs(bp), floor)
-        probes.append((name, int(idx), bp, fd, rel))
-        if rel > max_rel:
-            max_rel = rel
-            worst = probes[-1]
-    return GradCheckReport(max_rel_error=max_rel, probes=probes, worst=worst)
-
-
 # -- checkpoints ----------------------------------------------------------------------------
 
 CHECKPOINT_FORMAT = "1"
 
 
 def save_model(path, kind: str, cfg: ModelConfig, params: dict, extra: dict | None = None):
-    config = {
-        "format": CHECKPOINT_FORMAT,
-        "kind": kind,
-        "layers": cfg.layers,
-        "heads": cfg.heads,
-        "embed_dim": cfg.embed_dim,
-        "ffn_dim": cfg.ffn_dim,
-        "dropout": repr(cfg.dropout),
-        "phoneme_vocab": cfg.phoneme_vocab,
-        "codebook_size": cfg.codebook_size,
-        "quantizers": cfg.quantizers,
-        "max_len": cfg.max_len,
-        "phoneme_table": frontend.vocab_table(),
-    }
+    config = {f.name: getattr(cfg, f.name) for f in fields(ModelConfig)}
+    config.update(format=CHECKPOINT_FORMAT, kind=kind, phoneme_table=frontend.vocab_table())
     if extra:
         config.update(extra)
     formats.write_checkpoint(path, config, params)
@@ -537,7 +463,8 @@ def save_model(path, kind: str, cfg: ModelConfig, params: dict, extra: dict | No
 
 def load_model(path):
     """Returns (kind, ModelConfig, params, raw config dict). Rejects a
-    checkpoint of another format or written for another phoneme inventory."""
+    checkpoint of another format, written for another phoneme inventory, or
+    with a model field missing or of the wrong type."""
     config, params = formats.read_checkpoint(path)
     if config.get("format") != CHECKPOINT_FORMAT:
         raise ValidationError(
@@ -545,16 +472,15 @@ def load_model(path):
         )
     if config.get("phoneme_table") != frontend.vocab_table():
         raise ValidationError(f"{path}: checkpoint was written for another phoneme inventory")
-    cfg = ModelConfig(
-        layers=int(config["layers"]),
-        heads=int(config["heads"]),
-        embed_dim=int(config["embed_dim"]),
-        ffn_dim=int(config["ffn_dim"]),
-        dropout=float(config["dropout"]),
-        phoneme_vocab=int(config["phoneme_vocab"]),
-        codebook_size=int(config["codebook_size"]),
-        quantizers=int(config["quantizers"]),
-        max_len=int(config["max_len"]),
-    )
+    values = {}
+    for f in fields(ModelConfig):
+        raw = config.get(f.name)
+        try:
+            values[f.name] = f.type(raw)
+        except (TypeError, ValueError):  # TypeError: the field is missing
+            raise ValidationError(
+                f"{path}: checkpoint model field {f.name}={raw!r} is not {f.type.__name__}"
+            ) from None
+    cfg = ModelConfig(**values)
     cfg.validate()
     return config["kind"], cfg, params, config

@@ -16,7 +16,7 @@ enrolled audio; only the AR prefix is restricted to stage 1.
 """
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -83,9 +83,6 @@ class ModelBundle:
     def load(cls, path):
         kind, cfg, params, _ = lm_core.load_model(path)
         return cls(params=params, cfg=cfg, kind=kind)
-
-    def save(self, path, extra=None):
-        lm_core.save_model(path, self.kind, self.cfg, self.params, extra)
 
 
 @dataclass
@@ -232,21 +229,11 @@ def _train_common(corpus_dir, cs, model_cfg, train_cfg, out_path):
     return items
 
 
-def _finish(params, cfg, kind, train_cfg, rows, out_path, log_path, extra):
-    if out_path is not None:
-        lm_core.save_model(out_path, kind, cfg, params, extra)
-    if log_path is not None:
-        formats.write_loss_log(log_path, rows)
-
-
-def train_ar(corpus_dir, cs: CodebookSet, model_cfg: ModelConfig, train_cfg: TrainConfig,
-             out_path=None, log_path=None):
-    """Pure causal training over [phonemes, EOS, stage-1 codes, EOS] crops."""
-    items = _train_common(corpus_dir, cs, model_cfg, train_cfg, out_path)
-    rng_init = np.random.default_rng(np.random.SeedSequence([train_cfg.seed, 31]))
-    rng_batch = np.random.default_rng(np.random.SeedSequence([train_cfg.seed, 37]))
-    rng_drop = np.random.default_rng(np.random.SeedSequence([train_cfg.seed, 41]))
-    params = ar_model.init_ar_params(model_cfg, rng_init)
+def _fit(kind, params, model_cfg, train_cfg, out_path, log_path, step_fn):
+    """AdamW over `step_fn() -> (loss, grads, note)`, one call per step; `note`
+    goes into the log line. Logs and keeps a (step, loss, lr) row every
+    `log_every` steps and at the last, writes the step checkpoints, then the
+    final checkpoint and the loss log."""
     opt = lm_core.AdamWConfig(
         peak_lr=train_cfg.peak_lr,
         warmup_steps=train_cfg.warmup_steps,
@@ -258,6 +245,34 @@ def train_ar(corpus_dir, cs: CodebookSet, model_cfg: ModelConfig, train_cfg: Tra
     first_loss = None
     loss = float("nan")
     for step in range(1, train_cfg.total_steps + 1):
+        loss, grads, note = step_fn()
+        lr = lm_core.adamw_step(params, grads, state, step, opt)
+        if first_loss is None:
+            first_loss = loss
+        if step % train_cfg.log_every == 0 or step == train_cfg.total_steps:
+            rows.append((step, loss, lr))
+            log.info("%s step %d%s loss %.4f lr %.3g", kind, step, note, loss, lr)
+        if train_cfg.checkpoint_every and step % train_cfg.checkpoint_every == 0:
+            lm_core.save_model(f"{out_path}.step{step}", kind, model_cfg, params)
+    if out_path is not None:
+        lm_core.save_model(out_path, kind, model_cfg, params,
+                           {"trained_steps": train_cfg.total_steps})
+    if log_path is not None:
+        formats.write_loss_log(log_path, rows)
+    return {"params": params, "cfg": model_cfg, "rows": rows,
+            "first_loss": first_loss, "final_loss": loss}
+
+
+def train_ar(corpus_dir, cs: CodebookSet, model_cfg: ModelConfig, train_cfg: TrainConfig,
+             out_path=None, log_path=None):
+    """Pure causal training over [phonemes, EOS, stage-1 codes, EOS] crops."""
+    items = _train_common(corpus_dir, cs, model_cfg, train_cfg, out_path)
+    rng_init = np.random.default_rng(np.random.SeedSequence([train_cfg.seed, 31]))
+    rng_batch = np.random.default_rng(np.random.SeedSequence([train_cfg.seed, 37]))
+    rng_drop = np.random.default_rng(np.random.SeedSequence([train_cfg.seed, 41]))
+    params = ar_model.init_ar_params(model_cfg, rng_init)
+
+    def step_fn():
         batch, tokens = [], 0
         while tokens < train_cfg.batch_tokens:
             tu = items[int(rng_batch.integers(len(items)))]
@@ -265,18 +280,9 @@ def train_ar(corpus_dir, cs: CodebookSet, model_cfg: ModelConfig, train_cfg: Tra
             batch.append((phon, ac))
             tokens += len(ac) + 1
         loss, grads, _ = ar_model.ar_loss(params, model_cfg, batch, train=True, rng=rng_drop)
-        lr = lm_core.adamw_step(params, grads, state, step, opt)
-        if first_loss is None:
-            first_loss = loss
-        if step % train_cfg.log_every == 0 or step == train_cfg.total_steps:
-            rows.append((step, loss, lr))
-            log.info("ar step %d loss %.4f lr %.3g", step, loss, lr)
-        if train_cfg.checkpoint_every and step % train_cfg.checkpoint_every == 0:
-            lm_core.save_model(f"{out_path}.step{step}", "ar", model_cfg, params)
-    _finish(params, model_cfg, "ar", train_cfg, rows, out_path, log_path,
-            {"trained_steps": train_cfg.total_steps})
-    return {"params": params, "cfg": model_cfg, "rows": rows,
-            "first_loss": first_loss, "final_loss": loss}
+        return loss, grads, ""
+
+    return _fit("ar", params, model_cfg, train_cfg, out_path, log_path, step_fn)
 
 
 def train_nar(corpus_dir, cs: CodebookSet, model_cfg: ModelConfig, train_cfg: TrainConfig,
@@ -297,17 +303,9 @@ def train_nar(corpus_dir, cs: CodebookSet, model_cfg: ModelConfig, train_cfg: Tr
     rng_batch = np.random.default_rng(np.random.SeedSequence([train_cfg.seed, 47]))
     rng_drop = np.random.default_rng(np.random.SeedSequence([train_cfg.seed, 53]))
     params = nar_model.init_nar_params(model_cfg, rng_init)
-    opt = lm_core.AdamWConfig(
-        peak_lr=train_cfg.peak_lr,
-        warmup_steps=train_cfg.warmup_steps,
-        total_steps=train_cfg.total_steps,
-        weight_decay=train_cfg.weight_decay,
-    )
-    state = lm_core.AdamWState()
-    rows, stage_draws = [], []
-    first_loss = None
-    loss = float("nan")
-    for step in range(1, train_cfg.total_steps + 1):
+    stage_draws = []
+
+    def step_fn():
         stage = nar_model.draw_stage(rng_batch, model_cfg.quantizers)
         batch, tokens = [], 0
         while tokens < train_cfg.batch_tokens:
@@ -319,18 +317,10 @@ def train_nar(corpus_dir, cs: CodebookSet, model_cfg: ModelConfig, train_cfg: Tr
             params, model_cfg, batch, rng_batch, train=True, stage=stage, dropout_rng=rng_drop
         )
         stage_draws.append(stage)
-        lr = lm_core.adamw_step(params, grads, state, step, opt)
-        if first_loss is None:
-            first_loss = loss
-        if step % train_cfg.log_every == 0 or step == train_cfg.total_steps:
-            rows.append((step, loss, lr))
-            log.info("nar step %d stage %d loss %.4f lr %.3g", step, stage, loss, lr)
-        if train_cfg.checkpoint_every and step % train_cfg.checkpoint_every == 0:
-            lm_core.save_model(f"{out_path}.step{step}", "nar", model_cfg, params)
-    _finish(params, model_cfg, "nar", train_cfg, rows, out_path, log_path,
-            {"trained_steps": train_cfg.total_steps})
-    return {"params": params, "cfg": model_cfg, "rows": rows, "stage_draws": stage_draws,
-            "first_loss": first_loss, "final_loss": loss}
+        return loss, grads, f" stage {stage}"
+
+    summary = _fit("nar", params, model_cfg, train_cfg, out_path, log_path, step_fn)
+    return {**summary, "stage_draws": stage_draws}
 
 
 # -- inference -------------------------------------------------------------------

