@@ -28,7 +28,7 @@ class SamplingSpec:
     def validate(self):
         if self.max_new_tokens <= 0:
             raise ValidationError("sampling.max_new_tokens must be positive")
-        if self.temperature < 0:
+        if not self.temperature >= 0:  # also refuses nan
             raise ValidationError("sampling.temperature must be nonnegative")
         if not 0.0 < self.top_p <= 1.0:
             raise ValidationError("sampling.top_p must lie in (0, 1]")
@@ -44,16 +44,16 @@ def init_ar_params(cfg: ModelConfig, rng: np.random.Generator) -> dict:
     return params
 
 
-def _validate_ids(phon_ids, acoustic_ids, cfg: ModelConfig):
-    phon_ids = np.asarray(phon_ids, dtype=np.int64)
-    acoustic_ids = np.asarray(acoustic_ids, dtype=np.int64)
+def _check_prompt(phon_ids, acoustic_ids, cfg: ModelConfig):
+    """The checked phoneme ids with the phoneme EOS appended, and the checked
+    acoustic ids; both and one more token must fit in max_len."""
+    phon_ids = lm_core.check_ids(phon_ids, cfg.phoneme_vocab, "phoneme")
     if phon_ids.size == 0:
         raise ValidationError("phoneme sequence is empty")
-    if phon_ids.size and (phon_ids.min() < 0 or phon_ids.max() >= cfg.phoneme_vocab):
-        raise ValidationError("phoneme id out of range")
-    if acoustic_ids.size and (acoustic_ids.min() < 0 or acoustic_ids.max() >= cfg.codebook_size):
-        raise ValidationError("acoustic id out of range")
-    return phon_ids, acoustic_ids
+    acoustic_ids = lm_core.check_ids(acoustic_ids, cfg.codebook_size, "acoustic")
+    phon_part = np.concatenate([phon_ids, [cfg.phoneme_eos]])
+    _check_length(len(phon_part), len(acoustic_ids), cfg)
+    return phon_part, acoustic_ids
 
 
 def _check_length(p, ac_len, cfg: ModelConfig):
@@ -80,9 +80,7 @@ def ar_forward(params, cfg: ModelConfig, phon_ids, acoustic_ids, *, train=False,
     row j is the prediction of the j-th acoustic token (the final row predicts
     the acoustic EOS).
     """
-    phon_ids, acoustic_ids = _validate_ids(phon_ids, acoustic_ids, cfg)
-    phon_part = np.concatenate([phon_ids, [cfg.phoneme_eos]])
-    _check_length(len(phon_part), len(acoustic_ids), cfg)
+    phon_part, acoustic_ids = _check_prompt(phon_ids, acoustic_ids, cfg)
     ac_part = np.concatenate([acoustic_ids, [cfg.acoustic_eos]])
     n = len(phon_part) + len(ac_part)
     emb = _embed(params, cfg, phon_part, ac_part)
@@ -112,9 +110,8 @@ def ar_backward(params, cfg: ModelConfig, cache, dlogits) -> dict:
     dout = np.zeros((n, cfg.embed_dim))
     dout[p - 1 : n - 1] = dlogits @ params["acoustic_emb"]
     dx, stack_grads, _ = lm_core.stack_backward(params, cfg, cache["stack"], dout)
-    for name, g in stack_grads.items():
-        grads[name] = grads.get(name, 0) + g
-    grads.setdefault("phoneme_emb", np.zeros_like(params["phoneme_emb"]))
+    grads.update(stack_grads)
+    grads["phoneme_emb"] = np.zeros_like(params["phoneme_emb"])
     np.add.at(grads["phoneme_emb"], cache["phon_part"], dx[:p])
     np.add.at(grads["acoustic_emb"], cache["ac_part"], dx[p:])
     return grads
@@ -127,31 +124,16 @@ def ar_loss(params, cfg: ModelConfig, batch, *, train=False, rng=None):
     `batch` is a list of (phoneme_ids, acoustic_ids) pairs. Returns
     (loss, grads, token_count).
     """
-    if not batch:
-        raise ValidationError("batch is empty")
-    total_nll = 0.0
-    total_count = 0
-    acc = {}
-    for phon_ids, acoustic_ids in batch:
+    def example(item):
+        phon_ids, acoustic_ids = item
         if len(acoustic_ids) == 0:
             raise ValidationError("sequence has an empty acoustic part")
         logits, cache = ar_forward(
             params, cfg, phon_ids, acoustic_ids, train=train, rng=rng, return_cache=True
         )
-        targets = cache["ac_part"]
-        mean_nll, dlogits = lm_core.cross_entropy(logits, targets)
-        count = targets.size
-        total_nll += mean_nll * count
-        total_count += count
-        grads = ar_backward(params, cfg, cache, dlogits * count)
-        for name, g in grads.items():
-            if name in acc:
-                acc[name] += g
-            else:
-                acc[name] = g
-    for name in acc:
-        acc[name] = acc[name] / total_count
-    return total_nll / total_count, acc, total_count
+        return logits, cache["ac_part"], lambda d: ar_backward(params, cfg, cache, d)
+
+    return lm_core.batch_loss(batch, example)
 
 
 class ArDecoder:
@@ -165,13 +147,11 @@ class ArDecoder:
     """
 
     def __init__(self, params, cfg: ModelConfig, phon_ids, prefix_codes):
-        phon_ids, prefix_codes = _validate_ids(phon_ids, prefix_codes, cfg)
+        phon_part, prefix_codes = _check_prompt(phon_ids, prefix_codes, cfg)
         self.params = params
         self.cfg = cfg
-        phon_part = np.concatenate([phon_ids, [cfg.phoneme_eos]])
         self.p = len(phon_part)
         self.ac_len = len(prefix_codes)
-        _check_length(self.p, self.ac_len, cfg)
         n = self.p + self.ac_len
         self.kv = None
         self._advance(_embed(params, cfg, phon_part, prefix_codes), lm_core.causal_mask(n))

@@ -112,12 +112,8 @@ def cmd_synthesize(args) -> int:
     if args.mode == "standard":
         _require(args, "--enrolled-text", "in standard mode")
     cs = codec.CodebookSet.load(args.codec)
-    ar = pipeline.ModelBundle.load(args.ar)
-    nar = pipeline.ModelBundle.load(args.nar)
-    if ar.kind != "ar" or nar.kind != "nar":
-        raise ValidationError(
-            f"checkpoint kinds are {ar.kind!r}/{nar.kind!r}, expected 'ar'/'nar'"
-        )
+    ar = pipeline.ModelBundle.load(args.ar, "ar")
+    nar = pipeline.ModelBundle.load(args.nar, "nar")
     samples, sr = formats.read_audio(args.enrolled_audio)
     enrolled = corpus.Waveform(samples=samples, sample_rate=sr)
     if args.mode == "continual":
@@ -141,8 +137,8 @@ def cmd_eval(args) -> int:
     run = _load_run_config(args)
     out = _guard_out(args.out, args.force)
     cs = codec.CodebookSet.load(args.codec)
-    ar = pipeline.ModelBundle.load(args.ar)
-    nar = pipeline.ModelBundle.load(args.nar)
+    ar = pipeline.ModelBundle.load(args.ar, "ar")
+    nar = pipeline.ModelBundle.load(args.nar, "nar")
     train_cfg = run.build("train")
     rows = pipeline.evaluate(
         args.corpus, cs, ar, nar,

@@ -130,6 +130,13 @@ def dct_basis(dim: int, stride: int) -> np.ndarray:
     return scale * basis
 
 
+def _dct_codebooks(cfg: CodecConfig, books: np.ndarray) -> CodebookSet:
+    """`books` with the DCT frame transform of `cfg`."""
+    analysis = dct_basis(cfg.dim, cfg.stride)
+    return CodebookSet(analysis=analysis, synthesis=analysis.T.copy(), books=books,
+                       stride=cfg.stride, sample_rate=cfg.sample_rate)
+
+
 def initial_codebooks(cfg: CodecConfig, rng: np.random.Generator | None = None) -> CodebookSet:
     """Untrained CodebookSet: DCT transform plus small random codewords.
 
@@ -141,14 +148,7 @@ def initial_codebooks(cfg: CodecConfig, rng: np.random.Generator | None = None) 
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 11]))
     books = 0.01 * rng.standard_normal((cfg.quantizers, cfg.codebook_size, cfg.dim))
     books[1:, 0, :] = 0.0
-    analysis = dct_basis(cfg.dim, cfg.stride)
-    return CodebookSet(
-        analysis=analysis,
-        synthesis=analysis.T.copy(),
-        books=books,
-        stride=cfg.stride,
-        sample_rate=cfg.sample_rate,
-    )
+    return _dct_codebooks(cfg, books)
 
 
 def frame_encode(w: Waveform, cs: CodebookSet) -> np.ndarray:
@@ -302,14 +302,7 @@ def train_codebooks(waveforms, cfg: CodecConfig) -> CodebookSet:
         waveforms = waveforms + [
             resample_waveform(w, f) for w in waveforms for f in (1.0 - p, 1.0 + p)
         ]
-    analysis = dct_basis(cfg.dim, cfg.stride)
-    shell = CodebookSet(
-        analysis=analysis,
-        synthesis=analysis.T.copy(),
-        books=np.zeros((cfg.quantizers, cfg.codebook_size, cfg.dim)),
-        stride=cfg.stride,
-        sample_rate=cfg.sample_rate,
-    )
+    shell = _dct_codebooks(cfg, np.zeros((cfg.quantizers, cfg.codebook_size, cfg.dim)))
     frames = np.concatenate([frame_encode(w, shell) for w in waveforms], axis=0)
     log.info("training %d codebooks on %d frames", cfg.quantizers, frames.shape[0])
 
@@ -323,10 +316,4 @@ def train_codebooks(waveforms, cfg: CodecConfig) -> CodebookSet:
         books[j] = book
         _, resid = _kernels.nearest_codeword(resid, book)
         log.info("stage %d fitted, residual rms %.6f", j + 1, float(np.sqrt((resid**2).mean())))
-    return CodebookSet(
-        analysis=analysis,
-        synthesis=analysis.T.copy(),
-        books=books,
-        stride=cfg.stride,
-        sample_rate=cfg.sample_rate,
-    )
+    return _dct_codebooks(cfg, books)

@@ -23,6 +23,12 @@ def _read_exact(fh, n, what):
     return buf
 
 
+def _read_f32(fh, shape, what):
+    """A little-endian float32 block of `shape`, as float64."""
+    data = _read_exact(fh, 4 * int(np.prod(shape)), what)
+    return np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float64)
+
+
 # -- audio (CLM1): 16-byte header, then float32 samples ----------------------
 
 def write_audio(path, samples: np.ndarray, sample_rate: int) -> None:
@@ -40,8 +46,7 @@ def read_audio(path):
         if magic != AUDIO_MAGIC:
             raise ValidationError(f"{path}: not a CLM1 audio file (magic {magic!r})")
         sample_rate, num_samples, _ = struct.unpack("<III", _read_exact(fh, 12, "header"))
-        data = _read_exact(fh, 4 * num_samples, "samples")
-    samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
+        samples = _read_f32(fh, (num_samples,), "samples")
     return samples, sample_rate
 
 
@@ -74,22 +79,10 @@ def read_codebooks(path):
         q, k, dim, stride, sample_rate = struct.unpack(
             "<IIIII", _read_exact(fh, 20, "header")
         )
-        analysis = np.frombuffer(
-            _read_exact(fh, 4 * dim * stride, "analysis"), dtype="<f4"
-        ).reshape(dim, stride)
-        synthesis = np.frombuffer(
-            _read_exact(fh, 4 * stride * dim, "synthesis"), dtype="<f4"
-        ).reshape(stride, dim)
-        books = np.frombuffer(
-            _read_exact(fh, 4 * q * k * dim, "codebooks"), dtype="<f4"
-        ).reshape(q, k, dim)
-    return (
-        analysis.astype(np.float64),
-        synthesis.astype(np.float64),
-        books.astype(np.float64),
-        stride,
-        sample_rate,
-    )
+        analysis = _read_f32(fh, (dim, stride), "analysis")
+        synthesis = _read_f32(fh, (stride, dim), "synthesis")
+        books = _read_f32(fh, (q, k, dim), "codebooks")
+    return analysis, synthesis, books, stride, sample_rate
 
 
 # -- checkpoints (CKP1): config lines + named float32 blocks ------------------
@@ -137,11 +130,7 @@ def read_checkpoint(path):
             name = _read_exact(fh, name_len, "name").decode("utf-8")
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, "ndim"))
             shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "shape"))
-            count = int(np.prod(shape)) if ndim else 1
-            data = _read_exact(fh, 4 * count, f"block {name}")
-            params[name] = (
-                np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float64)
-            )
+            params[name] = _read_f32(fh, shape, f"block {name}")
     return config, params
 
 

@@ -6,6 +6,9 @@ and its stage-conditioned AdaLN variant, position-wise feed-forward blocks,
 cross-entropy, AdamW with linear warmup/decay, nucleus sampling, and model
 checkpoints.
 
+The AR and NAR models differ only in mask, stage conditioning and targets;
+they share the trunk, `check_ids`, `batch_loss` and the optimizer here.
+
 Parameters live in a flat dict of name -> float64 ndarray. Weight sharing is
 by construction: shared tensors are stored once and referenced by the code
 paths that use them (e.g. the AR output projection IS the acoustic embedding
@@ -141,11 +144,6 @@ def _ln_core_backward(dxhat, xhat, inv):
     return inv * (dxhat - m1 - xhat * m2)
 
 
-def adaln_modulation(stage_vec, pa, ba, pb, bb):
-    """Scale/shift vectors from a linear projection of the stage embedding."""
-    return stage_vec @ pa + ba, stage_vec @ pb + bb
-
-
 # -- parameter initialization --------------------------------------------------------
 
 EMB_INIT_STD = 0.1
@@ -217,10 +215,9 @@ def stack_forward(params, cfg: ModelConfig, x, mask, *, stage_vec=None, train=Fa
     def norm_fwd(name, h):
         xhat, inv = _ln_core_forward(h)
         if adaln:
-            a, b = adaln_modulation(
-                stage_vec, params[f"{name}.pa"], params[f"{name}.ba"],
-                params[f"{name}.pb"], params[f"{name}.bb"],
-            )
+            # scale and shift: linear projections of the stage embedding
+            a = stage_vec @ params[f"{name}.pa"] + params[f"{name}.ba"]
+            b = stage_vec @ params[f"{name}.pb"] + params[f"{name}.bb"]
             return a * xhat + b, {"xhat": xhat, "inv": inv, "a": a}
         g = params[f"{name}.g"]
         return g * xhat + params[f"{name}.b"], {"xhat": xhat, "inv": inv, "g": g}
@@ -365,28 +362,51 @@ def cross_entropy(logits, targets, loss_mask=None):
     return loss, dlogits
 
 
+def batch_loss(batch, example):
+    """Cross-entropy averaged over every target token of `batch`.
+
+    `example(item) -> (logits, targets, backward)` runs one item's forward
+    pass, and `backward(dlogits)` returns its gradients. Per-item gradients,
+    weighted by token count, are summed in batch order, then divided by the
+    total count. Returns (loss, grads, token_count)."""
+    if not batch:
+        raise ValidationError("batch is empty")
+    total_nll = 0.0
+    total_count = 0
+    acc = {}
+    for item in batch:
+        logits, targets, backward = example(item)
+        mean_nll, dlogits = cross_entropy(logits, targets)
+        count = targets.size
+        total_nll += mean_nll * count
+        total_count += count
+        for name, g in backward(dlogits * count).items():
+            if name in acc:
+                acc[name] += g
+            else:
+                acc[name] = g
+    grads = {name: g / total_count for name, g in acc.items()}
+    return total_nll / total_count, grads, total_count
+
+
+def check_ids(ids, upper: int, what: str) -> np.ndarray:
+    """`ids` as int64, each in [0, upper); else a ValidationError naming `what`."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= upper):
+        raise ValidationError(f"{what} id out of range [0, {upper})")
+    return ids
+
+
 # -- optimizer ---------------------------------------------------------------------------
 
-@dataclass
-class AdamWConfig:
-    peak_lr: float = 1e-3
-    warmup_steps: int = 100
-    total_steps: int = 1000
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.01
-
-    def validate(self):
-        if self.warmup_steps < 1 or self.total_steps <= self.warmup_steps:
-            raise ValidationError("need 1 <= warmup_steps < total_steps")
-        if self.peak_lr <= 0:
-            raise ValidationError("peak_lr must be positive")
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
-def lr_at(cfg: AdamWConfig, step: int) -> float:
-    """Linear warmup to peak at `warmup_steps`, then linear decay to zero at
-    `total_steps`."""
+def lr_at(cfg, step: int) -> float:
+    """Linear warmup to `cfg.peak_lr` at `cfg.warmup_steps`, then linear decay
+    to zero at `cfg.total_steps`; `cfg` is a `pipeline.TrainConfig`."""
     if step < 1:
         raise ValidationError("schedule step starts at 1")
     up = step / cfg.warmup_steps
@@ -400,8 +420,9 @@ class AdamWState:
     v: dict = field(default_factory=dict)
 
 
-def adamw_step(params, grads, state: AdamWState, step: int, cfg: AdamWConfig) -> float:
-    """Standard decoupled-weight-decay Adam update, in place; returns the lr."""
+def adamw_step(params, grads, state: AdamWState, step: int, cfg) -> float:
+    """Standard decoupled-weight-decay Adam update, in place, with the
+    schedule of `lr_at` and `cfg.weight_decay`; returns the lr."""
     lr = lr_at(cfg, step)
     for name in sorted(grads):
         g = grads[name]
@@ -412,13 +433,13 @@ def adamw_step(params, grads, state: AdamWState, step: int, cfg: AdamWConfig) ->
             state.v[name] = np.zeros_like(params[name])
         m = state.m[name]
         v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
-        mhat = m / (1.0 - cfg.beta1**step)
-        vhat = v / (1.0 - cfg.beta2**step)
-        params[name] -= lr * (mhat / (np.sqrt(vhat) + cfg.eps) + cfg.weight_decay * params[name])
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        mhat = m / (1.0 - ADAM_BETA1**step)
+        vhat = v / (1.0 - ADAM_BETA2**step)
+        params[name] -= lr * (mhat / (np.sqrt(vhat) + ADAM_EPS) + cfg.weight_decay * params[name])
     return lr
 
 
@@ -427,7 +448,7 @@ def adamw_step(params, grads, state: AdamWState, step: int, cfg: AdamWConfig) ->
 def nucleus_sample(logits, temperature: float, top_p: float, rng: np.random.Generator) -> int:
     """Temperature + top-p sampling; temperature 0 means greedy argmax."""
     logits = np.asarray(logits, dtype=np.float64)
-    if temperature < 0:
+    if not temperature >= 0:  # also refuses nan
         raise ValidationError("temperature must be nonnegative")
     if not 0.0 < top_p <= 1.0:
         raise ValidationError("top_p must lie in (0, 1]")
@@ -483,4 +504,4 @@ def load_model(path):
             ) from None
     cfg = ModelConfig(**values)
     cfg.validate()
-    return config["kind"], cfg, params, config
+    return config.get("kind"), cfg, params, config

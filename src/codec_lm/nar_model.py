@@ -2,8 +2,11 @@
 
 The transformer input is the concatenation of phoneme embeddings, the summed
 all-stage embedding of the enrolled acoustic prompt, and the summed embedding
-of the target's already-known stages, under full (unmasked) self-attention.
-The training/decoding stage is injected through AdaLN at every norm site.
+of the target's already-known stages (both sums are `nar_embed_stages`),
+under full (unmasked) self-attention. The training/decoding stage is injected
+through AdaLN at every norm site. The trunk, the id checks and the batch loss
+are shared with the AR model through `lm_core`; `nar_generate_all` decodes
+stages 2..Q with one `nar_forward` call each.
 
 Weight sharing: the prediction head for stage i is the acoustic embedding
 table of stage i (1-indexed), i.e. head j ties to embedding table j+1 for
@@ -18,15 +21,6 @@ from .errors import ValidationError
 from .lm_core import ModelConfig
 
 EMB_INIT_STD = lm_core.EMB_INIT_STD
-
-# instrumentation: incremented on every nar_forward call
-forward_calls = 0
-
-
-def reset_forward_calls() -> None:
-    global forward_calls
-    forward_calls = 0
-
 
 def init_nar_params(cfg: ModelConfig, rng: np.random.Generator) -> dict:
     cfg.validate()
@@ -45,58 +39,31 @@ def init_nar_params(cfg: ModelConfig, rng: np.random.Generator) -> dict:
     return params
 
 
-def _check_codes(codes, cfg: ModelConfig, what: str):
-    codes = np.asarray(codes, dtype=np.int64)
-    if codes.size and (codes.min() < 0 or codes.max() >= cfg.codebook_size):
-        raise ValidationError(f"{what} code out of range [0, {cfg.codebook_size})")
-    return codes
-
-
-def nar_embed_target(params, cfg: ModelConfig, partial_target, stage: int) -> np.ndarray:
-    """Sum of per-stage embeddings of the known columns 1..stage-1."""
-    if stage < 2:
-        raise ValidationError("target embedding needs stage >= 2")
-    partial_target = _check_codes(partial_target, cfg, "target")
-    if partial_target.ndim != 2 or partial_target.shape[1] != stage - 1:
+def nar_embed_stages(params, cfg: ModelConfig, codes, columns: int, what: str) -> np.ndarray:
+    """Per frame, the sum of the stage embeddings of the code matrix `codes`,
+    which must have exactly `columns` columns: column j looks up table j."""
+    codes = lm_core.check_ids(codes, cfg.codebook_size, f"{what} code")
+    if codes.ndim != 2 or codes.shape[1] != columns:
         raise ValidationError(
-            f"partial target must have exactly {stage - 1} columns, got shape "
-            f"{partial_target.shape}"
+            f"{what} codes must have exactly {columns} columns, got shape {codes.shape}"
         )
-    out = np.zeros((partial_target.shape[0], cfg.embed_dim))
-    for j in range(stage - 1):
-        out += params[f"acoustic_emb.{j}"][partial_target[:, j]]
-    return out
-
-
-def nar_embed_prompt(params, cfg: ModelConfig, acoustic_prompt) -> np.ndarray:
-    """Sum of the embeddings of all Q prompt stages per frame."""
-    acoustic_prompt = _check_codes(acoustic_prompt, cfg, "prompt")
-    if acoustic_prompt.ndim != 2 or acoustic_prompt.shape[1] != cfg.quantizers:
-        raise ValidationError(
-            f"acoustic prompt must have all {cfg.quantizers} columns, got shape "
-            f"{acoustic_prompt.shape}"
-        )
-    out = np.zeros((acoustic_prompt.shape[0], cfg.embed_dim))
-    for j in range(cfg.quantizers):
-        out += params[f"acoustic_emb.{j}"][acoustic_prompt[:, j]]
+    out = np.zeros((codes.shape[0], cfg.embed_dim))
+    for j in range(columns):
+        out += params[f"acoustic_emb.{j}"][codes[:, j]]
     return out
 
 
 def nar_forward(params, cfg: ModelConfig, phon_ids, acoustic_prompt, partial_target,
                 stage: int, *, train=False, rng=None, return_cache=False):
-    """Logits (T, K) for the target frames at the given stage in [2, Q]."""
-    global forward_calls
+    """Logits (T, K) for the target frames at the given stage in [2, Q], from
+    the Q-stage prompt and the target's known stages 1..stage-1."""
     if not 2 <= stage <= cfg.quantizers:
         raise ValidationError(f"stage must lie in [2, {cfg.quantizers}], got {stage}")
-    phon_ids = np.asarray(phon_ids, dtype=np.int64)
+    phon_ids = lm_core.check_ids(phon_ids, cfg.phoneme_vocab, "phoneme")
     if phon_ids.size == 0:
         raise ValidationError("phoneme sequence is empty")
-    if phon_ids.min() < 0 or phon_ids.max() >= cfg.phoneme_vocab:
-        raise ValidationError("phoneme id out of range")
-    forward_calls += 1
-
-    prompt_emb = nar_embed_prompt(params, cfg, acoustic_prompt)
-    target_emb = nar_embed_target(params, cfg, partial_target, stage)
+    prompt_emb = nar_embed_stages(params, cfg, acoustic_prompt, cfg.quantizers, "prompt")
+    target_emb = nar_embed_stages(params, cfg, partial_target, stage - 1, "target")
     p, tp, tt = len(phon_ids), prompt_emb.shape[0], target_emb.shape[0]
     n = p + tp + tt
     if n > cfg.max_len:
@@ -136,19 +103,18 @@ def nar_backward(params, cfg: ModelConfig, cache, dlogits) -> dict:
     dout = np.zeros((p + tp + tt, cfg.embed_dim))
     dout[p + tp :] = dlogits @ params[head_name]
     dx, stack_grads, dstage = lm_core.stack_backward(params, cfg, cache["stack"], dout)
-    for name, g in stack_grads.items():
-        grads[name] = grads.get(name, 0) + g
+    grads.update(stack_grads)
     grads["stage_emb"] = np.zeros_like(params["stage_emb"])
     grads["stage_emb"][stage - 2] = dstage
-    grads.setdefault("phoneme_emb", np.zeros_like(params["phoneme_emb"]))
+    grads["phoneme_emb"] = np.zeros_like(params["phoneme_emb"])
     np.add.at(grads["phoneme_emb"], cache["phon_ids"], dx[:p])
+    # backward of the two stage-embedding sums: table j gets the prompt rows,
+    # and the target rows while j is a known stage
     for j in range(cfg.quantizers):
-        name = f"acoustic_emb.{j}"
-        if name not in grads:
-            grads[name] = np.zeros_like(params[name])
-        np.add.at(grads[name], cache["prompt"][:, j], dx[p : p + tp])
-    for j in range(stage - 1):
-        np.add.at(grads[f"acoustic_emb.{j}"], cache["partial"][:, j], dx[p + tp :])
+        g = grads.setdefault(f"acoustic_emb.{j}", np.zeros_like(params[f"acoustic_emb.{j}"]))
+        np.add.at(g, cache["prompt"][:, j], dx[p : p + tp])
+        if j < stage - 1:
+            np.add.at(g, cache["partial"][:, j], dx[p + tp :])
     return grads
 
 
@@ -164,35 +130,22 @@ def nar_loss(params, cfg: ModelConfig, batch, rng: np.random.Generator, *,
     `batch` items are (phoneme_ids, acoustic_prompt (T',Q), target_codes (T,Q)).
     Returns (loss, grads, stage, token_count).
     """
-    if not batch:
-        raise ValidationError("batch is empty")
     if stage is None:
         stage = draw_stage(rng, cfg.quantizers)
-    total_nll = 0.0
-    total_count = 0
-    acc = {}
-    for phon_ids, prompt, target in batch:
-        target = _check_codes(target, cfg, "target")
+
+    def example(item):
+        phon_ids, prompt, target = item
+        target = lm_core.check_ids(target, cfg.codebook_size, "target code")
         if target.shape[0] < 1:
             raise ValidationError("target has no frames")
         logits, cache = nar_forward(
             params, cfg, phon_ids, prompt, target[:, : stage - 1], stage,
             train=train, rng=dropout_rng, return_cache=True,
         )
-        labels = target[:, stage - 1]
-        mean_nll, dlogits = lm_core.cross_entropy(logits, labels)
-        count = labels.size
-        total_nll += mean_nll * count
-        total_count += count
-        grads = nar_backward(params, cfg, cache, dlogits * count)
-        for name, g in grads.items():
-            if name in acc:
-                acc[name] += g
-            else:
-                acc[name] = g
-    for name in acc:
-        acc[name] = acc[name] / total_count
-    return total_nll / total_count, acc, stage, total_count
+        return logits, target[:, stage - 1], lambda d: nar_backward(params, cfg, cache, d)
+
+    loss, grads, count = lm_core.batch_loss(batch, example)
+    return loss, grads, stage, count
 
 
 def nar_generate_all(params, cfg: ModelConfig, phon_ids, acoustic_prompt, first_layer):

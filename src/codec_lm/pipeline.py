@@ -77,12 +77,14 @@ class PromptSpec:
 class ModelBundle:
     params: dict
     cfg: ModelConfig
-    kind: str
 
     @classmethod
-    def load(cls, path):
-        kind, cfg, params, _ = lm_core.load_model(path)
-        return cls(params=params, cfg=cfg, kind=kind)
+    def load(cls, path, kind: str):
+        """The model of the checkpoint at `path`, which must be of `kind`."""
+        found, cfg, params, _ = lm_core.load_model(path)
+        if found != kind:
+            raise ValidationError(f"{path}: checkpoint kind is {found!r}, expected {kind!r}")
+        return cls(params=params, cfg=cfg)
 
 
 @dataclass
@@ -165,15 +167,11 @@ def crop_phonemes(tu: TokenizedUtterance, start: int, n: int):
     return frontend.dedup_consecutive(tu.frame_symbols[start : start + n].tolist())
 
 
-def _sample_crop(tu, crop_min, crop_max, frame_rate, rng):
-    n = int(rng.uniform(crop_min, crop_max) * frame_rate)
+def sample_ar_item(tu, train_cfg, frame_rate, rng):
+    """A random crop: its phonemes and its stage-1 codes."""
+    n = int(rng.uniform(train_cfg.crop_min, train_cfg.crop_max) * frame_rate)
     n = max(1, min(n, tu.num_frames))
     start = int(rng.integers(0, tu.num_frames - n + 1))
-    return start, n
-
-
-def sample_ar_item(tu, train_cfg, frame_rate, rng):
-    start, n = _sample_crop(tu, train_cfg.crop_min, train_cfg.crop_max, frame_rate, rng)
     return crop_phonemes(tu, start, n), tu.codes[start : start + n, 0]
 
 
@@ -234,19 +232,13 @@ def _fit(kind, params, model_cfg, train_cfg, out_path, log_path, step_fn):
     goes into the log line. Logs and keeps a (step, loss, lr) row every
     `log_every` steps and at the last, writes the step checkpoints, then the
     final checkpoint and the loss log."""
-    opt = lm_core.AdamWConfig(
-        peak_lr=train_cfg.peak_lr,
-        warmup_steps=train_cfg.warmup_steps,
-        total_steps=train_cfg.total_steps,
-        weight_decay=train_cfg.weight_decay,
-    )
     state = lm_core.AdamWState()
     rows = []
     first_loss = None
     loss = float("nan")
     for step in range(1, train_cfg.total_steps + 1):
         loss, grads, note = step_fn()
-        lr = lm_core.adamw_step(params, grads, state, step, opt)
+        lr = lm_core.adamw_step(params, grads, state, step, train_cfg)
         if first_loss is None:
             first_loss = loss
         if step % train_cfg.log_every == 0 or step == train_cfg.total_steps:
@@ -387,14 +379,12 @@ def synthesize(spec: PromptSpec, ar: ModelBundle, nar: ModelBundle, cs: Codebook
 
 # -- evaluation ------------------------------------------------------------------
 
-def _teacher_forced_ar_accuracy(items, ar: ModelBundle, cs, crop_min, crop_max, rng,
+def _teacher_forced_ar_accuracy(items, ar: ModelBundle, cs, train_like: TrainConfig, rng,
                                 crops_per_utt=3):
     hits = total = 0
     for tu in items:
         for _ in range(crops_per_utt):
-            start, n = _sample_crop(tu, crop_min, crop_max, cs.frame_rate, rng)
-            phon = crop_phonemes(tu, start, n)
-            ac = tu.codes[start : start + n, 0]
+            phon, ac = sample_ar_item(tu, train_like, cs.frame_rate, rng)
             logits = ar_model.ar_forward(ar.params, ar.cfg, phon, ac)
             targets = np.concatenate([ac, [ar.cfg.acoustic_eos]])
             hits += int((np.argmax(logits, axis=-1) == targets).sum())
@@ -422,21 +412,17 @@ def _nar_stage_accuracy(items, nar: ModelBundle, cs, train_like: TrainConfig, rn
 
 
 def _codec_snr_by_stages(corpus: CorpusData, cs, split):
-    out = {}
-    records = corpus.split_records(split)
-    for j in range(1, cs.quantizers + 1):
-        vals = []
-        for rec in records:
-            samples, sr = formats.read_audio(rec.path)
-            wav = Waveform(samples=samples, sample_rate=sr)
-            cm = codec.encode(wav, cs)
+    """Mean SNR (capped at 120 dB) of each record of `split` decoded from its
+    first j stages, for j = 1..Q; each record is encoded once."""
+    vals = {j: [] for j in range(1, cs.quantizers + 1)}
+    for rec in corpus.split_records(split):
+        samples, sr = formats.read_audio(rec.path)
+        cm = codec.encode(Waveform(samples=samples, sample_rate=sr), cs)
+        for j, snrs in vals.items():
             recon = codec.decode(cm, cs, stages=j)
-            n = recon.samples.size
-            ref = Waveform(samples=wav.samples[:n], sample_rate=sr)
-            snr = codec.reconstruction_snr(ref, recon)
-            vals.append(min(snr, 120.0))
-        out[j] = float(np.mean(vals)) if vals else float("nan")
-    return out
+            ref = Waveform(samples=samples[: recon.samples.size], sample_rate=sr)
+            snrs.append(min(codec.reconstruction_snr(ref, recon), 120.0))
+    return {j: float(np.mean(v)) if v else float("nan") for j, v in vals.items()}
 
 
 def _enrolled_from_prefix(record: UttRecord, samples, sr, seconds):
@@ -514,7 +500,7 @@ def evaluate(corpus_dir, cs: CodebookSet, ar: ModelBundle, nar: ModelBundle, *,
     rng = np.random.default_rng(np.random.SeedSequence([eval_seed, 61]))
     rows = [
         ("ar_teacher_forced_accuracy", split,
-         _teacher_forced_ar_accuracy(items, ar, cs, crop_min, crop_max, rng)),
+         _teacher_forced_ar_accuracy(items, ar, cs, crop_like, rng)),
     ]
     for stage, acc in _nar_stage_accuracy(items, nar, cs, crop_like, rng).items():
         rows.append((f"nar_stage{stage}_accuracy", split, acc))

@@ -102,3 +102,15 @@ def test_unknown_set_key_exits_2(chain, tmp_path, capsys):
     assert cli.main([str(a) for a in argv]) == 2
     assert "unknown key 'bogus'" in capsys.readouterr().err
     assert not (tmp_path / "c.cbk").exists()
+
+
+def test_eval_refuses_swapped_checkpoints(chain, tmp_path, capsys):
+    """Each checkpoint must be of the kind its flag names: swapped, eval
+    exits 2 with a one-line error and writes no report."""
+    argv = ["eval", "--ar", chain["nar"], "--nar", chain["ar"], "--codec", chain["codec"],
+            "--corpus", chain["corpus"], "--out", tmp_path / "report.tsv", "--no-synthesis"]
+    assert cli.main([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint kind" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "report.tsv").exists()

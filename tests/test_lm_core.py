@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from codec_lm import ar_model, formats, lm_core, nar_model
 from codec_lm.errors import OptimizerError, ValidationError
-from codec_lm.lm_core import AdamWConfig, AdamWState, ModelConfig
+from codec_lm.lm_core import AdamWState, ModelConfig
+from codec_lm.pipeline import TrainConfig
 
 
 class TestSinusoidalPositions:
@@ -228,7 +229,7 @@ class TestAdamW:
     def _cfg(self, **kw):
         args = dict(peak_lr=0.1, warmup_steps=10, total_steps=100, weight_decay=0.01)
         args.update(kw)
-        return AdamWConfig(**args)
+        return TrainConfig(**args)
 
     def test_schedule_apex_and_end(self):
         cfg = self._cfg()
@@ -248,12 +249,12 @@ class TestAdamW:
 
     def test_single_scalar_step_matches_hand_computation(self):
         """Oracle: hand evaluation of the AdamW update formulas."""
-        cfg = AdamWConfig(peak_lr=0.01, warmup_steps=1, total_steps=2,
-                          beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.1)
+        cfg = TrainConfig(peak_lr=0.01, warmup_steps=1, total_steps=2, weight_decay=0.1)
         params = {"w": np.array([2.0])}
         grads = {"w": np.array([0.5])}
         state = AdamWState()
         lm_core.adamw_step(params, grads, state, 1, cfg)
+        # beta1 = 0.9, beta2 = 0.999, eps = 1e-8
         # lr at step 1 = peak; m_hat = 0.5; v_hat = 0.25; denom = 0.5 + 1e-8
         expected = 2.0 - 0.01 * (0.5 / (0.5 + 1e-8) + 0.1 * 2.0)
         assert params["w"][0] == pytest.approx(expected, abs=1e-10)
@@ -292,6 +293,14 @@ class TestNucleusSampling:
             lm_core.nucleus_sample(np.zeros(3), -1.0, 0.9, rng)
         with pytest.raises(ValidationError):
             lm_core.nucleus_sample(np.zeros(3), 1.0, 0.0, rng)
+
+    def test_nan_temperature_rejected(self, rng):
+        """nan fails every comparison, so a `temperature < 0` check lets it
+        through, and every draw then returns token 0."""
+        with pytest.raises(ValidationError):
+            lm_core.nucleus_sample(np.array([0.0, 5.0, 1.0]), math.nan, 0.9, rng)
+        with pytest.raises(ValidationError):
+            ar_model.SamplingSpec(temperature=math.nan).validate()
 
 
 @dataclass
@@ -362,6 +371,39 @@ class TestGradCheck:
 
         report = grad_check(broken, {"w": rng.normal(size=5)}, n_probe=10, rng=rng)
         assert report.max_rel_error > 0.3
+
+
+class TestWholeModelGradients:
+    """Finite differences against the hand-written backward of a whole loss:
+    embeddings, trunk, tied heads and the token weighting of a 2-item batch.
+    The step is 1e-5: at 1e-4 a probe of the stage-4 batch crosses a ReLU
+    kink of the FFN and reads a relative error of 0.44."""
+
+    CFG = ModelConfig(layers=2, heads=2, embed_dim=8, ffn_dim=16, dropout=0.0,
+                      codebook_size=5, quantizers=4)
+
+    def test_ar_loss(self):
+        rng = np.random.default_rng(0)
+        params = ar_model.init_ar_params(self.CFG, rng)
+        batch = [([2, 9, 4], [1, 3, 0, 4]), ([5, 1], [2, 2])]
+        report = grad_check(lambda p: ar_model.ar_loss(p, self.CFG, batch)[:2], params,
+                            n_probe=200, step=1e-5, rng=rng)
+        assert report.max_rel_error < 1e-4, report.worst
+
+    @pytest.mark.parametrize("stage", [2, 3, 4])
+    def test_nar_loss(self, stage):
+        cfg = self.CFG
+        rng = np.random.default_rng(stage)
+        params = nar_model.init_nar_params(cfg, rng)
+        k, q = cfg.codebook_size, cfg.quantizers
+        batch = [([2, 9, 4], rng.integers(0, k, (3, q)), rng.integers(0, k, (4, q))),
+                 ([5, 1], rng.integers(0, k, (2, q)), rng.integers(0, k, (3, q)))]
+
+        def loss_fn(p):
+            return nar_model.nar_loss(p, cfg, batch, None, train=False, stage=stage)[:2]
+
+        report = grad_check(loss_fn, params, n_probe=200, step=1e-5, rng=rng)
+        assert report.max_rel_error < 1e-4, report.worst
 
 
 class TestCheckpointHelpers:

@@ -35,7 +35,7 @@ def inputs(cfg):
 class TestTargetEmbedding:
     def test_stage2_is_single_table(self, params, cfg, inputs):
         _, _, target = inputs
-        out = nar_model.nar_embed_target(params, cfg, target[:, :1], 2)
+        out = nar_model.nar_embed_stages(params, cfg, target[:, :1], 1, "target")
         np.testing.assert_array_equal(out, params["acoustic_emb.0"][target[:, 0]])
 
     def test_cancellation(self, cfg, inputs):
@@ -43,14 +43,14 @@ class TestTargetEmbedding:
         params = nar_model.init_nar_params(cfg, np.random.default_rng(2))
         params["acoustic_emb.1"] = -params["acoustic_emb.0"]
         pt = np.stack([target[:, 0], target[:, 0]], axis=1)
-        out = nar_model.nar_embed_target(params, cfg, pt, 3)
+        out = nar_model.nar_embed_stages(params, cfg, pt, 2, "target")
         np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_matches_manual_three_table_sum(self, params, cfg):
         """Oracle: explicit lookup-and-add over three tables."""
         rng = np.random.default_rng(3)
         pt = rng.integers(0, cfg.codebook_size, size=(3, 3))
-        out = nar_model.nar_embed_target(params, cfg, pt, 4)
+        out = nar_model.nar_embed_stages(params, cfg, pt, 3, "target")
         for t in range(3):
             manual = sum(params[f"acoustic_emb.{j}"][pt[t, j]] for j in range(3))
             np.testing.assert_allclose(out[t], manual, atol=1e-12)
@@ -58,7 +58,7 @@ class TestTargetEmbedding:
     def test_wrong_column_count_rejected(self, params, cfg, inputs):
         _, _, target = inputs
         with pytest.raises(ValidationError):
-            nar_model.nar_embed_target(params, cfg, target[:, :2], 2)
+            nar_model.nar_embed_stages(params, cfg, target[:, :2], 1, "target")
 
 
 class TestPromptEmbedding:
@@ -67,19 +67,19 @@ class TestPromptEmbedding:
                            codebook_size=5, quantizers=1)
         params = {"acoustic_emb.0": np.random.default_rng(0).normal(size=(5, 8))}
         prompt = np.array([[1], [4], [2]])
-        out = nar_model.nar_embed_prompt(params, cfg1, prompt)
+        out = nar_model.nar_embed_stages(params, cfg1, prompt, 1, "prompt")
         np.testing.assert_array_equal(out, params["acoustic_emb.0"][[1, 4, 2]])
 
     def test_equal_rows_give_equal_outputs(self, params, cfg):
         prompt = np.tile([[3, 1, 4, 1]], (5, 1))
-        out = nar_model.nar_embed_prompt(params, cfg, prompt)
+        out = nar_model.nar_embed_stages(params, cfg, prompt, cfg.quantizers, "prompt")
         for t in range(1, 5):
             np.testing.assert_array_equal(out[t], out[0])
 
     def test_matches_manual_sum(self, params, cfg, inputs):
         """Oracle: explicit Q-table summation."""
         _, prompt, _ = inputs
-        out = nar_model.nar_embed_prompt(params, cfg, prompt)
+        out = nar_model.nar_embed_stages(params, cfg, prompt, cfg.quantizers, "prompt")
         for t in range(prompt.shape[0]):
             manual = sum(
                 params[f"acoustic_emb.{j}"][prompt[t, j]] for j in range(cfg.quantizers)
@@ -88,12 +88,12 @@ class TestPromptEmbedding:
 
     def test_out_of_range_code_rejected(self, params, cfg):
         with pytest.raises(ValidationError):
-            nar_model.nar_embed_prompt(params, cfg, np.full((2, 4), 99))
+            nar_model.nar_embed_stages(params, cfg, np.full((2, 4), 99), 4, "prompt")
 
     def test_missing_columns_rejected(self, params, cfg, inputs):
         _, prompt, _ = inputs
         with pytest.raises(ValidationError):
-            nar_model.nar_embed_prompt(params, cfg, prompt[:, :2])
+            nar_model.nar_embed_stages(params, cfg, prompt[:, :2], cfg.quantizers, "prompt")
 
 
 class TestForward:
@@ -204,11 +204,18 @@ class TestGenerateAll:
         np.testing.assert_array_equal(codes[:, 0], first)
         assert codes.shape == (5, cfg.quantizers)
 
-    def test_exactly_q_minus_one_forward_passes(self, params, cfg, inputs):
+    def test_exactly_q_minus_one_forward_passes(self, params, cfg, inputs, monkeypatch):
         phon, prompt, _ = inputs
-        nar_model.reset_forward_calls()
+        stages = []
+        forward = nar_model.nar_forward
+
+        def counting(*args, **kwargs):
+            stages.append(args[5])
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(nar_model, "nar_forward", counting)
         nar_model.nar_generate_all(params, cfg, phon, prompt, np.array([1, 2, 3]))
-        assert nar_model.forward_calls == cfg.quantizers - 1
+        assert stages == list(range(2, cfg.quantizers + 1))
 
     def test_deterministic(self, params, cfg, inputs):
         phon, prompt, _ = inputs
@@ -252,8 +259,8 @@ class TestAdaLNIdentityReduction:
 
         emb = np.concatenate([
             params["phoneme_emb"][np.asarray(phon)],
-            nar_model.nar_embed_prompt(params, cfg, prompt),
-            nar_model.nar_embed_target(params, cfg, target[:, :1], 2),
+            nar_model.nar_embed_stages(params, cfg, prompt, cfg.quantizers, "prompt"),
+            nar_model.nar_embed_stages(params, cfg, target[:, :1], 1, "target"),
         ])
         emb = emb + lm_core.segment_position_encoding(
             [len(phon), prompt.shape[0], target.shape[0]], cfg.embed_dim

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from codec_lm import pipeline
+from codec_lm import ar_model, formats, lm_core, pipeline
 from codec_lm.errors import ValidationError
 from codec_lm.lm_core import ModelConfig
 
@@ -19,3 +20,20 @@ def test_checkpoint_every_needs_out_path(train, tmp_path, monkeypatch, tiny_corp
     with pytest.raises(ValidationError, match="checkpoint_every"):
         train(tiny_corpus_dir, tiny_codec, model_cfg, train_cfg)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("drop_kind, expected", [(True, "ar"), (False, "nar")])
+def test_bundle_checks_checkpoint_kind(tmp_path, drop_kind, expected):
+    """An AR checkpoint loads as 'ar'. Without its `kind` line, or loaded as
+    'nar', it is refused with a ValidationError, not a KeyError."""
+    cfg = ModelConfig(layers=1, heads=2, embed_dim=8, ffn_dim=16, dropout=0.0,
+                      codebook_size=7, quantizers=3)
+    path = tmp_path / "ar.ckp"
+    lm_core.save_model(path, "ar", cfg, ar_model.init_ar_params(cfg, np.random.default_rng(0)))
+    assert pipeline.ModelBundle.load(path, "ar").cfg == cfg
+    if drop_kind:
+        config, params = formats.read_checkpoint(path)
+        del config["kind"]
+        formats.write_checkpoint(path, config, params)
+    with pytest.raises(ValidationError, match="kind"):
+        pipeline.ModelBundle.load(path, expected)
