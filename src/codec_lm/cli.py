@@ -35,21 +35,18 @@ def _guard_out(path, force: bool):
     return path
 
 
-def _add_common(p, *, out_required=True):
+def _add_common(p):
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--seed", type=int, help="seed for every stochastic component")
     p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                    help="override one config value (repeatable)")
-    p.add_argument("--out", required=out_required, help="output path")
+    p.add_argument("--out", required=True, help="output path")
     p.add_argument("--force", action="store_true", help="overwrite existing outputs")
 
 
 def _load_train_split_waveforms(corpus_dir):
-    data = pipeline.load_corpus(corpus_dir)
-    waves = []
-    for rec in data.split_records("train"):
-        samples, sr = formats.read_audio(rec.path)
-        waves.append(corpus.Waveform(samples=samples, sample_rate=sr))
+    data = corpus.load_corpus(corpus_dir)
+    waves = [corpus.read_waveform(rec.path) for rec in data.split_records("train")]
     if not waves:
         raise ValidationError("corpus has no training utterances")
     return waves
@@ -114,8 +111,7 @@ def cmd_synthesize(args) -> int:
     cs = codec.CodebookSet.load(args.codec)
     ar = pipeline.ModelBundle.load(args.ar, "ar")
     nar = pipeline.ModelBundle.load(args.nar, "nar")
-    samples, sr = formats.read_audio(args.enrolled_audio)
-    enrolled = corpus.Waveform(samples=samples, sample_rate=sr)
+    enrolled = corpus.read_waveform(args.enrolled_audio)
     if args.mode == "continual":
         spec = pipeline.continual_prompt(enrolled, args.text, args.prompt_seconds)
     else:
@@ -126,10 +122,9 @@ def cmd_synthesize(args) -> int:
             target_text=args.text,
         )
     sampling = run.build("sampling")
-    result = pipeline.synthesize(spec, ar, nar, cs, sampling)
-    formats.write_audio(out, result.waveform.samples, cs.sample_rate)
-    log.info("wrote %d samples (%.2fs) to %s", result.waveform.samples.size,
-             result.waveform.duration, out)
+    wav = pipeline.synthesize(spec, ar, nar, cs, sampling)
+    formats.write_audio(out, wav.samples, cs.sample_rate)
+    log.info("wrote %d samples (%.2fs) to %s", wav.samples.size, wav.duration, out)
     return 0
 
 

@@ -172,20 +172,19 @@ def generate_utterance(
 
 # -- f0 tracking ---------------------------------------------------------------
 
-def frame_f0(
-    samples: np.ndarray,
-    sample_rate: int,
-    fmin: float = 60.0,
-    fmax: float = 500.0,
-    window: float = 0.040,
-    hop: float = 0.010,
-    voicing_threshold: float = 0.5,
-):
+F0_MIN = 60.0  # Hz
+F0_MAX = 500.0  # Hz
+F0_WINDOW = 0.040  # seconds
+F0_HOP = 0.010  # seconds
+F0_VOICING_THRESHOLD = 0.5  # normalized autocorrelation peak
+
+
+def frame_f0(samples: np.ndarray, sample_rate: int):
     """Autocorrelation pitch track. Returns (f0 per frame, voiced mask)."""
-    win = int(round(window * sample_rate))
-    step = int(round(hop * sample_rate))
-    lag_min = max(2, int(np.floor(sample_rate / fmax)))
-    lag_max = int(np.ceil(sample_rate / fmin))
+    win = int(round(F0_WINDOW * sample_rate))
+    step = int(round(F0_HOP * sample_rate))
+    lag_min = max(2, int(np.floor(sample_rate / F0_MAX)))
+    lag_max = int(np.ceil(sample_rate / F0_MIN))
     f0s, voiced = [], []
     for start in range(0, len(samples) - win + 1, step):
         x = samples[start : start + win].astype(np.float64)
@@ -202,7 +201,7 @@ def frame_f0(
         r = r / r[0]
         seg = r[lag_min : lag_max + 1]
         peak = float(seg.max())
-        if peak < voicing_threshold:
+        if peak < F0_VOICING_THRESHOLD:
             f0s.append(0.0)
             voiced.append(False)
             continue
@@ -449,38 +448,70 @@ def build_corpus(cfg: CorpusConfig):
     return out / "manifest.tsv"
 
 
-def read_speakers(corpus_dir):
-    """Parse speakers.tsv back into SpeakerSpec plus split labels."""
-    rows = {}
-    with open(Path(corpus_dir) / "speakers.tsv", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            sid, f0, rate, depth, amps, split = line.split("\t")
-            spec = SpeakerSpec(
-                speaker_id=int(sid),
-                f0=float(f0),
-                harmonic_amps=tuple(float(a) for a in amps.split(",")),
-                vibrato_rate=float(rate),
-                vibrato_depth=float(depth),
-            )
-            rows[int(sid)] = (spec, split)
-    return rows
+# -- corpus reading ------------------------------------------------------------
+
+@dataclass
+class UttRecord:
+    utt_id: str
+    speaker_id: int
+    split: str
+    path: Path
+    text: str
+    units: tuple  # of ContentUnit
 
 
-def read_alignments(corpus_dir):
-    """Parse alignments.tsv: utt_id -> tuple of ContentUnit."""
-    out = {}
-    with open(Path(corpus_dir) / "alignments.tsv", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            utt_id, triples = line.split("\t")
-            units = []
-            for item in triples.split(" "):
-                sym, dur, off = item.split(":")
-                units.append(ContentUnit(frontend.symbol_id(sym), float(dur), float(off)))
-            out[utt_id] = tuple(units)
-    return out
+@dataclass
+class CorpusData:
+    records: list
+    speakers: dict  # speaker_id -> (SpeakerSpec, split)
+
+    def split_records(self, split):
+        return [r for r in self.records if r.split == split]
+
+
+def read_waveform(path) -> Waveform:
+    """A CLM1 audio file as a Waveform."""
+    samples, sample_rate = formats.read_audio(path)
+    return Waveform(samples=samples, sample_rate=sample_rate)
+
+
+def _tsv_rows(path):
+    """The tab-separated fields of each nonempty line of `path`."""
+    with open(path, encoding="utf-8") as fh:
+        return [line.rstrip("\n").split("\t") for line in fh if line.rstrip("\n")]
+
+
+def load_corpus(corpus_dir) -> CorpusData:
+    """Read back what `build_corpus` wrote: the manifest, the unit timings of
+    alignments.tsv and the speaker table of speakers.tsv."""
+    root = Path(corpus_dir)
+    entries = formats.read_manifest(root / "manifest.tsv")
+    units = {}
+    for utt_id, triples in _tsv_rows(root / "alignments.tsv"):
+        seq = []
+        for item in triples.split(" "):
+            sym, dur, off = item.split(":")
+            seq.append(ContentUnit(frontend.symbol_id(sym), float(dur), float(off)))
+        units[utt_id] = tuple(seq)
+    speakers = {}
+    for sid, f0, rate, depth, amps, split in _tsv_rows(root / "speakers.tsv"):
+        spec = SpeakerSpec(
+            speaker_id=int(sid),
+            f0=float(f0),
+            harmonic_amps=tuple(float(a) for a in amps.split(",")),
+            vibrato_rate=float(rate),
+            vibrato_depth=float(depth),
+        )
+        speakers[int(sid)] = (spec, split)
+    records = [
+        UttRecord(
+            utt_id=utt_id,
+            speaker_id=sid,
+            split=split,
+            path=root / rel,
+            text=text,
+            units=units[utt_id],
+        )
+        for utt_id, sid, split, rel, text in entries
+    ]
+    return CorpusData(records=records, speakers=speakers)

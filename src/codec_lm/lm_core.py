@@ -208,9 +208,8 @@ def stack_forward(params, cfg: ModelConfig, x, mask, *, stage_vec=None, train=Fa
     value the layer attended to. Backward needs a cache made without past_kv.
     """
     adaln = stage_vec is not None
-    cache = {"adaln": adaln, "stage_vec": stage_vec, "layers": [], "mask": mask}
+    cache = {"adaln": adaln, "stage_vec": stage_vec, "layers": []}
     x, cache["emb_drop"] = _dropout(x, cfg.dropout, rng, train)
-    cache["x_in"] = x
 
     def norm_fwd(name, h):
         xhat, inv = _ln_core_forward(h)
@@ -241,7 +240,7 @@ def stack_forward(params, cfg: ModelConfig, x, mask, *, stage_vec=None, train=Fa
         ctx_flat = ctx.transpose(1, 0, 2).reshape(t, cfg.embed_dim)
         attn_out = ctx_flat @ params[f"{p}.attn.wo"] + params[f"{p}.attn.bo"]
         attn_out, lc["drop1"] = _dropout(attn_out, cfg.dropout, rng, train)
-        lc.update(n1=n1, qh=qh, kh=kh, vh=vh, probs=probs, ctx_flat=ctx_flat, x0=x)
+        lc.update(n1=n1, qh=qh, kh=kh, vh=vh, probs=probs, ctx_flat=ctx_flat)
         x = x + attn_out
 
         n2, lc["ln2"] = norm_fwd(f"{p}.ln2", x)
@@ -249,7 +248,7 @@ def stack_forward(params, cfg: ModelConfig, x, mask, *, stage_vec=None, train=Fa
         r = np.maximum(h1, 0.0)
         f_out = r @ params[f"{p}.ffn.w2"] + params[f"{p}.ffn.b2"]
         f_out, lc["drop2"] = _dropout(f_out, cfg.dropout, rng, train)
-        lc.update(n2=n2, relu=r, x1=x)
+        lc.update(n2=n2, relu=r)
         x = x + f_out
         cache["layers"].append(lc)
 
@@ -337,28 +336,25 @@ def stack_backward(params, cfg: ModelConfig, cache, dout):
 
 # -- losses ----------------------------------------------------------------------------
 
-def cross_entropy(logits, targets, loss_mask=None):
-    """Mean negative log-likelihood over unmasked positions.
+def cross_entropy(logits, targets):
+    """Mean negative log-likelihood of `targets` (one per row of `logits`).
 
     Returns (loss, dlogits) where dlogits is the gradient of the mean.
     """
     logits = np.asarray(logits, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.int64)
-    if loss_mask is None:
-        loss_mask = np.ones(targets.shape, dtype=bool)
-    loss_mask = np.asarray(loss_mask, dtype=bool)
-    count = int(loss_mask.sum())
+    count = targets.size
     if count == 0:
-        raise ValidationError("cross_entropy: all positions are masked")
+        raise ValidationError("cross_entropy: no targets")
     shifted = logits - logits.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     logp = shifted - lse
-    rows = np.arange(targets.size)
+    rows = np.arange(count)
     nll = -logp[rows, targets]
-    loss = float((nll * loss_mask).sum() / count)
+    loss = float(nll.sum() / count)
     dlogits = np.exp(logp)
     dlogits[rows, targets] -= 1.0
-    dlogits *= (loss_mask[:, None] / count)
+    dlogits *= 1.0 / count
     return loss, dlogits
 
 

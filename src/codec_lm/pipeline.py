@@ -1,11 +1,21 @@
-"""End-to-end orchestration: codec + AR + NAR training and prompted synthesis.
+"""End-to-end orchestration: codec + AR + NAR training, prompted synthesis and
+evaluation.
 
-Training crops every sampled utterance to a random duration inside the
-configured range; the synthetic corpus carries exact unit timings, so the
-phoneme sequence for any crop is known without forced alignment. The NAR
-trainer additionally samples a 3-second acoustic prompt segment from the same
-utterance (disjoint from the target crop whenever the utterance is long
-enough).
+Training and evaluation read the corpus through one data path:
+
+1. load: `corpus.load_corpus` reads the corpus directory into records (audio
+   path, speaker, split, text and unit timings);
+2. tokenize once: `tokenize_split` encodes each record of a split with the
+   codec and labels every frame with the phoneme its unit timings put there;
+3. items: `sample_ar_item` and `sample_nar_item` crop those tokens. Training
+   draws its batches of crops with `_draw_batch`; evaluation scores the same
+   kind of crops, and its codec SNR rows decode the same tokens.
+
+A crop has a random duration inside the configured range; the synthetic
+corpus carries exact unit timings, so the phoneme sequence for any crop is
+known without forced alignment. A NAR item additionally carries a 3-second
+acoustic prompt segment from the same utterance (disjoint from the target crop
+whenever the utterance is long enough).
 
 Inference implements the two prompting modes: `standard` prepends the
 enrolled transcription's phonemes to the target phonemes and uses the
@@ -17,20 +27,25 @@ enrolled audio; only the AR prefix is restricted to stage 1.
 
 import logging
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from . import ar_model, codec, formats, frontend, lm_core, nar_model
 from .ar_model import SamplingSpec
 from .codec import CodebookSet, CodeMatrix
-from .corpus import Waveform, frame_f0, read_alignments, read_speakers
+from .corpus import CorpusData, UttRecord, Waveform, frame_f0, load_corpus, read_waveform
 from .errors import ValidationError
 from .lm_core import ModelConfig
 
 log = logging.getLogger("codec_lm.pipeline")
 
 NAR_PROMPT_SECONDS = 3.0
+
+EVAL_SEED = 1234
+AR_CROPS_PER_UTT = 3  # teacher-forced crops scored per utterance
+F0_PROMPT_SECONDS = 3.0  # enrolled prefix of the speaker-f0 proxy
+N_TARGET_SYMBOLS = 8  # units of the speaker's other utterance that the proxy synthesizes
+F0_TOLERANCE = 0.05  # relative f0 error that counts as a match
 
 
 @dataclass
@@ -88,50 +103,8 @@ class ModelBundle:
 
 
 @dataclass
-class UttRecord:
-    utt_id: str
-    speaker_id: int
-    split: str
-    path: Path
-    text: str
-    units: tuple
-
-
-@dataclass
-class CorpusData:
-    root: Path
-    records: list
-    speakers: dict  # speaker_id -> (SpeakerSpec, split)
-
-    def split_records(self, split):
-        return [r for r in self.records if r.split == split]
-
-
-def load_corpus(corpus_dir) -> CorpusData:
-    root = Path(corpus_dir)
-    entries = formats.read_manifest(root / "manifest.tsv")
-    units = read_alignments(root)
-    speakers = read_speakers(root)
-    records = [
-        UttRecord(
-            utt_id=utt_id,
-            speaker_id=sid,
-            split=split,
-            path=root / rel,
-            text=text,
-            units=units[utt_id],
-        )
-        for utt_id, sid, split, rel, text in entries
-    ]
-    return CorpusData(root=root, records=records, speakers=speakers)
-
-
-@dataclass
 class TokenizedUtterance:
-    utt_id: str
-    speaker_id: int
-    split: str
-    text: str
+    record: UttRecord
     codes: np.ndarray  # (T, Q)
     frame_symbols: np.ndarray  # (T,) frontend ids
 
@@ -141,24 +114,17 @@ class TokenizedUtterance:
 
 
 def tokenize_record(record: UttRecord, cs: CodebookSet) -> TokenizedUtterance:
-    samples, sr = formats.read_audio(record.path)
-    cm = codec.encode(Waveform(samples=samples, sample_rate=sr), cs)
+    cm = codec.encode(read_waveform(record.path), cs)
     ends = np.cumsum([u.duration for u in record.units])
     sym = np.array([u.symbol_id for u in record.units], dtype=np.int64)
     t = cm.num_frames
     frame_times = (np.arange(t) + 0.5) * cs.stride / cs.sample_rate
     idx = np.minimum(np.searchsorted(ends, frame_times), len(sym) - 1)
-    return TokenizedUtterance(
-        utt_id=record.utt_id,
-        speaker_id=record.speaker_id,
-        split=record.split,
-        text=record.text,
-        codes=cm.codes,
-        frame_symbols=sym[idx],
-    )
+    return TokenizedUtterance(record=record, codes=cm.codes, frame_symbols=sym[idx])
 
 
 def tokenize_split(corpus: CorpusData, cs: CodebookSet, split: str):
+    """Every record of `split`, tokenized, in corpus order."""
     records = corpus.split_records(split)
     return [tokenize_record(r, cs) for r in records]
 
@@ -167,28 +133,46 @@ def crop_phonemes(tu: TokenizedUtterance, start: int, n: int):
     return frontend.dedup_consecutive(tu.frame_symbols[start : start + n].tolist())
 
 
-def sample_ar_item(tu, train_cfg, frame_rate, rng):
-    """A random crop: its phonemes and its stage-1 codes."""
-    n = int(rng.uniform(train_cfg.crop_min, train_cfg.crop_max) * frame_rate)
+def sample_ar_item(tu, crop, frame_rate, rng):
+    """A random crop of (min, max) = `crop` seconds: its phonemes and its
+    stage-1 codes."""
+    n = int(rng.uniform(*crop) * frame_rate)
     n = max(1, min(n, tu.num_frames))
     start = int(rng.integers(0, tu.num_frames - n + 1))
     return crop_phonemes(tu, start, n), tu.codes[start : start + n, 0]
 
 
-def sample_nar_item(tu, train_cfg, frame_rate, rng):
-    """Target crop plus a 3-second prompt segment from the same utterance.
+def _nar_prompt_len(frame_rate) -> int:
+    return int(NAR_PROMPT_SECONDS * frame_rate)
+
+
+def _nar_usable(items, frame_rate):
+    """The items with room for a NAR prompt plus one target frame; the others
+    are logged and skipped."""
+    need = _nar_prompt_len(frame_rate) + 1
+    for tu in items:
+        if tu.num_frames < need:
+            log.warning("skipping %s: %d frames < prompt + 1 (%d)",
+                        tu.record.utt_id, tu.num_frames, need)
+    return [tu for tu in items if tu.num_frames >= need]
+
+
+def sample_nar_item(tu, crop, frame_rate, rng):
+    """Target crop of (min, max) = `crop` seconds plus a 3-second prompt
+    segment from the same utterance.
 
     The prompt is drawn disjoint from the target whenever the utterance has
     room for it; utterances shorter than prompt + 1 frame are rejected.
     """
-    prompt_len = int(NAR_PROMPT_SECONDS * frame_rate)
+    prompt_len = _nar_prompt_len(frame_rate)
     t = tu.num_frames
     if t < prompt_len + 1:
         raise ValidationError(
-            f"utterance {tu.utt_id} has {t} frames, shorter than prompt + 1 ({prompt_len + 1})"
+            f"utterance {tu.record.utt_id} has {t} frames, shorter than prompt + 1 "
+            f"({prompt_len + 1})"
         )
     max_target = t - prompt_len  # leave room for a disjoint prompt when possible
-    n = int(rng.uniform(train_cfg.crop_min, train_cfg.crop_max) * frame_rate)
+    n = int(rng.uniform(*crop) * frame_rate)
     n = max(1, min(n, max_target))
     start = int(rng.integers(0, t - n + 1))
     left = max(0, start - prompt_len + 1)
@@ -225,6 +209,19 @@ def _train_common(corpus_dir, cs, model_cfg, train_cfg, out_path):
     if not items:
         raise ValidationError("corpus has no training utterances")
     return items
+
+
+def _draw_batch(items, sample, tokens_of, train_cfg, frame_rate, rng):
+    """Items made by `sample` from utterances drawn uniformly from `items`,
+    until they hold `train_cfg.batch_tokens` tokens as `tokens_of(*item)`
+    counts them."""
+    crop = (train_cfg.crop_min, train_cfg.crop_max)
+    batch, tokens = [], 0
+    while tokens < train_cfg.batch_tokens:
+        tu = items[int(rng.integers(len(items)))]
+        batch.append(sample(tu, crop, frame_rate, rng))
+        tokens += tokens_of(*batch[-1])
+    return batch
 
 
 def _fit(kind, params, model_cfg, train_cfg, out_path, log_path, step_fn):
@@ -265,12 +262,8 @@ def train_ar(corpus_dir, cs: CodebookSet, model_cfg: ModelConfig, train_cfg: Tra
     params = ar_model.init_ar_params(model_cfg, rng_init)
 
     def step_fn():
-        batch, tokens = [], 0
-        while tokens < train_cfg.batch_tokens:
-            tu = items[int(rng_batch.integers(len(items)))]
-            phon, ac = sample_ar_item(tu, train_cfg, cs.frame_rate, rng_batch)
-            batch.append((phon, ac))
-            tokens += len(ac) + 1
+        batch = _draw_batch(items, sample_ar_item, lambda phon, ac: len(ac) + 1,
+                            train_cfg, cs.frame_rate, rng_batch)
         loss, grads, _ = ar_model.ar_loss(params, model_cfg, batch, train=True, rng=rng_drop)
         return loss, grads, ""
 
@@ -280,16 +273,9 @@ def train_ar(corpus_dir, cs: CodebookSet, model_cfg: ModelConfig, train_cfg: Tra
 def train_nar(corpus_dir, cs: CodebookSet, model_cfg: ModelConfig, train_cfg: TrainConfig,
               out_path=None, log_path=None):
     """Stage-conditioned training: one uniform stage in [2, Q] per step."""
-    items = _train_common(corpus_dir, cs, model_cfg, train_cfg, out_path)
-    prompt_len = int(NAR_PROMPT_SECONDS * cs.frame_rate)
-    usable = [tu for tu in items if tu.num_frames >= prompt_len + 1]
-    for tu in items:
-        if tu.num_frames < prompt_len + 1:
-            log.warning(
-                "skipping %s: %d frames < prompt + 1 (%d)",
-                tu.utt_id, tu.num_frames, prompt_len + 1,
-            )
-    if not usable:
+    items = _nar_usable(_train_common(corpus_dir, cs, model_cfg, train_cfg, out_path),
+                        cs.frame_rate)
+    if not items:
         raise ValidationError("no training utterance is longer than the NAR prompt")
     rng_init = np.random.default_rng(np.random.SeedSequence([train_cfg.seed, 43]))
     rng_batch = np.random.default_rng(np.random.SeedSequence([train_cfg.seed, 47]))
@@ -299,12 +285,9 @@ def train_nar(corpus_dir, cs: CodebookSet, model_cfg: ModelConfig, train_cfg: Tr
 
     def step_fn():
         stage = nar_model.draw_stage(rng_batch, model_cfg.quantizers)
-        batch, tokens = [], 0
-        while tokens < train_cfg.batch_tokens:
-            tu = usable[int(rng_batch.integers(len(usable)))]
-            phon, prompt, target = sample_nar_item(tu, train_cfg, cs.frame_rate, rng_batch)
-            batch.append((phon, prompt, target))
-            tokens += len(target) + len(prompt)
+        batch = _draw_batch(items, sample_nar_item,
+                            lambda phon, prompt, target: len(target) + len(prompt),
+                            train_cfg, cs.frame_rate, rng_batch)
         loss, grads, stage, _ = nar_model.nar_loss(
             params, model_cfg, batch, rng_batch, train=True, stage=stage, dropout_rng=rng_drop
         )
@@ -316,13 +299,6 @@ def train_nar(corpus_dir, cs: CodebookSet, model_cfg: ModelConfig, train_cfg: Tr
 
 
 # -- inference -------------------------------------------------------------------
-
-@dataclass
-class SynthesisResult:
-    waveform: Waveform
-    codes: np.ndarray  # (T, Q) generated target codes
-    first_layer: np.ndarray
-
 
 def continual_prompt(full_waveform: Waveform, text: str, seconds: float) -> PromptSpec:
     """Continual-mode prompt: the first `seconds` of the utterance whose
@@ -351,12 +327,14 @@ def build_phoneme_prompt(spec: PromptSpec):
 
 
 def synthesize(spec: PromptSpec, ar: ModelBundle, nar: ModelBundle, cs: CodebookSet,
-               sampling: SamplingSpec) -> SynthesisResult:
+               sampling: SamplingSpec) -> Waveform:
     """Text + enrolled audio -> waveform covering only the new content.
 
     AR consumes the stage-1 prompt codes as a prefix and samples stage-1
     target codes; NAR then fills stages 2..Q greedily, conditioned on the full
-    Q-stage prompt matrix; the codec decodes the target codes alone.
+    Q-stage prompt matrix; the codec decodes the target codes alone. When the
+    AR model emits the acoustic EOS first, the waveform is empty and a
+    warning says so.
     """
     spec.validate()
     sampling.validate()
@@ -366,25 +344,19 @@ def synthesize(spec: PromptSpec, ar: ModelBundle, nar: ModelBundle, cs: Codebook
     prompt_cm = codec.encode(spec.enrolled_waveform, cs)
     first = ar_model.ar_generate(ar.params, ar.cfg, phon, prompt_cm.codes[:, 0], sampling)
     if first.size == 0:
-        empty = Waveform(samples=np.zeros(0), sample_rate=cs.sample_rate)
-        return SynthesisResult(
-            waveform=empty,
-            codes=np.zeros((0, cs.quantizers), dtype=np.int64),
-            first_layer=first,
-        )
+        log.warning("the AR model emitted the acoustic EOS first: the synthesis is empty")
+        return Waveform(samples=np.zeros(0), sample_rate=cs.sample_rate)
     codes = nar_model.nar_generate_all(nar.params, nar.cfg, phon, prompt_cm.codes, first)
-    wav = codec.decode(CodeMatrix(codes=codes, codebook_size=cs.codebook_size), cs)
-    return SynthesisResult(waveform=wav, codes=codes, first_layer=first)
+    return codec.decode(CodeMatrix(codes=codes, codebook_size=cs.codebook_size), cs)
 
 
 # -- evaluation ------------------------------------------------------------------
 
-def _teacher_forced_ar_accuracy(items, ar: ModelBundle, cs, train_like: TrainConfig, rng,
-                                crops_per_utt=3):
+def _teacher_forced_ar_accuracy(items, ar: ModelBundle, cs, crop, rng):
     hits = total = 0
     for tu in items:
-        for _ in range(crops_per_utt):
-            phon, ac = sample_ar_item(tu, train_like, cs.frame_rate, rng)
+        for _ in range(AR_CROPS_PER_UTT):
+            phon, ac = sample_ar_item(tu, crop, cs.frame_rate, rng)
             logits = ar_model.ar_forward(ar.params, ar.cfg, phon, ac)
             targets = np.concatenate([ac, [ar.cfg.acoustic_eos]])
             hits += int((np.argmax(logits, axis=-1) == targets).sum())
@@ -392,13 +364,10 @@ def _teacher_forced_ar_accuracy(items, ar: ModelBundle, cs, train_like: TrainCon
     return hits / total if total else float("nan")
 
 
-def _nar_stage_accuracy(items, nar: ModelBundle, cs, train_like: TrainConfig, rng):
-    prompt_len = int(NAR_PROMPT_SECONDS * cs.frame_rate)
+def _nar_stage_accuracy(items, nar: ModelBundle, cs, crop, rng):
     per_stage = {j: [0, 0] for j in range(2, nar.cfg.quantizers + 1)}
-    for tu in items:
-        if tu.num_frames < prompt_len + 1:
-            continue
-        phon, prompt, target = sample_nar_item(tu, train_like, cs.frame_rate, rng)
+    for tu in _nar_usable(items, cs.frame_rate):
+        phon, prompt, target = sample_nar_item(tu, crop, cs.frame_rate, rng)
         for stage in range(2, nar.cfg.quantizers + 1):
             logits = nar_model.nar_forward(
                 nar.params, nar.cfg, phon, prompt, target[:, : stage - 1], stage
@@ -411,55 +380,51 @@ def _nar_stage_accuracy(items, nar: ModelBundle, cs, train_like: TrainConfig, rn
     }
 
 
-def _codec_snr_by_stages(corpus: CorpusData, cs, split):
-    """Mean SNR (capped at 120 dB) of each record of `split` decoded from its
-    first j stages, for j = 1..Q; each record is encoded once."""
+def _codec_snr_by_stages(items, cs):
+    """Mean SNR (capped at 120 dB) of each tokenized utterance's audio against
+    its tokens decoded from their first j stages, for j = 1..Q."""
     vals = {j: [] for j in range(1, cs.quantizers + 1)}
-    for rec in corpus.split_records(split):
-        samples, sr = formats.read_audio(rec.path)
-        cm = codec.encode(Waveform(samples=samples, sample_rate=sr), cs)
+    for tu in items:
+        wav = read_waveform(tu.record.path)
+        cm = CodeMatrix(codes=tu.codes, codebook_size=cs.codebook_size)
         for j, snrs in vals.items():
             recon = codec.decode(cm, cs, stages=j)
-            ref = Waveform(samples=samples[: recon.samples.size], sample_rate=sr)
+            ref = Waveform(samples=wav.samples[: recon.samples.size], sample_rate=wav.sample_rate)
             snrs.append(min(codec.reconstruction_snr(ref, recon), 120.0))
     return {j: float(np.mean(v)) if v else float("nan") for j, v in vals.items()}
 
 
-def _enrolled_from_prefix(record: UttRecord, samples, sr, seconds):
-    """First `seconds` of an utterance plus the transcription of that window."""
-    n = int(seconds * sr)
-    n = min(n, samples.size)
+def _enrolled_from_prefix(record: UttRecord):
+    """First F0_PROMPT_SECONDS of an utterance's audio plus the transcription
+    of that window."""
+    wav = read_waveform(record.path)
+    n = int(F0_PROMPT_SECONDS * wav.sample_rate)
+    n = min(n, wav.samples.size)
     ends = np.cumsum([u.duration for u in record.units])
-    k = int(np.searchsorted(ends, seconds)) + 1
+    k = int(np.searchsorted(ends, F0_PROMPT_SECONDS)) + 1
     text = "".join(frontend.ID_TO_SYMBOL[u.symbol_id] for u in record.units[:k])
-    return Waveform(samples=samples[:n], sample_rate=sr), text
+    return Waveform(samples=wav.samples[:n], sample_rate=wav.sample_rate), text
 
 
 def speaker_f0_match(
     corpus: CorpusData, cs, ar: ModelBundle, nar: ModelBundle, *,
     split="eval", seeds=range(10), sampling: SamplingSpec | None = None,
-    prompt_seconds=3.0, n_target_symbols=8, tolerance=0.05,
 ):
     """Zero-shot speaker proxy: fraction of voiced frames of the synthesized
-    audio whose autocorrelation f0 is within `tolerance` of the prompt
-    speaker's true f0, averaged over seeds, per speaker."""
+    audio whose autocorrelation f0 is within F0_TOLERANCE of the prompt
+    speaker's true f0, averaged over seeds, per speaker of `split`."""
     if sampling is None:
         sampling = SamplingSpec()
     by_speaker = {}
     records = corpus.split_records(split)
-    if not records:
-        raise ValidationError(f"split {split!r} is empty")
     speakers = sorted({r.speaker_id for r in records})
     for sid in speakers:
         spk_records = [r for r in records if r.speaker_id == sid]
         enroll_rec = spk_records[0]
         target_rec = spk_records[1] if len(spk_records) > 1 else spk_records[0]
-        samples, sr = formats.read_audio(enroll_rec.path)
-        enrolled_wav, enrolled_text = _enrolled_from_prefix(
-            enroll_rec, samples, sr, prompt_seconds
-        )
+        enrolled_wav, enrolled_text = _enrolled_from_prefix(enroll_rec)
         target_ids = frontend.dedup_consecutive(
-            [u.symbol_id for u in target_rec.units[:n_target_symbols]]
+            [u.symbol_id for u in target_rec.units[:N_TARGET_SYMBOLS]]
         )
         target_text = "".join(frontend.ID_TO_SYMBOL[i] for i in target_ids)
         spec = PromptSpec(
@@ -472,10 +437,10 @@ def speaker_f0_match(
         fracs = []
         for seed in seeds:
             s = replace(sampling, seed=int(seed))
-            result = synthesize(spec, ar, nar, cs, s)
-            f0s, voiced = frame_f0(result.waveform.samples, cs.sample_rate)
+            wav = synthesize(spec, ar, nar, cs, s)
+            f0s, voiced = frame_f0(wav.samples, cs.sample_rate)
             if voiced.any():
-                ok = np.abs(f0s[voiced] - true_f0) <= tolerance * true_f0
+                ok = np.abs(f0s[voiced] - true_f0) <= F0_TOLERANCE * true_f0
                 fracs.append(float(ok.mean()))
             else:
                 fracs.append(0.0)
@@ -485,31 +450,29 @@ def speaker_f0_match(
 
 def evaluate(corpus_dir, cs: CodebookSet, ar: ModelBundle, nar: ModelBundle, *,
              split="eval", seeds=range(10), sampling: SamplingSpec | None = None,
-             crop_min=1.0, crop_max=3.0, eval_seed=1234, with_synthesis=True,
-             n_target_symbols=8):
-    """Metric rows: teacher-forced AR accuracy, NAR per-stage accuracy with
-    ground-truth lower stages, codec SNR by stage count, and the zero-shot
-    speaker-f0 proxy. Returns a list of (metric, split, value) rows."""
+             crop_min=1.0, crop_max=3.0, with_synthesis=True):
+    """Metric rows: teacher-forced AR accuracy and NAR per-stage accuracy
+    (with ground-truth lower stages) on crops of `crop_min`..`crop_max`
+    seconds, codec SNR by stage count, and the zero-shot speaker-f0 proxy.
+    The split is tokenized once, and every row but the proxy reads those
+    tokens. Returns a list of (metric, split, value) rows."""
     corpus = load_corpus(corpus_dir)
-    records = corpus.split_records(split)
-    if not records:
-        raise ValidationError(f"split {split!r} is empty")
     items = tokenize_split(corpus, cs, split)
-    crop_like = TrainConfig(crop_min=crop_min, crop_max=crop_max,
-                            total_steps=2, warmup_steps=1)
-    rng = np.random.default_rng(np.random.SeedSequence([eval_seed, 61]))
+    if not items:
+        raise ValidationError(f"split {split!r} is empty")
+    crop = (crop_min, crop_max)
+    rng = np.random.default_rng(np.random.SeedSequence([EVAL_SEED, 61]))
     rows = [
         ("ar_teacher_forced_accuracy", split,
-         _teacher_forced_ar_accuracy(items, ar, cs, crop_like, rng)),
+         _teacher_forced_ar_accuracy(items, ar, cs, crop, rng)),
     ]
-    for stage, acc in _nar_stage_accuracy(items, nar, cs, crop_like, rng).items():
+    for stage, acc in _nar_stage_accuracy(items, nar, cs, crop, rng).items():
         rows.append((f"nar_stage{stage}_accuracy", split, acc))
-    for j, snr in _codec_snr_by_stages(corpus, cs, split).items():
+    for j, snr in _codec_snr_by_stages(items, cs).items():
         rows.append((f"codec_snr_stages_{j}", split, snr))
     if with_synthesis:
         by_speaker = speaker_f0_match(
             corpus, cs, ar, nar, split=split, seeds=seeds, sampling=sampling,
-            n_target_symbols=n_target_symbols,
         )
         for sid, frac in sorted(by_speaker.items()):
             rows.append((f"speaker_f0_match_spk{sid}", split, frac))

@@ -57,11 +57,7 @@ def tiny_corpus_dir(tmp_path_factory):
 @pytest.fixture(scope="session")
 def tiny_codec(tiny_corpus_dir):
     """Codebooks trained on the tiny corpus (small K for speed)."""
-    from codec_lm import formats, pipeline
-
-    data = pipeline.load_corpus(tiny_corpus_dir)
-    waves = [
-        corpus.Waveform(*formats.read_audio(r.path)) for r in data.split_records("train")
-    ]
+    data = corpus.load_corpus(tiny_corpus_dir)
+    waves = [corpus.read_waveform(r.path) for r in data.split_records("train")]
     cfg = codec.CodecConfig(codebook_size=64, kmeans_iters=8, seed=3, pitch_augment=0.0)
     return codec.train_codebooks(waves, cfg)

@@ -155,17 +155,17 @@ class TestBuildCorpus:
         assert h1 == h2
 
     def test_text_matches_alignment_and_frontend(self, tiny_corpus_dir):
-        entries = formats.read_manifest(tiny_corpus_dir / "manifest.tsv")
-        units = corpus.read_alignments(tiny_corpus_dir)
-        for utt_id, _, _, _, text in entries:
-            ids = frontend.text_to_phonemes(text).ids
+        records = corpus.load_corpus(tiny_corpus_dir).records
+        assert len(records) == 4 * 2
+        for rec in records:
+            ids = frontend.text_to_phonemes(rec.text).ids
             aligned = tuple(
-                frontend.dedup_consecutive([u.symbol_id for u in units[utt_id]])
+                frontend.dedup_consecutive([u.symbol_id for u in rec.units])
             )
             assert ids == aligned
 
     def test_speakers_file_round_trip(self, tiny_corpus_dir):
-        table = corpus.read_speakers(tiny_corpus_dir)
+        table = corpus.load_corpus(tiny_corpus_dir).speakers
         assert len(table) == 4
         spec, split = table[3]
         assert split == "eval"

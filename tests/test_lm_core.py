@@ -210,10 +210,9 @@ class TestCrossEntropy:
         ref = -np.log(probs[np.arange(4), targets]).mean()
         assert loss == pytest.approx(ref, abs=1e-6)
 
-    def test_all_masked_rejected(self, rng):
-        with pytest.raises(ValidationError):
-            lm_core.cross_entropy(rng.normal(size=(3, 4)), np.zeros(3, dtype=int),
-                                  np.zeros(3, dtype=bool))
+    def test_empty_targets_rejected(self):
+        with pytest.raises(ValidationError, match="no targets"):
+            lm_core.cross_entropy(np.zeros((0, 4)), np.zeros(0, dtype=int))
 
     def test_gradient_is_softmax_minus_onehot(self, rng):
         logits = rng.normal(size=(2, 3))
@@ -310,11 +309,15 @@ class GradCheckReport:
     worst: tuple | None
 
 
-def grad_check(loss_fn, params, *, param_names=None, n_probe=64, step=1e-4, rng=None,
+def grad_check(loss_fn, params, *, param_names=None, n_probe=64, step=1e-5, rng=None,
                floor=1e-6) -> GradCheckReport:
     """Compare backprop gradients against central finite differences.
 
     `loss_fn(params) -> (loss, grads)` must be deterministic (dropout off).
+    The default step is 1e-5: at 1e-4 a probe of a freshly initialised model
+    can cross a ReLU kink of the FFN, where the finite difference no longer
+    measures the gradient (a stage-4 probe of TestWholeModelGradients reads a
+    relative error of 0.44 at 1e-4, and agrees to 1e-8 at 1e-5 and 1e-6).
     Probes are drawn uniformly over the coordinates of `param_names` (all
     names by default). The relative error uses a small floor so coordinates
     with near-zero gradient compare absolutely.
@@ -375,9 +378,7 @@ class TestGradCheck:
 
 class TestWholeModelGradients:
     """Finite differences against the hand-written backward of a whole loss:
-    embeddings, trunk, tied heads and the token weighting of a 2-item batch.
-    The step is 1e-5: at 1e-4 a probe of the stage-4 batch crosses a ReLU
-    kink of the FFN and reads a relative error of 0.44."""
+    embeddings, trunk, tied heads and the token weighting of a 2-item batch."""
 
     CFG = ModelConfig(layers=2, heads=2, embed_dim=8, ffn_dim=16, dropout=0.0,
                       codebook_size=5, quantizers=4)
@@ -387,7 +388,7 @@ class TestWholeModelGradients:
         params = ar_model.init_ar_params(self.CFG, rng)
         batch = [([2, 9, 4], [1, 3, 0, 4]), ([5, 1], [2, 2])]
         report = grad_check(lambda p: ar_model.ar_loss(p, self.CFG, batch)[:2], params,
-                            n_probe=200, step=1e-5, rng=rng)
+                            n_probe=200, rng=rng)
         assert report.max_rel_error < 1e-4, report.worst
 
     @pytest.mark.parametrize("stage", [2, 3, 4])
@@ -402,7 +403,7 @@ class TestWholeModelGradients:
         def loss_fn(p):
             return nar_model.nar_loss(p, cfg, batch, None, train=False, stage=stage)[:2]
 
-        report = grad_check(loss_fn, params, n_probe=200, step=1e-5, rng=rng)
+        report = grad_check(loss_fn, params, n_probe=200, rng=rng)
         assert report.max_rel_error < 1e-4, report.worst
 
 
