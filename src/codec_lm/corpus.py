@@ -6,11 +6,14 @@ measurable from audio (f0, spectral shape). Content is a sequence of symbol
 units; each symbol modulates gain and spectral tilt, giving the language
 models real content to predict. Held-out speakers never appear in the
 training split, which is what makes zero-shot cloning checkable.
+
+The generator's shape is fixed by the module constants below (the f0 grid,
+harmonic count, vibrato, unit durations and alphabet). A `CorpusConfig` sets
+only the number of speakers, held-out speakers and utterances, the utterance
+duration range, the sample rate and the seed.
 """
 
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -238,6 +241,18 @@ def resample_waveform(w: Waveform, factor: float) -> Waveform:
 
 # -- corpus building -----------------------------------------------------------
 
+# Speaker fundamentals sit on this 20 Hz grid over [120, 300] Hz, which keeps
+# each voice periodic over a handful of codec frames instead of precessing
+# continuously.
+F0_GRID = 20.0 * np.arange(6, 16)
+MAX_HARMONICS = 5
+VIBRATO_RATE = (4.0, 6.0)  # Hz, drawn per speaker
+VIBRATO_DEPTH_MAX = 0.0  # drawn per speaker in [0, this]
+UNIT_DURATION = (0.10, 0.30)  # seconds, drawn per unit
+UNIT_QUANTUM = 0.01  # unit durations snap to this (envelope ramp length)
+ALPHABET = "aeioubdg"
+
+
 @dataclass
 class CorpusConfig:
     out_dir: Path
@@ -248,24 +263,16 @@ class CorpusConfig:
     duration_max: float = 6.0
     sample_rate: int = 8000
     seed: int = 0
-    f0_min: float = 120.0
-    f0_max: float = 300.0
-    f0_grid_step: float = 20.0
-    max_harmonics: int = 5
-    vibrato_rate_min: float = 4.0
-    vibrato_rate_max: float = 6.0
-    vibrato_depth_max: float = 0.0
-    unit_min: float = 0.10
-    unit_max: float = 0.30
-    unit_quantum: float = 0.01  # unit durations snap to this (envelope ramp length)
-    pitch_offset_max: float = 0.0
-    alphabet: str = "aeioubdg"
-    workers: int = 0
 
     def validate(self):
         problems = []
         if self.speakers < 1:
             problems.append("corpus.speakers must be >= 1")
+        if self.speakers > len(F0_GRID):
+            problems.append(
+                f"corpus f0 grid has {len(F0_GRID)} points"
+                f" but {self.speakers} speakers are requested"
+            )
         if self.held_out_speakers < 0 or self.speakers < self.held_out_speakers:
             problems.append("corpus.held_out_speakers must be in [0, speakers]")
         if self.utterances_per_speaker < 1:
@@ -274,51 +281,19 @@ class CorpusConfig:
             problems.append("corpus duration range must satisfy 0 < min <= max")
         if self.sample_rate < 8000:
             problems.append("corpus.sample_rate must be >= 8000")
-        if not 0 < self.unit_min <= self.unit_max:
-            problems.append("corpus unit duration range must satisfy 0 < min <= max")
-        if not 0 < self.f0_min <= self.f0_max:
-            problems.append("corpus f0 range must satisfy 0 < min <= max")
-        if self.f0_grid_step > 0:
-            n_grid = int(self.f0_max / self.f0_grid_step) - int(
-                np.ceil(self.f0_min / self.f0_grid_step)
-            ) + 1
-            if n_grid < self.speakers:
-                problems.append(
-                    f"corpus f0 grid has {n_grid} points at step {self.f0_grid_step}"
-                    f" but {self.speakers} speakers are requested"
-                )
-        if self.max_harmonics < 1:
-            problems.append("corpus.max_harmonics must be >= 1")
-        if not 0 <= self.vibrato_depth_max <= 0.2:
-            problems.append("corpus.vibrato_depth_max must lie in [0, 0.2]")
-        if len(self.alphabet) < 2:
-            problems.append("corpus.alphabet needs at least 2 symbols")
-        for ch in self.alphabet:
-            if ch not in frontend.SYMBOL_TO_ID:
-                problems.append(f"corpus.alphabet symbol {ch!r} not in frontend vocabulary")
         if problems:
             raise ValidationError("; ".join(problems))
 
 
 def make_speakers(cfg: CorpusConfig):
-    """Deterministic speaker roster over a quantized f0 grid.
+    """Deterministic speaker roster over `F0_GRID`.
 
-    Fundamentals sit on multiples of `f0_grid_step` (a continuous geomspace
-    when the step is 0), which keeps each voice periodic over a handful of
-    codec frames instead of precessing continuously. Held-out speakers (the
-    last `held_out_speakers` ids) take the centermost grid points, so
-    zero-shot cloning is an interpolation task: unseen voices lie strictly
-    inside the f0 range covered by training speakers."""
+    Held-out speakers (the last `held_out_speakers` ids) take the centermost
+    grid points, so zero-shot cloning is an interpolation task: unseen voices
+    lie strictly inside the f0 range covered by training speakers."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 101]))
-    if cfg.f0_grid_step > 0:
-        step = cfg.f0_grid_step
-        points = step * np.arange(
-            int(np.ceil(cfg.f0_min / step)), int(cfg.f0_max / step) + 1
-        )
-        pick = np.round(np.linspace(0, len(points) - 1, cfg.speakers)).astype(int)
-        grid = points[pick]
-    else:
-        grid = np.geomspace(cfg.f0_min, cfg.f0_max, cfg.speakers)
+    pick = np.round(np.linspace(0, len(F0_GRID) - 1, cfg.speakers)).astype(int)
+    grid = F0_GRID[pick]
     h = cfg.held_out_speakers
     lo = (cfg.speakers - h) // 2
     held_idx = list(range(lo, lo + h))
@@ -331,7 +306,7 @@ def make_speakers(cfg: CorpusConfig):
         f0_of[sid] = float(grid[held_idx[j]])
     specs = []
     for sid in range(cfg.speakers):
-        n_h = int(rng.integers(3, cfg.max_harmonics + 1))
+        n_h = int(rng.integers(3, MAX_HARMONICS + 1))
         decay = rng.uniform(0.5, 0.9)
         amps = rng.uniform(0.4, 1.0, n_h) * decay ** np.arange(n_h)
         specs.append(
@@ -339,8 +314,8 @@ def make_speakers(cfg: CorpusConfig):
                 speaker_id=sid,
                 f0=f0_of[sid],
                 harmonic_amps=tuple(float(a) for a in amps),
-                vibrato_rate=float(rng.uniform(cfg.vibrato_rate_min, cfg.vibrato_rate_max)),
-                vibrato_depth=float(rng.uniform(0.0, cfg.vibrato_depth_max)),
+                vibrato_rate=float(rng.uniform(*VIBRATO_RATE)),
+                vibrato_depth=float(rng.uniform(0.0, VIBRATO_DEPTH_MAX)),
             )
         )
     return specs
@@ -354,27 +329,15 @@ def make_content(cfg: CorpusConfig, rng: np.random.Generator) -> ContentSeq:
     total = 0.0
     prev = None
     while total < target:
-        ch = cfg.alphabet[int(rng.integers(len(cfg.alphabet)))]
+        ch = ALPHABET[int(rng.integers(len(ALPHABET)))]
         if ch == prev:
             continue
-        dur = float(rng.uniform(cfg.unit_min, cfg.unit_max))
-        if cfg.unit_quantum > 0:
-            dur = max(cfg.unit_quantum, round(dur / cfg.unit_quantum) * cfg.unit_quantum)
-        off = 0.0
-        if cfg.pitch_offset_max > 0:
-            off = float(rng.uniform(-cfg.pitch_offset_max, cfg.pitch_offset_max))
-        units.append(ContentUnit(frontend.symbol_id(ch), dur, off))
+        dur = float(rng.uniform(*UNIT_DURATION))
+        dur = max(UNIT_QUANTUM, round(dur / UNIT_QUANTUM) * UNIT_QUANTUM)
+        units.append(ContentUnit(frontend.symbol_id(ch), dur))
         total += dur
         prev = ch
     return ContentSeq(units=tuple(units))
-
-
-def _worker_count(requested: int) -> int:
-    cap = os.environ.get("CODEC_LM_THREADS")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
-    if requested > 0:
-        limit = min(limit, requested)
-    return max(1, limit)
 
 
 def build_corpus(cfg: CorpusConfig):
@@ -386,62 +349,41 @@ def build_corpus(cfg: CorpusConfig):
     """
     cfg.validate()
     out = Path(cfg.out_dir)
-    audio_dir = out / "audio"
-    audio_dir.mkdir(parents=True, exist_ok=True)
-
+    (out / "audio").mkdir(parents=True, exist_ok=True)
     specs = make_speakers(cfg)
     first_eval = cfg.speakers - cfg.held_out_speakers
 
-    jobs = []
+    manifest_rows, align_lines, speaker_lines = [], [], []
     for spec in specs:
+        split = "eval" if spec.speaker_id >= first_eval else "train"
+        amps = ",".join(repr(a) for a in spec.harmonic_amps)
+        speaker_lines.append(f"{spec.speaker_id}\t{spec.f0!r}\t{spec.vibrato_rate!r}"
+                             f"\t{spec.vibrato_depth!r}\t{amps}\t{split}\n")
         for idx in range(cfg.utterances_per_speaker):
             rng = np.random.default_rng(
                 np.random.SeedSequence([cfg.seed, 7, spec.speaker_id, idx])
             )
             content = make_content(cfg, rng)
-            utt_seed = int(rng.integers(0, 2**31))
-            jobs.append((spec, idx, content, utt_seed))
-
-    def render(job):
-        spec, idx, content, utt_seed = job
-        utt = generate_utterance(spec, content, cfg.sample_rate, utt_seed)
-        utt_id = f"utt_{spec.speaker_id:03d}_{idx:03d}"
-        rel = f"audio/{utt_id}.clm"
-        formats.write_audio(out / rel, utt.waveform.samples, cfg.sample_rate)
-        return utt_id, spec.speaker_id, rel, utt
-
-    results = []
-    with ThreadPoolExecutor(max_workers=_worker_count(cfg.workers)) as pool:
-        for item in pool.map(render, jobs):
-            results.append(item)
-    results.sort(key=lambda r: r[0])
-
-    manifest_rows = []
-    align_lines = []
-    for utt_id, sid, rel, utt in results:
-        split = "eval" if sid >= first_eval else "train"
-        manifest_rows.append((utt_id, sid, split, rel, utt.text))
-        triples = " ".join(
-            f"{frontend.ID_TO_SYMBOL[u.symbol_id]}:{u.duration!r}:{u.pitch_offset!r}"
-            for u in utt.content.units
-        )
-        align_lines.append(f"{utt_id}\t{triples}\n")
+            utt = generate_utterance(spec, content, cfg.sample_rate, int(rng.integers(0, 2**31)))
+            utt_id = f"utt_{spec.speaker_id:03d}_{idx:03d}"
+            rel = f"audio/{utt_id}.clm"
+            formats.write_audio(out / rel, utt.waveform.samples, cfg.sample_rate)
+            manifest_rows.append((utt_id, spec.speaker_id, split, rel, utt.text))
+            triples = " ".join(
+                f"{frontend.ID_TO_SYMBOL[u.symbol_id]}:{u.duration!r}:{u.pitch_offset!r}"
+                for u in content.units
+            )
+            align_lines.append(f"{utt_id}\t{triples}\n")
 
     formats.write_manifest(out / "manifest.tsv", manifest_rows)
     with open(out / "alignments.tsv", "w", encoding="utf-8") as fh:
         fh.writelines(align_lines)
     with open(out / "speakers.tsv", "w", encoding="utf-8") as fh:
-        for spec in specs:
-            split = "eval" if spec.speaker_id >= first_eval else "train"
-            amps = ",".join(repr(a) for a in spec.harmonic_amps)
-            fh.write(
-                f"{spec.speaker_id}\t{spec.f0!r}\t{spec.vibrato_rate!r}"
-                f"\t{spec.vibrato_depth!r}\t{amps}\t{split}\n"
-            )
+        fh.writelines(speaker_lines)
     log.info(
         "corpus written to %s: %d utterances, %d train / %d eval speakers",
         out,
-        len(results),
+        len(manifest_rows),
         first_eval,
         cfg.held_out_speakers,
     )
@@ -475,43 +417,43 @@ def read_waveform(path) -> Waveform:
     return Waveform(samples=samples, sample_rate=sample_rate)
 
 
-def _tsv_rows(path):
-    """The tab-separated fields of each nonempty line of `path`."""
-    with open(path, encoding="utf-8") as fh:
-        return [line.rstrip("\n").split("\t") for line in fh if line.rstrip("\n")]
+def _parse_units(triples):
+    """The ContentUnits of an alignments.tsv `sym:duration:pitch_offset` list."""
+    units = []
+    for item in triples.split(" "):
+        sym, dur, off = item.split(":")
+        units.append(ContentUnit(frontend.symbol_id(sym), float(dur), float(off)))
+    return tuple(units)
+
+
+def _parse_speaker(sid, f0, rate, depth, amps, split):
+    """One speakers.tsv row as (speaker_id, (SpeakerSpec, split))."""
+    spec = SpeakerSpec(
+        speaker_id=int(sid),
+        f0=float(f0),
+        harmonic_amps=tuple(float(a) for a in amps.split(",")),
+        vibrato_rate=float(rate),
+        vibrato_depth=float(depth),
+    )
+    return spec.speaker_id, (spec, split)
 
 
 def load_corpus(corpus_dir) -> CorpusData:
     """Read back what `build_corpus` wrote: the manifest, the unit timings of
-    alignments.tsv and the speaker table of speakers.tsv."""
+    alignments.tsv and the speaker table of speakers.tsv. A malformed line, or
+    a manifest entry without its alignment or speaker row, raises
+    ValidationError."""
     root = Path(corpus_dir)
     entries = formats.read_manifest(root / "manifest.tsv")
-    units = {}
-    for utt_id, triples in _tsv_rows(root / "alignments.tsv"):
-        seq = []
-        for item in triples.split(" "):
-            sym, dur, off = item.split(":")
-            seq.append(ContentUnit(frontend.symbol_id(sym), float(dur), float(off)))
-        units[utt_id] = tuple(seq)
-    speakers = {}
-    for sid, f0, rate, depth, amps, split in _tsv_rows(root / "speakers.tsv"):
-        spec = SpeakerSpec(
-            speaker_id=int(sid),
-            f0=float(f0),
-            harmonic_amps=tuple(float(a) for a in amps.split(",")),
-            vibrato_rate=float(rate),
-            vibrato_depth=float(depth),
-        )
-        speakers[int(sid)] = (spec, split)
-    records = [
-        UttRecord(
-            utt_id=utt_id,
-            speaker_id=sid,
-            split=split,
-            path=root / rel,
-            text=text,
-            units=units[utt_id],
-        )
-        for utt_id, sid, split, rel, text in entries
-    ]
+    units = dict(formats.read_tsv(
+        root / "alignments.tsv", 2, lambda utt_id, triples: (utt_id, _parse_units(triples))))
+    speakers = dict(formats.read_tsv(root / "speakers.tsv", 6, _parse_speaker))
+    records = []
+    for utt_id, sid, split, rel, text in entries:
+        if utt_id not in units:
+            raise ValidationError(f"{root / 'alignments.tsv'}: no alignment for {utt_id}")
+        if sid not in speakers:
+            raise ValidationError(f"{root / 'speakers.tsv'}: no row for speaker {sid}")
+        records.append(UttRecord(utt_id=utt_id, speaker_id=sid, split=split,
+                                 path=root / rel, text=text, units=units[utt_id]))
     return CorpusData(records=records, speakers=speakers)

@@ -143,19 +143,32 @@ def write_manifest(path, entries) -> None:
             fh.write(f"{utt_id}\t{speaker_id}\t{split}\t{relpath}\t{text}\n")
 
 
-def read_manifest(path):
-    entries = []
+def read_tsv(path, n_fields, parse):
+    """`parse(*fields)` of each nonempty line of the tab-separated file `path`.
+    A line with another field count, or whose fields `parse` rejects with a
+    ValueError, raises ValidationError naming `path:line`."""
+    rows = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
             fields = line.split("\t")
-            if len(fields) != 5:
-                raise ValidationError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
-            utt_id, speaker_id, split, relpath, text = fields
-            entries.append((utt_id, int(speaker_id), split, relpath, text))
-    return entries
+            if len(fields) != n_fields:
+                raise ValidationError(
+                    f"{path}:{lineno}: expected {n_fields} fields, got {len(fields)}")
+            try:
+                rows.append(parse(*fields))
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+    return rows
+
+
+def read_manifest(path):
+    """The entries `write_manifest` wrote."""
+    def entry(utt_id, speaker_id, split, relpath, text):
+        return utt_id, int(speaker_id), split, relpath, text
+    return read_tsv(path, 5, entry)
 
 
 def write_report(path, rows) -> None:

@@ -70,6 +70,10 @@ class TrainConfig:
             raise ValidationError("train.batch_tokens must be >= 1")
         if self.peak_lr <= 0:
             raise ValidationError("train.peak_lr must be positive")
+        if self.log_every < 1:
+            raise ValidationError("train.log_every must be >= 1")
+        if self.checkpoint_every < 0:
+            raise ValidationError("train.checkpoint_every must be >= 0 (0: no step checkpoints)")
 
 
 @dataclass

@@ -1,11 +1,7 @@
-import warnings
-
 import numpy as np
 import pytest
 
 from codec_lm import codec, corpus
-
-warnings.filterwarnings("ignore", message=".*TBB.*")
 
 
 @pytest.fixture

@@ -1,6 +1,8 @@
 """End to end through `cli.main`: every command on a tiny corpus, codec and
 model, in process."""
 
+import shutil
+
 import pytest
 
 from codec_lm import cli, formats
@@ -114,3 +116,53 @@ def test_eval_refuses_swapped_checkpoints(chain, tmp_path, capsys):
     assert "checkpoint kind" in err
     assert "Traceback" not in err
     assert not (tmp_path / "report.tsv").exists()
+
+
+def _drop_last_field(text):
+    return "".join(line.rsplit("\t", 1)[0] + "\n" for line in text.splitlines())
+
+
+def _bad_first_f0(text):
+    sid, _, rest = text.split("\t", 2)
+    return f"{sid}\tfast\t{rest}"
+
+
+def _drop_first_line(text):
+    return text.split("\n", 1)[1]
+
+
+@pytest.mark.parametrize("name, corrupt, where", [
+    ("speakers.tsv", _drop_last_field, ":1: expected 6 fields, got 5"),
+    ("alignments.tsv", _drop_last_field, ":1: expected 2 fields, got 1"),
+    ("speakers.tsv", _bad_first_f0, ":1: could not convert string to float: 'fast'"),
+    ("alignments.tsv", _drop_first_line, ": no alignment for utt_000_000"),
+    ("speakers.tsv", _drop_first_line, ": no row for speaker 0"),
+], ids=["short-speakers-line", "short-alignments-line", "bad-number", "missing-alignment",
+        "missing-speaker"])
+def test_malformed_corpus_exits_2(chain, tmp_path, capsys, name, corrupt, where):
+    """A corpus file that does not parse, or lacks the row of a manifest
+    entry, gives a one-line error naming the file and line (or the missing
+    utterance or speaker), not a traceback."""
+    corpus_dir = tmp_path / "corpus"
+    shutil.copytree(chain["corpus"], corpus_dir)
+    path = corpus_dir / name
+    path.write_text(corrupt(path.read_text()))
+    argv = ["train-codec", "--corpus", corpus_dir, "--out", tmp_path / "c.cbk",
+            *_sets(SMALL_CODEC)]
+    assert cli.main([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}{where}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "c.cbk").exists()
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("train.log_every=0", "train.log_every must be >= 1"),
+    ("train.checkpoint_every=-1", "train.checkpoint_every must be >= 0"),
+], ids=["log-every-0", "negative-checkpoint-every"])
+def test_bad_train_interval_exits_2(chain, tmp_path, capsys, setting, message):
+    argv = ["train-ar", "--corpus", chain["corpus"], "--codec", chain["codec"],
+            "--out", tmp_path / "ar.ckp", *_sets(SMALL_MODEL), "--set", setting]
+    assert cli.main([str(a) for a in argv]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

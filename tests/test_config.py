@@ -19,19 +19,6 @@ ORACLE = {
         "duration_max": (float, 6.0),
         "sample_rate": (int, 8000),
         "seed": (int, 0),
-        "f0_min": (float, 120.0),
-        "f0_max": (float, 300.0),
-        "f0_grid_step": (float, 20.0),
-        "max_harmonics": (int, 5),
-        "vibrato_rate_min": (float, 4.0),
-        "vibrato_rate_max": (float, 6.0),
-        "vibrato_depth_max": (float, 0.0),
-        "unit_min": (float, 0.10),
-        "unit_max": (float, 0.30),
-        "unit_quantum": (float, 0.01),
-        "pitch_offset_max": (float, 0.0),
-        "alphabet": (str, "aeioubdg"),
-        "workers": (int, 0),
     },
     "codec": {
         "sample_rate": (int, 8000),
@@ -121,14 +108,14 @@ def test_every_file_key_reaches_its_field():
     for sec, keys in ORACLE.items():
         lines.append(f"[{sec}]")
         for key, (typ, default) in keys.items():
-            new = default + "x" if typ is str else typ(default + 1)
+            new = typ(default + 1)
             lines.append(f"{key} = {new}")
     run = config.parse_config_text("\n".join(lines))
     built = _build_all(run)
     fields = {"held_out": "held_out_speakers"}
     for sec, keys in ORACLE.items():
         for key, (typ, default) in keys.items():
-            want = default + "x" if typ is str else typ(default + 1)
+            want = typ(default + 1)
             assert getattr(built[sec], fields.get(key, key)) == want, f"[{sec}] {key}"
 
 
@@ -186,11 +173,11 @@ def test_file_and_overrides_set_values(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("[train]\ntotal_steps = 7\npeak_lr = 0.5\n[sampling]\ntop_p = 0.5\n")
     run = config.apply_overrides(config.parse_config_file(path),
-                                 [" train.total_steps = 9 ", "corpus.alphabet=ab"])
+                                 [" train.total_steps = 9 ", "corpus.duration_max=7.5"])
     assert run.build("train").total_steps == 9
     assert run.build("train").peak_lr == 0.5
     assert run.build("sampling").top_p == 0.5
-    assert run.build("corpus", out_dir="c").alphabet == "ab"
+    assert run.build("corpus", out_dir="c").duration_max == 7.5
 
 
 def test_held_out_alias():

@@ -112,6 +112,24 @@ def test_pitch_offset_shifts_f0():
     assert abs(est - 440.0) / 440.0 < 0.02
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_make_speakers_roster(seed):
+    """Default size: distinct f0s on the 20 Hz grid over [120, 300]; the two
+    held-out speakers take its centermost points, strictly inside the train
+    speakers' range; an 11th speaker finds no grid point."""
+    specs = corpus.make_speakers(corpus.CorpusConfig(out_dir="unused", seed=seed))
+    assert [s.speaker_id for s in specs] == list(range(10))
+    f0s = [s.f0 for s in specs]
+    assert sorted(f0s) == [120.0 + 20.0 * k for k in range(10)]
+    train, held = f0s[:8], f0s[8:]
+    assert sorted(held) == [200.0, 220.0]
+    assert min(train) < min(held) and max(held) < max(train)
+    for spec in specs:
+        spec.validate()
+    with pytest.raises(ValidationError, match="grid has 10 points"):
+        corpus.CorpusConfig(out_dir="unused", speakers=11).validate()
+
+
 class TestBuildCorpus:
     def test_split_disjoint(self, tiny_corpus_dir):
         entries = formats.read_manifest(tiny_corpus_dir / "manifest.tsv")
