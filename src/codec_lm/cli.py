@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(kind, help=f"train the {kind.split('-')[1].upper()} model")
         _add_common(p)
         p.add_argument("--corpus", required=True)
-        p.add_argument("--codec", required=True, help="CBK1 codebook file")
+        p.add_argument("--codec", required=True, help="codebook file (train-codec output)")
         p.add_argument("--log", help="loss log path (default: <out>.log)")
         p.set_defaults(func=fn)
 
@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--codec", required=True)
     p.add_argument("--text", required=True, help="target text")
     p.add_argument("--mode", choices=("standard", "continual"), default="standard")
-    p.add_argument("--enrolled-audio", help="CLM1 file with the enrolled recording")
+    p.add_argument("--enrolled-audio", help="audio file with the enrolled recording")
     p.add_argument("--enrolled-text", help="transcription of the enrolled recording")
     p.add_argument("--prompt-seconds", type=float, default=3.0,
                    help="continual mode: seconds of the utterance used as prompt")
@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the zero-shot synthesis proxy")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("inspect", help="dump any CLM1/CBK1/CKP1 file")
+    p = sub.add_parser("inspect", help="dump any audio, codebook or checkpoint file")
     p.add_argument("path")
     p.set_defaults(func=cmd_inspect)
     return parser

@@ -2,14 +2,17 @@
 
 The frame transform is a fixed orthonormal type-II DCT basis (analysis rows,
 synthesis is its transpose), so the quantization-free encode/decode round trip
-is exact. Each frame embedding is quantized by a stack of residually trained
-k-means codebooks; stages 2..Q reserve index 0 as the all-zero codeword, which
-makes reconstruction error provably non-increasing in the number of stages.
+is exact. The transform follows from `(dim, stride)` and is not stored: a
+codebook file holds the fitted books, the stride and the sample rate. Each
+frame embedding is quantized by a stack of residually trained k-means
+codebooks; stages 2..Q reserve index 0 as the all-zero codeword, which makes
+reconstruction error provably non-increasing in the number of stages.
 """
 
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +45,8 @@ class CodecConfig:
             raise ValidationError("codec.sample_rate must be positive")
         if self.kmeans_iters < 1:
             raise ValidationError("codec.kmeans_iters must be >= 1")
+        if not 0 <= self.pitch_augment < 1:
+            raise ValidationError("codec.pitch_augment must lie in [0, 1)")
 
     @property
     def frame_rate(self) -> float:
@@ -71,8 +76,6 @@ class CodeMatrix:
 
 @dataclass(frozen=True)
 class CodebookSet:
-    analysis: np.ndarray  # (D, stride)
-    synthesis: np.ndarray  # (stride, D)
     books: np.ndarray  # (Q, K, D)
     stride: int
     sample_rate: int
@@ -93,31 +96,35 @@ class CodebookSet:
     def frame_rate(self) -> float:
         return self.sample_rate / self.stride
 
+    @cached_property
+    def analysis(self) -> np.ndarray:  # (D, stride) DCT rows
+        return dct_basis(self.dim, self.stride)
+
+    @cached_property
+    def synthesis(self) -> np.ndarray:  # (stride, D), a C-contiguous analysis.T
+        return self.analysis.T.copy()
+
     def validate(self):
         q, k, d = self.books.shape
-        if self.analysis.shape != (d, self.stride):
-            raise ValidationError("analysis matrix shape mismatch")
-        if self.synthesis.shape != (self.stride, d):
-            raise ValidationError("synthesis matrix shape mismatch")
+        if not 1 <= d <= self.stride:
+            raise ValidationError(f"codec dim {d} must lie in [1, stride {self.stride}]")
         for j in range(1, q):
             if np.any(self.books[j, 0] != 0.0):
                 raise ValidationError(f"codebook {j + 1} must reserve index 0 as the zero vector")
 
     def save(self, path):
-        formats.write_codebooks(
-            path, self.analysis, self.synthesis, self.books, self.stride, self.sample_rate
-        )
+        fields = {"stride": self.stride, "sample_rate": self.sample_rate}
+        formats.write_artifact(path, "codebooks", fields, {"books": self.books})
 
     @classmethod
     def load(cls, path):
-        analysis, synthesis, books, stride, sample_rate = formats.read_codebooks(path)
-        return cls(
-            analysis=analysis,
-            synthesis=synthesis,
-            books=books,
-            stride=stride,
-            sample_rate=sample_rate,
-        )
+        """The codebooks saved at `path`, validated."""
+        fields, blocks = formats.read_artifact(path, "codebooks",
+                                               {"stride": int, "sample_rate": int})
+        formats.check_blocks(path, blocks, {"books": (None, None, None)})
+        cs = cls(books=blocks["books"], **fields)
+        cs.validate()
+        return cs
 
 
 def dct_basis(dim: int, stride: int) -> np.ndarray:
@@ -128,13 +135,6 @@ def dct_basis(dim: int, stride: int) -> np.ndarray:
     scale = np.full((dim, 1), math.sqrt(2.0 / stride))
     scale[0, 0] = math.sqrt(1.0 / stride)
     return scale * basis
-
-
-def _dct_codebooks(cfg: CodecConfig, books: np.ndarray) -> CodebookSet:
-    """`books` with the DCT frame transform of `cfg`."""
-    analysis = dct_basis(cfg.dim, cfg.stride)
-    return CodebookSet(analysis=analysis, synthesis=analysis.T.copy(), books=books,
-                       stride=cfg.stride, sample_rate=cfg.sample_rate)
 
 
 def initial_codebooks(cfg: CodecConfig, rng: np.random.Generator | None = None) -> CodebookSet:
@@ -148,7 +148,7 @@ def initial_codebooks(cfg: CodecConfig, rng: np.random.Generator | None = None) 
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 11]))
     books = 0.01 * rng.standard_normal((cfg.quantizers, cfg.codebook_size, cfg.dim))
     books[1:, 0, :] = 0.0
-    return _dct_codebooks(cfg, books)
+    return CodebookSet(books=books, stride=cfg.stride, sample_rate=cfg.sample_rate)
 
 
 def frame_encode(w: Waveform, cs: CodebookSet) -> np.ndarray:
@@ -302,18 +302,18 @@ def train_codebooks(waveforms, cfg: CodecConfig) -> CodebookSet:
         waveforms = waveforms + [
             resample_waveform(w, f) for w in waveforms for f in (1.0 - p, 1.0 + p)
         ]
-    shell = _dct_codebooks(cfg, np.zeros((cfg.quantizers, cfg.codebook_size, cfg.dim)))
-    frames = np.concatenate([frame_encode(w, shell) for w in waveforms], axis=0)
+    cs = CodebookSet(books=np.empty((cfg.quantizers, cfg.codebook_size, cfg.dim)),
+                     stride=cfg.stride, sample_rate=cfg.sample_rate)
+    frames = np.concatenate([frame_encode(w, cs) for w in waveforms], axis=0)
     log.info("training %d codebooks on %d frames", cfg.quantizers, frames.shape[0])
 
-    books = np.empty((cfg.quantizers, cfg.codebook_size, cfg.dim))
     resid = frames
     for j in range(cfg.quantizers):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 23, j]))
         book = kmeans_fit(resid, cfg.codebook_size, cfg.kmeans_iters, rng)
         if j > 0:
             book[0] = 0.0
-        books[j] = book
+        cs.books[j] = book
         _, resid = _kernels.nearest_codeword(resid, book)
         log.info("stage %d fitted, residual rms %.6f", j + 1, float(np.sqrt((resid**2).mean())))
-    return _dct_codebooks(cfg, books)
+    return cs

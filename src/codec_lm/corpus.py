@@ -376,10 +376,8 @@ def build_corpus(cfg: CorpusConfig):
             align_lines.append(f"{utt_id}\t{triples}\n")
 
     formats.write_manifest(out / "manifest.tsv", manifest_rows)
-    with open(out / "alignments.tsv", "w", encoding="utf-8") as fh:
-        fh.writelines(align_lines)
-    with open(out / "speakers.tsv", "w", encoding="utf-8") as fh:
-        fh.writelines(speaker_lines)
+    formats.write_text(out / "alignments.tsv", "".join(align_lines))
+    formats.write_text(out / "speakers.tsv", "".join(speaker_lines))
     log.info(
         "corpus written to %s: %d utterances, %d train / %d eval speakers",
         out,
@@ -412,7 +410,7 @@ class CorpusData:
 
 
 def read_waveform(path) -> Waveform:
-    """A CLM1 audio file as a Waveform."""
+    """An audio artifact as a Waveform."""
     samples, sample_rate = formats.read_audio(path)
     return Waveform(samples=samples, sample_rate=sample_rate)
 

@@ -1,9 +1,12 @@
-"""Binary and line-oriented artifact formats.
+"""Artifact formats: one binary container and the corpus text tables.
 
-All binary headers are little-endian. Magics: CLM1 (audio), CBK1 (codebooks),
-CKP1 (model checkpoint).
+Audio, codebooks and checkpoints share one container: the magic `CLMA`, a
+header of `key=value` lines that always holds `format` and `kind`, then named
+little-endian float32 blocks. Every writer goes through `_write_atomic`, so a
+failed write leaves the file already at the path as it was.
 """
 
+import os
 import struct
 from pathlib import Path
 
@@ -11,136 +14,136 @@ import numpy as np
 
 from .errors import ValidationError
 
-AUDIO_MAGIC = b"CLM1"
-CODEBOOK_MAGIC = b"CBK1"
-CHECKPOINT_MAGIC = b"CKP1"
+MAGIC = b"CLMA"
+FORMAT = "1"
 
 
-def _read_exact(fh, n, what):
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise ValidationError(f"truncated file while reading {what}")
-    return buf
+def _write_atomic(path, data: bytes) -> None:
+    """Write `data` to a temporary file next to `path` and rename it onto
+    `path`; on failure, remove the temporary file and leave `path` as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def _read_f32(fh, shape, what):
-    """A little-endian float32 block of `shape`, as float64."""
-    data = _read_exact(fh, 4 * int(np.prod(shape)), what)
-    return np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float64)
+def write_text(path, text: str) -> None:
+    _write_atomic(path, text.encode("utf-8"))
 
 
-# -- audio (CLM1): 16-byte header, then float32 samples ----------------------
+# -- the container ----------------------------------------------------------------
+
+def write_artifact(path, kind: str, fields: dict, blocks: dict) -> None:
+    """Header: `format`, `kind` and `fields` as sorted `key=value` lines; then
+    each array of `blocks`, by sorted name, as float32 with its shape."""
+    if "format" in fields or "kind" in fields:
+        raise ValidationError("artifact fields may not set format or kind")
+    header = {**fields, "format": FORMAT, "kind": kind}
+    for key, value in header.items():
+        if "=" in key or "\n" in f"{key}{value}":
+            raise ValidationError(f"header entry {key!r} not serializable")
+    text = "".join(f"{key}={header[key]}\n" for key in sorted(header)).encode("utf-8")
+    parts = [MAGIC, struct.pack("<I", len(text)), text, struct.pack("<I", len(blocks))]
+    for name in sorted(blocks):
+        arr = np.ascontiguousarray(blocks[name], dtype="<f4")
+        encoded = name.encode("utf-8")
+        parts += [struct.pack("<H", len(encoded)), encoded,
+                  struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape), arr.tobytes()]
+    _write_atomic(path, b"".join(parts))
+
+
+def _read_container(path):
+    """(header of str -> str, blocks of name -> float64 array) of the file at
+    `path`, which must be a whole container of this format."""
+    buf = memoryview(Path(path).read_bytes())
+    pos = 0
+
+    def take(n, what):
+        nonlocal pos
+        if pos + n > len(buf):
+            raise ValidationError(f"{path}: truncated while reading {what}")
+        pos += n
+        return buf[pos - n : pos]
+
+    magic = bytes(take(4, "magic"))
+    if magic != MAGIC:
+        raise ValidationError(f"{path}: not a codec-lm artifact (magic {magic!r})")
+    (header_len,) = struct.unpack("<I", take(4, "header length"))
+    text = bytes(take(header_len, "header")).decode("utf-8", errors="replace")
+    header = dict(line.partition("=")[::2] for line in text.splitlines())
+    if header.get("format") != FORMAT:
+        raise ValidationError(f"{path}: format {header.get('format')!r}, expected {FORMAT!r}")
+    (n_blocks,) = struct.unpack("<I", take(4, "block count"))
+    blocks = {}
+    for _ in range(n_blocks):
+        (name_len,) = struct.unpack("<H", take(2, "block name length"))
+        name = bytes(take(name_len, "block name")).decode("utf-8", errors="replace")
+        (ndim,) = struct.unpack("<B", take(1, f"block {name}"))
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"block {name}"))
+        data = take(4 * int(np.prod(shape)), f"block {name}")
+        blocks[name] = np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float64)
+    if pos != len(buf):
+        raise ValidationError(f"{path}: {len(buf) - pos} bytes after the last block")
+    return header, blocks
+
+
+def read_artifact(path, kind: str, types: dict):
+    """(fields, float64 blocks) as `write_artifact` wrote them. Each field
+    named in `types` is converted by its type, and a missing or unparsable one
+    raises ValidationError; the other fields stay strings."""
+    header, blocks = _read_container(path)
+    if header.get("kind") != kind:
+        raise ValidationError(f"{path}: kind is {header.get('kind')!r}, expected {kind!r}")
+    fields = {k: v for k, v in header.items() if k not in ("format", "kind")}
+    for name, typ in types.items():
+        if name not in fields:
+            raise ValidationError(f"{path}: header field {name} is missing")
+        try:
+            fields[name] = typ(fields[name])
+        except ValueError:
+            raise ValidationError(
+                f"{path}: header field {name}={fields[name]!r} is not {typ.__name__}"
+            ) from None
+    return fields, blocks
+
+
+def check_blocks(path, blocks: dict, shapes: dict) -> None:
+    """Refuse `blocks` unless it has exactly the names of `shapes`, each with
+    its shape; a None in a shape matches any length on that axis."""
+    for name in sorted(set(blocks) | set(shapes)):
+        if name not in blocks:
+            raise ValidationError(f"{path}: block {name} is missing")
+        if name not in shapes:
+            raise ValidationError(f"{path}: unexpected block {name}")
+        got, want = blocks[name].shape, tuple(shapes[name])
+        if len(got) != len(want) or any(w is not None and g != w for g, w in zip(got, want)):
+            raise ValidationError(f"{path}: block {name} has shape {got}, expected {want}")
+
+
+# -- audio -------------------------------------------------------------------------
 
 def write_audio(path, samples: np.ndarray, sample_rate: int) -> None:
-    samples = np.asarray(samples, dtype=np.float32)
-    with open(path, "wb") as fh:
-        fh.write(AUDIO_MAGIC)
-        fh.write(struct.pack("<III", int(sample_rate), samples.size, 0))
-        fh.write(samples.tobytes())
+    write_artifact(path, "audio", {"sample_rate": int(sample_rate)}, {"samples": samples})
 
 
 def read_audio(path):
     """Returns (samples float64, sample_rate)."""
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != AUDIO_MAGIC:
-            raise ValidationError(f"{path}: not a CLM1 audio file (magic {magic!r})")
-        sample_rate, num_samples, _ = struct.unpack("<III", _read_exact(fh, 12, "header"))
-        samples = _read_f32(fh, (num_samples,), "samples")
-    return samples, sample_rate
-
-
-# -- codebooks (CBK1) ---------------------------------------------------------
-
-def write_codebooks(path, analysis, synthesis, books, stride, sample_rate) -> None:
-    books = np.asarray(books, dtype=np.float32)
-    q, k, dim = books.shape
-    analysis = np.asarray(analysis, dtype=np.float32)
-    synthesis = np.asarray(synthesis, dtype=np.float32)
-    if analysis.shape != (dim, stride) or synthesis.shape != (stride, dim):
-        raise ValidationError(
-            f"transform shapes {analysis.shape}/{synthesis.shape} do not match "
-            f"dim={dim} stride={stride}"
-        )
-    with open(path, "wb") as fh:
-        fh.write(CODEBOOK_MAGIC)
-        fh.write(struct.pack("<IIIII", q, k, dim, int(stride), int(sample_rate)))
-        fh.write(analysis.tobytes())
-        fh.write(synthesis.tobytes())
-        fh.write(books.tobytes())
-
-
-def read_codebooks(path):
-    """Returns (analysis, synthesis, books, stride, sample_rate), float64."""
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != CODEBOOK_MAGIC:
-            raise ValidationError(f"{path}: not a CBK1 codebook file (magic {magic!r})")
-        q, k, dim, stride, sample_rate = struct.unpack(
-            "<IIIII", _read_exact(fh, 20, "header")
-        )
-        analysis = _read_f32(fh, (dim, stride), "analysis")
-        synthesis = _read_f32(fh, (stride, dim), "synthesis")
-        books = _read_f32(fh, (q, k, dim), "codebooks")
-    return analysis, synthesis, books, stride, sample_rate
-
-
-# -- checkpoints (CKP1): config lines + named float32 blocks ------------------
-
-def write_checkpoint(path, config: dict, params: dict) -> None:
-    lines = []
-    for key in sorted(config):
-        value = str(config[key])
-        if "\n" in key or "\n" in value or "=" in key:
-            raise ValidationError(f"config entry {key!r} not serializable")
-        lines.append(f"{key}={value}\n")
-    blob = "".join(lines).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(struct.pack("<I", len(params)))
-        for name in sorted(params):
-            arr = np.ascontiguousarray(params[name], dtype=np.float32)
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
-
-
-def read_checkpoint(path):
-    """Returns (config dict of str->str, params dict of str->float64 array)."""
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != CHECKPOINT_MAGIC:
-            raise ValidationError(f"{path}: not a CKP1 checkpoint (magic {magic!r})")
-        (config_len,) = struct.unpack("<I", _read_exact(fh, 4, "config length"))
-        config = {}
-        for line in _read_exact(fh, config_len, "config").decode("utf-8").splitlines():
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            config[key] = value
-        (n_blocks,) = struct.unpack("<I", _read_exact(fh, 4, "block count"))
-        params = {}
-        for _ in range(n_blocks):
-            (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
-            name = _read_exact(fh, name_len, "name").decode("utf-8")
-            (ndim,) = struct.unpack("<B", _read_exact(fh, 1, "ndim"))
-            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "shape"))
-            params[name] = _read_f32(fh, shape, f"block {name}")
-    return config, params
+    fields, blocks = read_artifact(path, "audio", {"sample_rate": int})
+    check_blocks(path, blocks, {"samples": (None,)})
+    return blocks["samples"], fields["sample_rate"]
 
 
 # -- manifest / report / loss log ---------------------------------------------
 
 def write_manifest(path, entries) -> None:
     """Entries: iterable of (utt_id, speaker_id, split, relative_path, text)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for utt_id, speaker_id, split, relpath, text in entries:
-            fh.write(f"{utt_id}\t{speaker_id}\t{split}\t{relpath}\t{text}\n")
+    write_text(path, "".join(f"{utt_id}\t{speaker_id}\t{split}\t{relpath}\t{text}\n"
+                             for utt_id, speaker_id, split, relpath, text in entries))
 
 
 def read_tsv(path, n_fields, parse):
@@ -173,50 +176,24 @@ def read_manifest(path):
 
 def write_report(path, rows) -> None:
     """Rows: iterable of (metric, split, value)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for metric, split, value in rows:
-            fh.write(f"{metric}\t{split}\t{value:.6f}\n")
+    write_text(path, "".join(f"{metric}\t{split}\t{value:.6f}\n"
+                             for metric, split, value in rows))
 
 
 def write_loss_log(path, rows) -> None:
     """Rows: iterable of (step, loss, lr)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for step, loss, lr in rows:
-            fh.write(f"{step}\t{loss:.6f}\t{lr:.8g}\n")
+    write_text(path, "".join(f"{step}\t{loss:.6f}\t{lr:.8g}\n" for step, loss, lr in rows))
 
 
 # -- inspection ----------------------------------------------------------------
 
 def describe_file(path) -> str:
-    """Human-readable dump of any CLM1/CBK1/CKP1 file."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic == AUDIO_MAGIC:
-        samples, sample_rate = read_audio(path)
-        dur = samples.size / sample_rate if sample_rate else float("nan")
-        peak = float(np.max(np.abs(samples))) if samples.size else 0.0
-        return (
-            f"CLM1 audio: sample_rate={sample_rate} num_samples={samples.size} "
-            f"duration={dur:.3f}s peak={peak:.4f}"
-        )
-    if magic == CODEBOOK_MAGIC:
-        analysis, synthesis, books, stride, sample_rate = read_codebooks(path)
-        q, k, dim = books.shape
-        return (
-            f"CBK1 codebooks: Q={q} K={k} D={dim} stride={stride} "
-            f"sample_rate={sample_rate} frame_rate={sample_rate / stride:g}Hz"
-        )
-    if magic == CHECKPOINT_MAGIC:
-        config, params = read_checkpoint(path)
-        lines = [f"CKP1 checkpoint: {len(params)} parameter blocks"]
-        for key in sorted(config):
-            lines.append(f"  config {key}={config[key]}")
-        total = 0
-        for name in sorted(params):
-            shape = "x".join(str(s) for s in params[name].shape) or "scalar"
-            total += params[name].size
-            lines.append(f"  param {name} [{shape}]")
-        lines.append(f"  total parameters: {total}")
-        return "\n".join(lines)
-    raise ValidationError(f"{path}: unrecognized magic {magic!r}")
+    """Human-readable dump of any artifact: its kind, header fields and block
+    shapes."""
+    header, blocks = _read_container(path)
+    lines = [f"{header.get('kind')} artifact"]
+    lines += [f"  {key}={header[key]}" for key in sorted(header) if key != "kind"]
+    lines += [f"  block {name} [{'x'.join(map(str, block.shape)) or 'scalar'}]"
+              for name, block in sorted(blocks.items())]
+    lines.append(f"  total values: {sum(b.size for b in blocks.values())}")
+    return "\n".join(lines)

@@ -467,37 +467,22 @@ def nucleus_sample(logits, temperature: float, top_p: float, rng: np.random.Gene
 
 # -- checkpoints ----------------------------------------------------------------------------
 
-CHECKPOINT_FORMAT = "1"
-
-
 def save_model(path, kind: str, cfg: ModelConfig, params: dict, extra: dict | None = None):
-    config = {f.name: getattr(cfg, f.name) for f in fields(ModelConfig)}
-    config.update(format=CHECKPOINT_FORMAT, kind=kind, phoneme_table=frontend.vocab_table())
-    if extra:
-        config.update(extra)
-    formats.write_checkpoint(path, config, params)
+    """A `kind` artifact: the ModelConfig fields, the phoneme inventory and
+    `extra` as header fields, one block per parameter."""
+    header = {f.name: getattr(cfg, f.name) for f in fields(ModelConfig)}
+    header.update(phoneme_table=frontend.vocab_table(), **(extra or {}))
+    formats.write_artifact(path, kind, header, params)
 
 
-def load_model(path):
-    """Returns (kind, ModelConfig, params, raw config dict). Rejects a
-    checkpoint of another format, written for another phoneme inventory, or
-    with a model field missing or of the wrong type."""
-    config, params = formats.read_checkpoint(path)
-    if config.get("format") != CHECKPOINT_FORMAT:
-        raise ValidationError(
-            f"{path}: checkpoint format {config.get('format')!r}, expected {CHECKPOINT_FORMAT!r}"
-        )
-    if config.get("phoneme_table") != frontend.vocab_table():
+def load_model(path, kind: str):
+    """Returns (ModelConfig, params) of the `kind` checkpoint at `path`.
+    Rejects a checkpoint of another kind, written for another phoneme
+    inventory, or with a model field missing or of the wrong type."""
+    types = {f.name: f.type for f in fields(ModelConfig)}
+    header, params = formats.read_artifact(path, kind, {**types, "phoneme_table": str})
+    if header["phoneme_table"] != frontend.vocab_table():
         raise ValidationError(f"{path}: checkpoint was written for another phoneme inventory")
-    values = {}
-    for f in fields(ModelConfig):
-        raw = config.get(f.name)
-        try:
-            values[f.name] = f.type(raw)
-        except (TypeError, ValueError):  # TypeError: the field is missing
-            raise ValidationError(
-                f"{path}: checkpoint model field {f.name}={raw!r} is not {f.type.__name__}"
-            ) from None
-    cfg = ModelConfig(**values)
+    cfg = ModelConfig(**{name: header[name] for name in types})
     cfg.validate()
-    return config.get("kind"), cfg, params, config
+    return cfg, params

@@ -123,16 +123,12 @@ def draw_stage(rng: np.random.Generator, quantizers: int) -> int:
     return int(rng.integers(2, quantizers + 1))
 
 
-def nar_loss(params, cfg: ModelConfig, batch, rng: np.random.Generator, *,
-             train=True, stage: int | None = None, dropout_rng=None):
-    """Cross-entropy on target positions for one uniformly drawn stage.
+def nar_loss(params, cfg: ModelConfig, batch, stage: int, *, train=False, rng=None):
+    """Cross-entropy on target positions at `stage` in [2, Q].
 
     `batch` items are (phoneme_ids, acoustic_prompt (T',Q), target_codes (T,Q)).
-    Returns (loss, grads, stage, token_count).
+    Returns (loss, grads, token_count).
     """
-    if stage is None:
-        stage = draw_stage(rng, cfg.quantizers)
-
     def example(item):
         phon_ids, prompt, target = item
         target = lm_core.check_ids(target, cfg.codebook_size, "target code")
@@ -140,12 +136,11 @@ def nar_loss(params, cfg: ModelConfig, batch, rng: np.random.Generator, *,
             raise ValidationError("target has no frames")
         logits, cache = nar_forward(
             params, cfg, phon_ids, prompt, target[:, : stage - 1], stage,
-            train=train, rng=dropout_rng, return_cache=True,
+            train=train, rng=rng, return_cache=True,
         )
         return logits, target[:, stage - 1], lambda d: nar_backward(params, cfg, cache, d)
 
-    loss, grads, count = lm_core.batch_loss(batch, example)
-    return loss, grads, stage, count
+    return lm_core.batch_loss(batch, example)
 
 
 def nar_generate_all(params, cfg: ModelConfig, phon_ids, acoustic_prompt, first_layer):

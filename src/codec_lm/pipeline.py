@@ -99,10 +99,12 @@ class ModelBundle:
 
     @classmethod
     def load(cls, path, kind: str):
-        """The model of the checkpoint at `path`, which must be of `kind`."""
-        found, cfg, params, _ = lm_core.load_model(path)
-        if found != kind:
-            raise ValidationError(f"{path}: checkpoint kind is {found!r}, expected {kind!r}")
+        """The model of the checkpoint at `path`, which must be of `kind` ("ar"
+        or "nar") and hold exactly the parameter blocks of its config."""
+        cfg, params = lm_core.load_model(path, kind)
+        init = ar_model.init_ar_params if kind == "ar" else nar_model.init_nar_params
+        shapes = {name: p.shape for name, p in init(cfg, np.random.default_rng(0)).items()}
+        formats.check_blocks(path, params, shapes)
         return cls(params=params, cfg=cfg)
 
 
@@ -292,9 +294,8 @@ def train_nar(corpus_dir, cs: CodebookSet, model_cfg: ModelConfig, train_cfg: Tr
         batch = _draw_batch(items, sample_nar_item,
                             lambda phon, prompt, target: len(target) + len(prompt),
                             train_cfg, cs.frame_rate, rng_batch)
-        loss, grads, stage, _ = nar_model.nar_loss(
-            params, model_cfg, batch, rng_batch, train=True, stage=stage, dropout_rng=rng_drop
-        )
+        loss, grads, _ = nar_model.nar_loss(params, model_cfg, batch, stage,
+                                            train=True, rng=rng_drop)
         stage_draws.append(stage)
         return loss, grads, f" stage {stage}"
 
@@ -460,6 +461,9 @@ def evaluate(corpus_dir, cs: CodebookSet, ar: ModelBundle, nar: ModelBundle, *,
     seconds, codec SNR by stage count, and the zero-shot speaker-f0 proxy.
     The split is tokenized once, and every row but the proxy reads those
     tokens. Returns a list of (metric, split, value) rows."""
+    seeds = list(seeds)
+    if with_synthesis and not seeds:
+        raise ValidationError("the speaker-f0 proxy needs at least one synthesis seed")
     corpus = load_corpus(corpus_dir)
     items = tokenize_split(corpus, cs, split)
     if not items:

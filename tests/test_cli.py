@@ -66,16 +66,22 @@ def test_report_has_every_metric_family(chain):
 
 def test_train_writes_loss_log_next_to_checkpoint(chain):
     for kind in ("ar", "nar"):
-        steps = [line.split("\t")[0] for line in
-                 open(f"{chain[kind]}.log", encoding="utf-8").read().splitlines()]
+        log_path = chain[kind].with_name(chain[kind].name + ".log")
+        steps = [line.split("\t")[0] for line in log_path.read_text().splitlines()]
         assert steps == ["5", "10"]
 
 
-@pytest.mark.parametrize("artifact, magic", [("codec", "CBK1"), ("ar", "CKP1"), ("nar", "CKP1"),
-                                             ("audio", "CLM1")])
-def test_inspect_prints_each_format(chain, capsys, artifact, magic):
+@pytest.mark.parametrize("artifact, kind, block", [
+    ("codec", "codebooks", "books [3x16x80]"), ("ar", "ar", "acoustic_emb"),
+    ("nar", "nar", "stage_emb [2x16]"), ("audio", "audio", "samples"),
+], ids=["codec", "ar", "nar", "audio"])
+def test_inspect_prints_each_kind(chain, capsys, artifact, kind, block):
     _run(["inspect", chain[artifact]])
-    assert capsys.readouterr().out.startswith(magic)
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    assert lines[0] == f"{kind} artifact"
+    assert "  format=1" in lines
+    assert f"  block {block}" in out
 
 
 def test_same_seed_gives_identical_artifacts(chain, tmp_path):
@@ -113,7 +119,7 @@ def test_eval_refuses_swapped_checkpoints(chain, tmp_path, capsys):
             "--corpus", chain["corpus"], "--out", tmp_path / "report.tsv", "--no-synthesis"]
     assert cli.main([str(a) for a in argv]) == 2
     err = capsys.readouterr().err
-    assert "checkpoint kind" in err
+    assert "kind is 'nar', expected 'ar'" in err
     assert "Traceback" not in err
     assert not (tmp_path / "report.tsv").exists()
 
@@ -166,3 +172,23 @@ def test_bad_train_interval_exits_2(chain, tmp_path, capsys, setting, message):
     assert cli.main([str(a) for a in argv]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--seeds", "0"], "the speaker-f0 proxy needs at least one synthesis seed"),
+    (["train-codec", "--set", "codec.pitch_augment=-0.5"],
+     "codec.pitch_augment must lie in [0, 1)"),
+    (["train-codec", "--set", "codec.pitch_augment=1.0"],
+     "codec.pitch_augment must lie in [0, 1)"),
+], ids=["eval-seeds-0", "negative-pitch-augment", "pitch-augment-1"])
+def test_bad_setting_exits_2(chain, tmp_path, capsys, argv, message):
+    """Settings that would give nan rows, or silently no augmentation, or a
+    failure that does not name its key, are refused up front."""
+    models = {"eval": ["--ar", chain["ar"], "--nar", chain["nar"], "--codec", chain["codec"]],
+              "train-codec": [*_sets(SMALL_CODEC)]}[argv[0]]
+    out = tmp_path / "out"
+    code = cli.main([str(a) for a in [argv[0], *models, *argv[1:],
+                                      "--corpus", chain["corpus"], "--out", out]])
+    assert code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()

@@ -17,10 +17,7 @@ def _random_codebooks(rng, *, sample_rate=8000, stride=80, dim=80, q=4, k=16):
     cs = codec.initial_codebooks(cfg, rng)
     books = rng.normal(size=cs.books.shape)
     books[1:, 0, :] = 0.0
-    return codec.CodebookSet(
-        analysis=cs.analysis, synthesis=cs.synthesis, books=books,
-        stride=stride, sample_rate=sample_rate,
-    )
+    return codec.CodebookSet(books=books, stride=stride, sample_rate=sample_rate)
 
 
 class TestDctBasis:
@@ -86,8 +83,7 @@ class TestRvq:
             cs = codec.initial_codebooks(cfg, rng)
             books = rng.normal(size=cs.books.shape)
             books[1:, 0, :] = 0.0
-            cs = codec.CodebookSet(analysis=cs.analysis, synthesis=cs.synthesis,
-                                   books=books, stride=cs.stride, sample_rate=8000)
+            cs = codec.CodebookSet(books=books, stride=cs.stride, sample_rate=8000)
             frames = rng.normal(size=(3, d))
             cm = codec.rvq_encode(frames, cs)
             for t in range(3):
@@ -358,4 +354,33 @@ class TestCodebookIO:
         back = codec.CodebookSet.load(path)
         assert back.stride == tiny_codec.stride
         assert back.sample_rate == tiny_codec.sample_rate
-        np.testing.assert_allclose(back.books, tiny_codec.books.astype(np.float32))
+        np.testing.assert_array_equal(back.books, tiny_codec.books.astype(np.float32))
+
+    def test_loaded_codec_transforms_bit_for_bit(self, tmp_path, rng):
+        """The frame transform is derived, not stored: a loaded codec's
+        frame_encode, and its exact round trip, equal the in-memory ones."""
+        cs = _random_codebooks(rng, q=3, k=16)
+        path = tmp_path / "books.cbk"
+        cs.save(path)
+        back = codec.CodebookSet.load(path)
+        w = Waveform(samples=rng.uniform(-1, 1, 8000), sample_rate=8000)
+        frames = codec.frame_encode(w, cs)
+        assert np.array_equal(codec.frame_encode(w, back), frames)
+        assert np.array_equal(codec.frame_decode(frames, back).samples,
+                              codec.frame_decode(frames, cs).samples)
+        assert codec.reconstruction_snr(w, codec.frame_decode(frames, back)) > 250
+
+    def test_load_validates(self, tmp_path, rng):
+        """A stage-2 book whose index-0 codeword is not zero is refused."""
+        cs = _random_codebooks(rng, q=3, k=16)
+        cs.books[1, 0, 0] = 0.5
+        path = tmp_path / "books.cbk"
+        cs.save(path)
+        with pytest.raises(ValidationError, match="codebook 2 must reserve index 0"):
+            codec.CodebookSet.load(path)
+
+    def test_transform_is_cached_and_contiguous(self, rng):
+        cs = _random_codebooks(rng)
+        assert cs.analysis is cs.analysis
+        assert cs.synthesis.flags["C_CONTIGUOUS"]
+        assert np.array_equal(cs.synthesis, codec.dct_basis(cs.dim, cs.stride).T)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from codec_lm import formats
+from codec_lm import codec, formats
 from codec_lm.errors import ValidationError
 
 
@@ -11,9 +11,7 @@ def test_audio_round_trip(tmp_path, rng):
     formats.write_audio(path, samples, 8000)
     back, sr = formats.read_audio(path)
     assert sr == 8000
-    np.testing.assert_allclose(back, samples.astype(np.float32), atol=0)
-    # header is exactly 16 bytes
-    assert path.stat().st_size == 16 + 4 * 1234
+    np.testing.assert_array_equal(back, samples.astype(np.float32))
 
 
 def test_audio_bad_magic(tmp_path):
@@ -24,17 +22,17 @@ def test_audio_bad_magic(tmp_path):
 
 
 def test_codebooks_round_trip(tmp_path, rng):
-    q, k, d, stride = 3, 5, 4, 8
-    analysis = rng.normal(size=(d, stride))
-    synthesis = rng.normal(size=(stride, d))
-    books = rng.normal(size=(q, k, d))
+    """The codebook file stores the books, the stride and the sample rate,
+    not the frame transform."""
+    books = rng.normal(size=(3, 5, 4))
+    books[1:, 0] = 0.0
     path = tmp_path / "books.cbk"
-    formats.write_codebooks(path, analysis, synthesis, books, stride, 8000)
-    a, s, b, st, sr = formats.read_codebooks(path)
-    assert (st, sr) == (stride, 8000)
-    np.testing.assert_allclose(a, analysis.astype(np.float32))
-    np.testing.assert_allclose(s, synthesis.astype(np.float32))
-    np.testing.assert_allclose(b, books.astype(np.float32))
+    codec.CodebookSet(books=books, stride=8, sample_rate=8000).save(path)
+    fields, blocks = formats.read_artifact(path, "codebooks", {"stride": int,
+                                                               "sample_rate": int})
+    assert fields == {"stride": 8, "sample_rate": 8000}
+    assert list(blocks) == ["books"]
+    np.testing.assert_array_equal(blocks["books"], books.astype(np.float32))
 
 
 def test_checkpoint_round_trip(tmp_path, rng):
@@ -43,15 +41,106 @@ def test_checkpoint_round_trip(tmp_path, rng):
         "layers.0.w": rng.normal(size=(3, 3)),
         "bias": rng.normal(size=3),
     }
-    config = {"kind": "ar", "layers": "2", "note": "a=b is fine in values"}
+    fields = {"layers": 2, "note": "a=b is fine in values"}
     path = tmp_path / "model.ckp"
-    formats.write_checkpoint(path, config, params)
-    cfg, back = formats.read_checkpoint(path)
-    assert cfg["kind"] == "ar"
-    assert cfg["note"] == "a=b is fine in values"
+    formats.write_artifact(path, "ar", fields, params)
+    back_fields, back = formats.read_artifact(path, "ar", {"layers": int})
+    assert back_fields == fields
     assert set(back) == set(params)
     for name in params:
-        np.testing.assert_allclose(back[name], params[name].astype(np.float32))
+        np.testing.assert_array_equal(back[name], params[name].astype(np.float32))
+
+
+def _artifact(tmp_path):
+    path = tmp_path / "a.bin"
+    formats.write_artifact(path, "audio", {"sample_rate": 8000}, {"samples": np.ones(10)})
+    return path
+
+
+def test_truncated_or_padded_artifact_rejected(tmp_path):
+    path = _artifact(tmp_path)
+    data = path.read_bytes()
+    for cut in (2, 6, 20, len(data) - 1):
+        path.write_bytes(data[:cut])
+        with pytest.raises(ValidationError, match="truncated"):
+            formats.read_audio(path)
+    path.write_bytes(data + b"\x00")
+    with pytest.raises(ValidationError, match="1 bytes after the last block"):
+        formats.read_audio(path)
+
+
+def test_wrong_kind_format_or_field_rejected(tmp_path):
+    path = _artifact(tmp_path)
+    with pytest.raises(ValidationError, match="kind is 'audio', expected 'codebooks'"):
+        formats.read_artifact(path, "codebooks", {})
+    with pytest.raises(ValidationError, match="header field stride is missing"):
+        formats.read_artifact(path, "audio", {"stride": int})
+    formats.write_artifact(path, "audio", {"sample_rate": "fast"}, {"samples": np.ones(3)})
+    with pytest.raises(ValidationError, match="sample_rate='fast' is not int"):
+        formats.read_audio(path)
+    path.write_bytes(_artifact(tmp_path).read_bytes().replace(b"format=1", b"format=9"))
+    with pytest.raises(ValidationError, match="format '9', expected '1'"):
+        formats.read_audio(path)
+    with pytest.raises(ValidationError, match="may not set format or kind"):
+        formats.write_artifact(path, "audio", {"kind": "ar"}, {})
+
+
+def test_old_magics_rejected(tmp_path):
+    """Files of the retired per-kind layouts are refused, not misread."""
+    path = tmp_path / "old.bin"
+    for magic in (b"CLM1", b"CBK1", b"CKP1"):
+        path.write_bytes(magic + b"\x00" * 32)
+        with pytest.raises(ValidationError, match="not a codec-lm artifact"):
+            formats.describe_file(path)
+
+
+def test_check_blocks_names_the_block():
+    blocks = {"a": np.zeros((2, 3)), "b": np.zeros(4)}
+    formats.check_blocks("f", blocks, {"a": (2, None), "b": (4,)})
+    with pytest.raises(ValidationError, match="block c is missing"):
+        formats.check_blocks("f", blocks, {"a": (2, 3), "b": (4,), "c": (1,)})
+    with pytest.raises(ValidationError, match="unexpected block b"):
+        formats.check_blocks("f", blocks, {"a": (2, 3)})
+    with pytest.raises(ValidationError, match=r"block a has shape \(2, 3\), expected \(3, 2\)"):
+        formats.check_blocks("f", blocks, {"a": (3, 2), "b": (4,)})
+
+
+class _FailingFile:
+    """Writes half of what it is given to the real file, then raises."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("write", [
+    lambda p: formats.write_audio(p, np.ones(50), 8000),
+    lambda p: formats.write_artifact(p, "ar", {"layers": 1}, {"w": np.ones((4, 4))}),
+    lambda p: formats.write_manifest(p, [("u", 0, "train", "audio/u.clm", "abc")]),
+    lambda p: formats.write_report(p, [("metric", "eval", 1.0)]),
+    lambda p: formats.write_loss_log(p, [(1, 2.0, 1e-3)]),
+], ids=["audio", "artifact", "manifest", "report", "loss-log"])
+def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch, write):
+    """A write that raises partway leaves the file already at the path as it
+    was, and no temporary file behind."""
+    path = tmp_path / "out"
+    path.write_bytes(b"old contents")
+    real_open = open
+    monkeypatch.setattr(formats, "open",
+                        lambda *a, **k: _FailingFile(real_open(*a, **k)), raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        write(path)
+    assert path.read_bytes() == b"old contents"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
 def test_manifest_round_trip(tmp_path):

@@ -401,47 +401,56 @@ class TestWholeModelGradients:
                  ([5, 1], rng.integers(0, k, (2, q)), rng.integers(0, k, (3, q)))]
 
         def loss_fn(p):
-            return nar_model.nar_loss(p, cfg, batch, None, train=False, stage=stage)[:2]
+            return nar_model.nar_loss(p, cfg, batch, stage)[:2]
 
         report = grad_check(loss_fn, params, n_probe=200, rng=rng)
         assert report.max_rel_error < 1e-4, report.worst
 
 
 class TestCheckpointHelpers:
+    CFG = ModelConfig(layers=1, heads=2, embed_dim=8, ffn_dim=16, dropout=0.0,
+                      codebook_size=7, quantizers=3)
+
     def test_model_round_trip(self, tmp_path, rng):
-        cfg = ModelConfig(layers=1, heads=2, embed_dim=8, ffn_dim=16, dropout=0.0,
-                          codebook_size=7, quantizers=3)
-        params = ar_model.init_ar_params(cfg, rng)
+        params = ar_model.init_ar_params(self.CFG, rng)
         path = tmp_path / "m.ckp"
-        lm_core.save_model(path, "ar", cfg, params)
-        kind, cfg2, params2, raw = lm_core.load_model(path)
-        assert kind == "ar"
-        assert cfg2 == cfg
+        lm_core.save_model(path, "ar", self.CFG, params, {"trained_steps": 5})
+        cfg2, params2 = lm_core.load_model(path, "ar")
+        assert cfg2 == self.CFG
         assert set(params2) == set(params)
-        assert "phoneme_table" in raw
         for name in params:
-            np.testing.assert_allclose(params2[name], params[name].astype(np.float32))
+            np.testing.assert_array_equal(params2[name], params[name].astype(np.float32))
+        header, _ = formats.read_artifact(path, "ar", {"trained_steps": int})
+        assert header["trained_steps"] == 5
+        assert "phoneme_table" in header
 
     @pytest.mark.parametrize("field, value, message", [
         ("format", "2", "format"),
         ("phoneme_table", "a,b,c", "phoneme inventory"),
-        ("layers", None, "model field layers"),
-        ("layers", "two", "model field layers"),
+        ("layers", None, "field layers is missing"),
+        ("layers", "two", "field layers='two' is not int"),
     ])
     def test_foreign_checkpoint_rejected(self, tmp_path, rng, field, value, message):
-        cfg = ModelConfig(layers=1, heads=2, embed_dim=8, ffn_dim=16, dropout=0.0,
-                          codebook_size=7, quantizers=3)
-        params = ar_model.init_ar_params(cfg, rng)
+        params = ar_model.init_ar_params(self.CFG, rng)
         path = tmp_path / "m.ckp"
-        lm_core.save_model(path, "ar", cfg, params)
-        config, _ = formats.read_checkpoint(path)
-        if value is None:
-            del config[field]
+        lm_core.save_model(path, "ar", self.CFG, params)
+        if field == "format":
+            path.write_bytes(path.read_bytes().replace(b"format=1\n", f"format={value}\n".encode()))
         else:
-            config[field] = value
-        formats.write_checkpoint(path, config, params)
+            header, params = formats.read_artifact(path, "ar", {})
+            if value is None:
+                del header[field]
+            else:
+                header[field] = value
+            formats.write_artifact(path, "ar", header, params)
         with pytest.raises(ValidationError, match=message):
-            lm_core.load_model(path)
+            lm_core.load_model(path, "ar")
+
+    def test_other_kind_rejected(self, tmp_path, rng):
+        path = tmp_path / "m.ckp"
+        lm_core.save_model(path, "nar", self.CFG, nar_model.init_nar_params(self.CFG, rng))
+        with pytest.raises(ValidationError, match="kind is 'nar', expected 'ar'"):
+            lm_core.load_model(path, "ar")
 
 
 @settings(max_examples=25, deadline=None)

@@ -177,21 +177,16 @@ class TestLoss:
         params = nar_model.init_nar_params(cfg, np.random.default_rng(0))
         for j in range(cfg.quantizers):
             params[f"acoustic_emb.{j}"] = np.zeros_like(params[f"acoustic_emb.{j}"])
-        loss, _, stage, count = nar_model.nar_loss(
-            params, cfg, [(phon, prompt, target)], np.random.default_rng(1), train=False
-        )
-        assert 2 <= stage <= cfg.quantizers
-        assert count == target.shape[0]
-        assert loss == pytest.approx(math.log(cfg.codebook_size), abs=1e-9)
+        for stage in range(2, cfg.quantizers + 1):
+            loss, _, count = nar_model.nar_loss(params, cfg, [(phon, prompt, target)], stage)
+            assert count == target.shape[0]
+            assert loss == pytest.approx(math.log(cfg.codebook_size), abs=1e-9)
 
     def test_loss_decreases_with_perfect_head(self, cfg, inputs):
         """Making the head strongly prefer the true class drives loss near 0."""
         phon, prompt, target = inputs
         params = nar_model.init_nar_params(cfg, np.random.default_rng(0))
-        loss0, grads, stage, _ = nar_model.nar_loss(
-            params, cfg, [(phon, prompt, target)], np.random.default_rng(2),
-            train=False, stage=2,
-        )
+        loss0, grads, _ = nar_model.nar_loss(params, cfg, [(phon, prompt, target)], 2)
         assert loss0 > 0.5
         assert f"acoustic_emb.1" in grads
 
