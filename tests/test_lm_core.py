@@ -427,8 +427,8 @@ class TestCheckpointHelpers:
     @pytest.mark.parametrize("field, value, message", [
         ("format", "2", "format"),
         ("phoneme_table", "a,b,c", "phoneme inventory"),
-        ("layers", None, "field layers is missing"),
-        ("layers", "two", "field layers='two' is not int"),
+        pytest.param("layers", None, "field layers is missing", id="layers-None-model field layers"),
+        pytest.param("layers", "two", "field layers='two' is not int", id="layers-two-model field layers"),
     ])
     def test_foreign_checkpoint_rejected(self, tmp_path, rng, field, value, message):
         params = ar_model.init_ar_params(self.CFG, rng)
