@@ -36,9 +36,10 @@ class SamplingSpec:
 
 def init_ar_params(cfg: ModelConfig, rng: np.random.Generator) -> dict:
     cfg.validate()
+    d = cfg.embed_dim
     params = {
-        "phoneme_emb": EMB_INIT_STD * rng.standard_normal((cfg.phoneme_vocab + 1, cfg.embed_dim)),
-        "acoustic_emb": EMB_INIT_STD * rng.standard_normal((cfg.codebook_size + 1, cfg.embed_dim)),
+        "phoneme_emb": lm_core.normal_init(rng, EMB_INIT_STD, (cfg.phoneme_vocab + 1, d)),
+        "acoustic_emb": lm_core.normal_init(rng, EMB_INIT_STD, (cfg.codebook_size + 1, d)),
     }
     params.update(lm_core.init_stack_params(cfg, rng, adaln=False))
     return params
@@ -68,7 +69,7 @@ def _embed(params, cfg, phon_part, ac_part):
     emb = np.concatenate(
         [params["phoneme_emb"][phon_part], params["acoustic_emb"][ac_part]], axis=0
     )
-    emb = emb + lm_core.segment_position_encoding([len(phon_part), len(ac_part)], cfg.embed_dim)
+    emb += lm_core.segment_position_encoding([len(phon_part), len(ac_part)], cfg.embed_dim)
     return emb
 
 
@@ -107,7 +108,7 @@ def ar_backward(params, cfg: ModelConfig, cache, dlogits) -> dict:
     """Gradients for ar_forward given d(loss)/d(logits)."""
     p, n = cache["p"], cache["n"]
     grads = {"acoustic_emb": dlogits.T @ cache["rows"]}
-    dout = np.zeros((n, cfg.embed_dim))
+    dout = np.zeros((n, cfg.embed_dim), cache["rows"].dtype)
     dout[p - 1 : n - 1] = dlogits @ params["acoustic_emb"]
     dx, stack_grads, _ = lm_core.stack_backward(params, cfg, cache["stack"], dout)
     grads.update(stack_grads)
@@ -137,13 +138,14 @@ def ar_loss(params, cfg: ModelConfig, batch, *, train=False, rng=None):
 
 
 class ArDecoder:
-    """Incremental decoder with per-layer key/value caches.
+    """Incremental decoder over a key/value cache.
 
     The prefill and every step run the same `lm_core.stack_forward` as
     ar_forward: the prefill over the prompt under a causal mask, each step
-    over the one new token against the cached keys and values (`past_kv`).
-    So cached decoding performs the same per-position computation as the
-    one-shot pass.
+    over the one new token against every cached key and value (full
+    attention, as the new token is the last). So cached decoding performs the
+    same per-position computation as the one-shot pass. The cache is a
+    `lm_core.KVCache`, which the trunk fills in place.
     """
 
     def __init__(self, params, cfg: ModelConfig, phon_ids, prefix_codes):
@@ -153,12 +155,11 @@ class ArDecoder:
         self.p = len(phon_part)
         self.ac_len = len(prefix_codes)
         n = self.p + self.ac_len
-        self.kv = None
+        self.kv = lm_core.KVCache()
         self._advance(_embed(params, cfg, phon_part, prefix_codes), lm_core.causal_mask(n))
 
     def _advance(self, x, mask):
-        out, cache = lm_core.stack_forward(self.params, self.cfg, x, mask, past_kv=self.kv)
-        self.kv = [(lc["kh"], lc["vh"]) for lc in cache["layers"]]
+        out, _ = lm_core.stack_forward(self.params, self.cfg, x, mask, kv=self.kv)
         self._last_hidden = out[-1]
 
     def next_logits(self) -> np.ndarray:
@@ -168,10 +169,9 @@ class ArDecoder:
         """Append one acoustic token and advance the caches."""
         cfg = self.cfg
         _check_length(self.p, self.ac_len + 1, cfg)
-        n = self.p + self.ac_len + 1
         x = self.params["acoustic_emb"][[int(token)]]
-        x = x + lm_core.sinusoidal_positions(1, cfg.embed_dim, start=self.ac_len)
-        self._advance(x, np.ones((1, n), dtype=bool))
+        x += lm_core.sinusoidal_positions(1, cfg.embed_dim, start=self.ac_len)
+        self._advance(x, None)
         self.ac_len += 1
 
 

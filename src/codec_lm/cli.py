@@ -27,11 +27,11 @@ def _load_run_config(args) -> config.RunConfig:
 
 
 def _guard_out(path, force: bool):
+    """`path`, unless it exists and `force` is off. Nothing is created: the
+    writer makes the missing parent directories when the output is written."""
     path = Path(path)
     if path.exists() and not force:
         raise UsageError(f"output {path} already exists; pass --force to overwrite")
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
 

@@ -122,7 +122,7 @@ class CodebookSet:
         fields, blocks = formats.read_artifact(path, "codebooks",
                                                {"stride": int, "sample_rate": int})
         formats.check_blocks(path, blocks, {"books": (None, None, None)})
-        cs = cls(books=blocks["books"], **fields)
+        cs = cls(books=blocks["books"].astype(np.float64), **fields)
         cs.validate()
         return cs
 

@@ -2,8 +2,9 @@
 
 Audio, codebooks and checkpoints share one container: the magic `CLMA`, a
 header of `key=value` lines that always holds `format` and `kind`, then named
-little-endian float32 blocks. Every writer goes through `_write_atomic`, so a
-failed write leaves the file already at the path as it was.
+little-endian float32 blocks, read back as float32 arrays. Every writer goes
+through `_write_atomic`, so a failed write leaves the file already at the path
+as it was.
 """
 
 import os
@@ -19,9 +20,11 @@ FORMAT = "1"
 
 
 def _write_atomic(path, data: bytes) -> None:
-    """Write `data` to a temporary file next to `path` and rename it onto
-    `path`; on failure, remove the temporary file and leave `path` as it was."""
+    """Write `data` to a temporary file next to `path`, creating the missing
+    parent directories, and rename it onto `path`; on failure, remove the
+    temporary file and leave `path` as it was."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
@@ -58,7 +61,7 @@ def write_artifact(path, kind: str, fields: dict, blocks: dict) -> None:
 
 
 def _read_container(path):
-    """(header of str -> str, blocks of name -> float64 array) of the file at
+    """(header of str -> str, blocks of name -> float32 array) of the file at
     `path`, which must be a whole container of this format."""
     buf = memoryview(Path(path).read_bytes())
     pos = 0
@@ -86,14 +89,14 @@ def _read_container(path):
         (ndim,) = struct.unpack("<B", take(1, f"block {name}"))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"block {name}"))
         data = take(4 * int(np.prod(shape)), f"block {name}")
-        blocks[name] = np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float64)
+        blocks[name] = np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float32)
     if pos != len(buf):
         raise ValidationError(f"{path}: {len(buf) - pos} bytes after the last block")
     return header, blocks
 
 
 def read_artifact(path, kind: str, types: dict):
-    """(fields, float64 blocks) as `write_artifact` wrote them. Each field
+    """(fields, float32 blocks) as `write_artifact` wrote them. Each field
     named in `types` is converted by its type, and a missing or unparsable one
     raises ValidationError; the other fields stay strings."""
     header, blocks = _read_container(path)
@@ -135,7 +138,7 @@ def read_audio(path):
     """Returns (samples float64, sample_rate)."""
     fields, blocks = read_artifact(path, "audio", {"sample_rate": int})
     check_blocks(path, blocks, {"samples": (None,)})
-    return blocks["samples"], fields["sample_rate"]
+    return blocks["samples"].astype(np.float64), fields["sample_rate"]
 
 
 # -- manifest / report / loss log ---------------------------------------------

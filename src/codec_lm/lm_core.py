@@ -9,7 +9,10 @@ checkpoints.
 The AR and NAR models differ only in mask, stage conditioning and targets;
 they share the trunk, `check_ids`, `batch_loss` and the optimizer here.
 
-Parameters live in a flat dict of name -> float64 ndarray. Weight sharing is
+Parameters live in a flat dict of name -> ndarray, float32 as initialized,
+trained and stored. The parameters' dtype is the compute dtype: every
+activation, gradient and optimizer moment follows it, so float64 parameters
+(as the gradient checks use) run the same code in float64. Weight sharing is
 by construction: shared tensors are stored once and referenced by the code
 paths that use them (e.g. the AR output projection IS the acoustic embedding
 table), so tying cannot drift.
@@ -95,24 +98,22 @@ def causal_mask(n: int) -> np.ndarray:
     return np.tril(np.ones((n, n), dtype=bool))
 
 
-def full_mask(n: int) -> np.ndarray:
-    return np.ones((n, n), dtype=bool)
-
-
 # -- attention --------------------------------------------------------------------
 
 def _attention_forward(q, k, v, mask):
-    """Masked scaled dot-product attention. q/k/v: (..., T, hd); mask: (Tq, Tk)
-    with True = may attend. Returns (context, probabilities)."""
-    if not mask.any(axis=-1).all():
-        raise ValidationError("attention mask has a fully masked row")
-    scale = 1.0 / math.sqrt(q.shape[-1])
-    scores = (q @ np.swapaxes(k, -1, -2)) * scale
-    scores = np.where(mask, scores, -np.inf)
+    """Scaled dot-product attention. q/k/v: (..., T, hd); mask: (Tq, Tk) with
+    True = may attend, or None for full attention. Returns (context,
+    probabilities)."""
+    scores = q @ np.swapaxes(k, -1, -2)
+    scores *= 1.0 / math.sqrt(q.shape[-1])
+    if mask is not None:
+        if not mask.any(axis=-1).all():
+            raise ValidationError("attention mask has a fully masked row")
+        np.copyto(scores, -np.inf, where=~mask)
     scores -= scores.max(axis=-1, keepdims=True)
-    probs = np.exp(scores)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    return probs @ v, probs
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores @ v, scores
 
 
 def _attention_backward(dctx, q, k, v, probs):
@@ -150,37 +151,42 @@ EMB_INIT_STD = 0.1
 W_INIT_STD = 0.02
 
 
+def normal_init(rng: np.random.Generator, std: float, shape) -> np.ndarray:
+    """float32 parameters: float64 standard normals times `std`, rounded."""
+    return (std * rng.standard_normal(shape)).astype(np.float32)
+
+
 def init_stack_params(cfg: ModelConfig, rng: np.random.Generator, adaln: bool) -> dict:
-    """Transformer trunk parameters (no embeddings). Residual-branch output
-    projections are scaled down by sqrt(2 * layers)."""
+    """Transformer trunk parameters (no embeddings), float32. Residual-branch
+    output projections are scaled down by sqrt(2 * layers)."""
     d, f = cfg.embed_dim, cfg.ffn_dim
     out_std = W_INIT_STD / math.sqrt(2.0 * cfg.layers)
     params = {}
 
     def norm_site(name):
         if adaln:
-            params[f"{name}.pa"] = W_INIT_STD * rng.standard_normal((d, d))
-            params[f"{name}.ba"] = np.ones(d)
-            params[f"{name}.pb"] = W_INIT_STD * rng.standard_normal((d, d))
-            params[f"{name}.bb"] = np.zeros(d)
+            params[f"{name}.pa"] = normal_init(rng, W_INIT_STD, (d, d))
+            params[f"{name}.ba"] = np.ones(d, np.float32)
+            params[f"{name}.pb"] = normal_init(rng, W_INIT_STD, (d, d))
+            params[f"{name}.bb"] = np.zeros(d, np.float32)
         else:
-            params[f"{name}.g"] = np.ones(d)
-            params[f"{name}.b"] = np.zeros(d)
+            params[f"{name}.g"] = np.ones(d, np.float32)
+            params[f"{name}.b"] = np.zeros(d, np.float32)
 
     for i in range(cfg.layers):
         p = f"layers.{i}"
         norm_site(f"{p}.ln1")
-        params[f"{p}.attn.wq"] = W_INIT_STD * rng.standard_normal((d, d))
-        params[f"{p}.attn.wk"] = W_INIT_STD * rng.standard_normal((d, d))
-        params[f"{p}.attn.wv"] = W_INIT_STD * rng.standard_normal((d, d))
-        params[f"{p}.attn.wo"] = out_std * rng.standard_normal((d, d))
+        params[f"{p}.attn.wq"] = normal_init(rng, W_INIT_STD, (d, d))
+        params[f"{p}.attn.wk"] = normal_init(rng, W_INIT_STD, (d, d))
+        params[f"{p}.attn.wv"] = normal_init(rng, W_INIT_STD, (d, d))
+        params[f"{p}.attn.wo"] = normal_init(rng, out_std, (d, d))
         for b in ("bq", "bk", "bv", "bo"):
-            params[f"{p}.attn.{b}"] = np.zeros(d)
+            params[f"{p}.attn.{b}"] = np.zeros(d, np.float32)
         norm_site(f"{p}.ln2")
-        params[f"{p}.ffn.w1"] = W_INIT_STD * rng.standard_normal((d, f))
-        params[f"{p}.ffn.b1"] = np.zeros(f)
-        params[f"{p}.ffn.w2"] = out_std * rng.standard_normal((f, d))
-        params[f"{p}.ffn.b2"] = np.zeros(d)
+        params[f"{p}.ffn.w1"] = normal_init(rng, W_INIT_STD, (d, f))
+        params[f"{p}.ffn.b1"] = np.zeros(f, np.float32)
+        params[f"{p}.ffn.w2"] = normal_init(rng, out_std, (f, d))
+        params[f"{p}.ffn.b2"] = np.zeros(d, np.float32)
     norm_site("ln_f")
     return params
 
@@ -192,23 +198,46 @@ def _dropout(x, rate, rng, train):
         return x, None
     if rng is None:
         raise ValidationError("training forward needs an rng for dropout")
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    mask = (rng.random(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
     return x * mask, mask
 
 
+@dataclass
+class KVCache:
+    """The keys and values of every position a decoder has run: per layer,
+    (H, max_len, hd) key and value buffers whose first `length` positions are
+    filled. `stack_forward` allocates them on first use, in its compute
+    dtype, and writes each call's keys and values in place after the filled
+    part."""
+    keys: list = field(default_factory=list)
+    values: list = field(default_factory=list)
+    length: int = 0
+
+
 def stack_forward(params, cfg: ModelConfig, x, mask, *, stage_vec=None, train=False, rng=None,
-                  past_kv=None):
+                  kv: KVCache | None = None):
     """Run the transformer trunk. x: (T, d) summed embeddings (+ positions).
 
+    mask is (T, T) with True = may attend, or None for full attention.
     stage_vec selects AdaLN conditioning (NAR); None selects plain LayerNorm
-    with learned gain/bias (AR). past_kv, for incremental decoding, is a
-    per-layer list of (kh, vh) of shape (H, T_past, hd) that each layer puts
-    before its own keys and values; mask is then (T, T_past + T). Returns
-    (output (T, d), cache); the cache's per-layer kh/vh hold every key and
-    value the layer attended to. Backward needs a cache made without past_kv.
+    with learned gain/bias (AR). With `kv`, for incremental decoding, each
+    layer attends to the cached positions followed by the T new ones (a mask
+    is then (T, kv.length + T)), and the new keys and values are appended to
+    the cache. Returns (output (T, d), cache); the cache's per-layer kh/vh
+    hold every key and value the layer attended to. Backward needs a cache
+    made without kv.
     """
     adaln = stage_vec is not None
     cache = {"adaln": adaln, "stage_vec": stage_vec, "layers": []}
+    h, t = cfg.heads, x.shape[0]
+    hd = cfg.head_dim
+    if kv is not None:
+        start, end = kv.length, kv.length + t
+        if end > cfg.max_len:
+            raise ValidationError(f"sequence length {end} exceeds max_len {cfg.max_len}")
+        if not kv.keys:
+            kv.keys = [np.empty((h, cfg.max_len, hd), x.dtype) for _ in range(cfg.layers)]
+            kv.values = [np.empty((h, cfg.max_len, hd), x.dtype) for _ in range(cfg.layers)]
     x, cache["emb_drop"] = _dropout(x, cfg.dropout, rng, train)
 
     def norm_fwd(name, h):
@@ -221,8 +250,6 @@ def stack_forward(params, cfg: ModelConfig, x, mask, *, stage_vec=None, train=Fa
         g = params[f"{name}.g"]
         return g * xhat + params[f"{name}.b"], {"xhat": xhat, "inv": inv, "g": g}
 
-    h, t = cfg.heads, x.shape[0]
-    hd = cfg.head_dim
     for i in range(cfg.layers):
         p = f"layers.{i}"
         lc = {}
@@ -233,9 +260,10 @@ def stack_forward(params, cfg: ModelConfig, x, mask, *, stage_vec=None, train=Fa
         qh = q.reshape(t, h, hd).transpose(1, 0, 2)
         kh = k.reshape(t, h, hd).transpose(1, 0, 2)
         vh = v.reshape(t, h, hd).transpose(1, 0, 2)
-        if past_kv is not None:
-            kh = np.concatenate([past_kv[i][0], kh], axis=1)
-            vh = np.concatenate([past_kv[i][1], vh], axis=1)
+        if kv is not None:
+            kv.keys[i][:, start:end] = kh
+            kv.values[i][:, start:end] = vh
+            kh, vh = kv.keys[i][:, :end], kv.values[i][:, :end]
         ctx, probs = _attention_forward(qh, kh, vh, mask)
         ctx_flat = ctx.transpose(1, 0, 2).reshape(t, cfg.embed_dim)
         attn_out = ctx_flat @ params[f"{p}.attn.wo"] + params[f"{p}.attn.bo"]
@@ -252,6 +280,8 @@ def stack_forward(params, cfg: ModelConfig, x, mask, *, stage_vec=None, train=Fa
         x = x + f_out
         cache["layers"].append(lc)
 
+    if kv is not None:
+        kv.length = end
     out, cache["ln_f"] = norm_fwd("ln_f", x)
     return out, cache
 
@@ -337,10 +367,13 @@ def stack_backward(params, cfg: ModelConfig, cache, dout):
 # -- losses ----------------------------------------------------------------------------
 
 def cross_entropy(logits, targets):
-    """Mean negative log-likelihood of `targets` (one per row of `logits`).
+    """Mean negative log-likelihood of `targets` (one per row of `logits`),
+    computed in float64.
 
-    Returns (loss, dlogits) where dlogits is the gradient of the mean.
+    Returns (loss, dlogits) where dlogits is the gradient of the mean, in the
+    dtype of `logits`.
     """
+    dtype = np.asarray(logits).dtype
     logits = np.asarray(logits, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.int64)
     count = targets.size
@@ -355,7 +388,7 @@ def cross_entropy(logits, targets):
     dlogits = np.exp(logp)
     dlogits[rows, targets] -= 1.0
     dlogits *= 1.0 / count
-    return loss, dlogits
+    return loss, dlogits.astype(dtype, copy=False)
 
 
 def batch_loss(batch, example):

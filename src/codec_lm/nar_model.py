@@ -28,13 +28,12 @@ def init_nar_params(cfg: ModelConfig, rng: np.random.Generator) -> dict:
         raise ValidationError("the NAR model needs at least 2 quantizers")
     d = cfg.embed_dim
     params = {
-        "phoneme_emb": EMB_INIT_STD * rng.standard_normal((cfg.phoneme_vocab + 1, d)),
-        "stage_emb": EMB_INIT_STD * rng.standard_normal((cfg.quantizers - 1, d)),
+        "phoneme_emb": lm_core.normal_init(rng, EMB_INIT_STD, (cfg.phoneme_vocab + 1, d)),
+        "stage_emb": lm_core.normal_init(rng, EMB_INIT_STD, (cfg.quantizers - 1, d)),
     }
     for j in range(cfg.quantizers):
-        params[f"acoustic_emb.{j}"] = EMB_INIT_STD * rng.standard_normal(
-            (cfg.codebook_size, d)
-        )
+        params[f"acoustic_emb.{j}"] = lm_core.normal_init(rng, EMB_INIT_STD,
+                                                          (cfg.codebook_size, d))
     params.update(lm_core.init_stack_params(cfg, rng, adaln=True))
     return params
 
@@ -47,7 +46,7 @@ def nar_embed_stages(params, cfg: ModelConfig, codes, columns: int, what: str) -
         raise ValidationError(
             f"{what} codes must have exactly {columns} columns, got shape {codes.shape}"
         )
-    out = np.zeros((codes.shape[0], cfg.embed_dim))
+    out = np.zeros((codes.shape[0], cfg.embed_dim), params["acoustic_emb.0"].dtype)
     for j in range(columns):
         out += params[f"acoustic_emb.{j}"][codes[:, j]]
     return out
@@ -72,10 +71,10 @@ def nar_forward(params, cfg: ModelConfig, phon_ids, acoustic_prompt, partial_tar
     # positions restart for the phoneme prompt; the acoustic prompt and the
     # target continue one numbering, so a target query can address its own
     # neighborhood unambiguously under full attention
-    emb = emb + lm_core.segment_position_encoding([p, tp + tt], cfg.embed_dim)
+    emb += lm_core.segment_position_encoding([p, tp + tt], cfg.embed_dim)
     stage_vec = params["stage_emb"][stage - 2]
     out, stack_cache = lm_core.stack_forward(
-        params, cfg, emb, lm_core.full_mask(n), stage_vec=stage_vec, train=train, rng=rng
+        params, cfg, emb, None, stage_vec=stage_vec, train=train, rng=rng
     )
     head = params[f"acoustic_emb.{stage - 1}"]
     rows = out[p + tp :]
@@ -100,7 +99,7 @@ def nar_backward(params, cfg: ModelConfig, cache, dlogits) -> dict:
     stage, p, tp, tt = cache["stage"], cache["p"], cache["tp"], cache["tt"]
     head_name = f"acoustic_emb.{stage - 1}"
     grads = {head_name: dlogits.T @ cache["rows"]}
-    dout = np.zeros((p + tp + tt, cfg.embed_dim))
+    dout = np.zeros((p + tp + tt, cfg.embed_dim), cache["rows"].dtype)
     dout[p + tp :] = dlogits @ params[head_name]
     dx, stack_grads, dstage = lm_core.stack_backward(params, cfg, cache["stack"], dout)
     grads.update(stack_grads)

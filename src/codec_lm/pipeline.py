@@ -154,13 +154,16 @@ def _nar_prompt_len(frame_rate) -> int:
 
 def _nar_usable(items, frame_rate):
     """The items with room for a NAR prompt plus one target frame; the others
-    are logged and skipped."""
+    are logged and skipped. Without any such item, a ValidationError."""
     need = _nar_prompt_len(frame_rate) + 1
     for tu in items:
         if tu.num_frames < need:
             log.warning("skipping %s: %d frames < prompt + 1 (%d)",
                         tu.record.utt_id, tu.num_frames, need)
-    return [tu for tu in items if tu.num_frames >= need]
+    usable = [tu for tu in items if tu.num_frames >= need]
+    if not usable:
+        raise ValidationError(f"no utterance is longer than the NAR prompt ({need} frames)")
+    return usable
 
 
 def sample_nar_item(tu, crop, frame_rate, rng):
@@ -281,8 +284,6 @@ def train_nar(corpus_dir, cs: CodebookSet, model_cfg: ModelConfig, train_cfg: Tr
     """Stage-conditioned training: one uniform stage in [2, Q] per step."""
     items = _nar_usable(_train_common(corpus_dir, cs, model_cfg, train_cfg, out_path),
                         cs.frame_rate)
-    if not items:
-        raise ValidationError("no training utterance is longer than the NAR prompt")
     rng_init = np.random.default_rng(np.random.SeedSequence([train_cfg.seed, 43]))
     rng_batch = np.random.default_rng(np.random.SeedSequence([train_cfg.seed, 47]))
     rng_drop = np.random.default_rng(np.random.SeedSequence([train_cfg.seed, 53]))
@@ -371,7 +372,7 @@ def _teacher_forced_ar_accuracy(items, ar: ModelBundle, cs, crop, rng):
 
 def _nar_stage_accuracy(items, nar: ModelBundle, cs, crop, rng):
     per_stage = {j: [0, 0] for j in range(2, nar.cfg.quantizers + 1)}
-    for tu in _nar_usable(items, cs.frame_rate):
+    for tu in items:
         phon, prompt, target = sample_nar_item(tu, crop, cs.frame_rate, rng)
         for stage in range(2, nar.cfg.quantizers + 1):
             logits = nar_model.nar_forward(
@@ -380,9 +381,7 @@ def _nar_stage_accuracy(items, nar: ModelBundle, cs, crop, rng):
             pred = np.argmax(logits, axis=-1)
             per_stage[stage][0] += int((pred == target[:, stage - 1]).sum())
             per_stage[stage][1] += target.shape[0]
-    return {
-        j: (h / t if t else float("nan")) for j, (h, t) in per_stage.items()
-    }
+    return {j: h / t for j, (h, t) in per_stage.items()}
 
 
 def _codec_snr_by_stages(items, cs):
@@ -468,13 +467,14 @@ def evaluate(corpus_dir, cs: CodebookSet, ar: ModelBundle, nar: ModelBundle, *,
     items = tokenize_split(corpus, cs, split)
     if not items:
         raise ValidationError(f"split {split!r} is empty")
+    nar_items = _nar_usable(items, cs.frame_rate)
     crop = (crop_min, crop_max)
     rng = np.random.default_rng(np.random.SeedSequence([EVAL_SEED, 61]))
     rows = [
         ("ar_teacher_forced_accuracy", split,
          _teacher_forced_ar_accuracy(items, ar, cs, crop, rng)),
     ]
-    for stage, acc in _nar_stage_accuracy(items, nar, cs, crop, rng).items():
+    for stage, acc in _nar_stage_accuracy(nar_items, nar, cs, crop, rng).items():
         rows.append((f"nar_stage{stage}_accuracy", split, acc))
     for j, snr in _codec_snr_by_stages(items, cs).items():
         rows.append((f"codec_snr_stages_{j}", split, snr))

@@ -5,7 +5,7 @@ import shutil
 
 import pytest
 
-from codec_lm import cli, formats
+from codec_lm import cli, codec, formats
 
 SMALL_CORPUS = ["corpus.speakers=4", "corpus.held_out=1", "corpus.duration_min=3.5",
                 "corpus.duration_max=4.5"]
@@ -160,6 +160,39 @@ def test_malformed_corpus_exits_2(chain, tmp_path, capsys, name, corrupt, where)
     assert f"error: {path}{where}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "c.cbk").exists()
+
+
+def test_eval_without_a_nar_usable_utterance_exits_2(chain, tmp_path, capsys):
+    """When no utterance of the split is longer than the NAR prompt, eval
+    refuses with a one-line error instead of writing nan accuracy rows."""
+    short = tmp_path / "short"
+    _run(["gen-corpus", "--out", short, "--seed", 1, *_sets(
+        ["corpus.speakers=2", "corpus.held_out=1", "corpus.utterances_per_speaker=2",
+         "corpus.duration_min=1.0", "corpus.duration_max=2.0"])])
+    argv = ["eval", "--ar", chain["ar"], "--nar", chain["nar"], "--codec", chain["codec"],
+            "--corpus", short, "--out", tmp_path / "report.tsv", "--no-synthesis"]
+    capsys.readouterr()
+    assert cli.main([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "error: no utterance is longer than the NAR prompt" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "report.tsv").exists()
+
+
+def test_failed_command_creates_no_directory(chain, tmp_path):
+    """The parents of --out are made when the output is written, so a
+    command that fails before that leaves nothing behind."""
+    argv = ["eval", "--ar", tmp_path / "nope.ckp", "--nar", tmp_path / "nope.ckp",
+            "--codec", tmp_path / "nope.cbk", "--corpus", chain["corpus"],
+            "--out", tmp_path / "nd" / "sub" / "r.tsv"]
+    assert cli.main([str(a) for a in argv]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_parents_made_at_write_time(chain, tmp_path):
+    out = tmp_path / "nd" / "sub" / "c.cbk"
+    _run(["train-codec", "--corpus", chain["corpus"], "--out", out, *_sets(SMALL_CODEC)])
+    assert codec.CodebookSet.load(out).quantizers == 3
 
 
 @pytest.mark.parametrize("setting, message", [

@@ -101,6 +101,15 @@ class TestAttention:
         out = _attend(q, k2, v2, mask)
         np.testing.assert_array_equal(base[:3], out[:3])
 
+    def test_no_mask_is_full_attention(self, rng):
+        """mask=None skips the masking pass, and gives bitwise what an
+        all-True mask gives."""
+        q, k, v = (rng.normal(size=(2, 4, 8)) for _ in range(3))
+        a, pa = lm_core._attention_forward(q, k, v, None)
+        b, pb = lm_core._attention_forward(q, k, v, np.ones((4, 4), dtype=bool))
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(pa, pb)
+
     def test_softmax_rows_sum_to_one(self, rng):
         q = rng.normal(size=(5, 6))
         k = rng.normal(size=(5, 6))
@@ -153,9 +162,8 @@ class TestAdaLayerNorm:
     def test_distinct_stages_differ(self, rng):
         params = lm_core.init_stack_params(self.CFG, rng, adaln=True)
         x = rng.normal(size=(5, 8))
-        mask = lm_core.full_mask(5)
-        a, _ = lm_core.stack_forward(params, self.CFG, x, mask, stage_vec=rng.normal(size=8))
-        b, _ = lm_core.stack_forward(params, self.CFG, x, mask, stage_vec=rng.normal(size=8))
+        a, _ = lm_core.stack_forward(params, self.CFG, x, None, stage_vec=rng.normal(size=8))
+        b, _ = lm_core.stack_forward(params, self.CFG, x, None, stage_vec=rng.normal(size=8))
         assert np.abs(a - b).max() > 1e-6
 
     def test_stage_out_of_range(self, rng):
@@ -174,19 +182,82 @@ class TestAdaLayerNorm:
 
 
 class TestPastKV:
+    CFG = ModelConfig(layers=2, heads=2, embed_dim=8, ffn_dim=16, dropout=0.0, max_len=6)
+
+    def _params64(self, rng):
+        params = lm_core.init_stack_params(self.CFG, rng, adaln=False)
+        return {name: p.astype(np.float64) for name, p in params.items()}
+
     def test_chunked_forward_matches_one_pass(self, rng):
         """Rows 3..4 run against the cached keys/values of rows 0..2 equal
-        the same rows of one causal pass over all five."""
-        cfg = ModelConfig(layers=2, heads=2, embed_dim=8, ffn_dim=16, dropout=0.0)
-        params = lm_core.init_stack_params(cfg, rng, adaln=False)
+        the same rows of one causal pass over all five. The cache's buffers
+        are allocated once and filled in place."""
+        cfg, params = self.CFG, self._params64(rng)
         x = rng.normal(size=(5, 8))
         mask = lm_core.causal_mask(5)
         full, _ = lm_core.stack_forward(params, cfg, x, mask)
-        _, head = lm_core.stack_forward(params, cfg, x[:3], mask[:3, :3])
-        past = [(lc["kh"], lc["vh"]) for lc in head["layers"]]
-        tail, cache = lm_core.stack_forward(params, cfg, x[3:], mask[3:], past_kv=past)
+        kv = lm_core.KVCache()
+        lm_core.stack_forward(params, cfg, x[:3], mask[:3, :3], kv=kv)
+        buffers = [*kv.keys, *kv.values]
+        assert kv.length == 3
+        assert all(b.shape == (2, cfg.max_len, 4) and b.dtype == np.float64 for b in buffers)
+        tail, cache = lm_core.stack_forward(params, cfg, x[3:], mask[3:], kv=kv)
         np.testing.assert_allclose(tail, full[3:], atol=1e-12)
+        assert kv.length == 5
+        assert all(a is b for a, b in zip([*kv.keys, *kv.values], buffers))
         assert all(lc["kh"].shape == (2, 5, 4) for lc in cache["layers"])
+
+    def test_write_past_max_len_rejected(self, rng):
+        """A call that would fill the cache past max_len raises before it
+        writes, and the cache keeps its length."""
+        cfg, params = self.CFG, self._params64(rng)
+        kv = lm_core.KVCache()
+        lm_core.stack_forward(params, cfg, rng.normal(size=(5, 8)), lm_core.causal_mask(5), kv=kv)
+        with pytest.raises(ValidationError, match="exceeds max_len 6"):
+            lm_core.stack_forward(params, cfg, rng.normal(size=(2, 8)), None, kv=kv)
+        assert kv.length == 5
+
+
+class TestComputeDtype:
+    """The parameters' dtype is the compute dtype: nothing upcasts float32
+    parameters, and float64 parameters stay float64."""
+
+    CFG = ModelConfig(layers=2, heads=2, embed_dim=8, ffn_dim=16, dropout=0.3,
+                      codebook_size=5, quantizers=3)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_outputs_and_gradients_follow_params(self, dtype):
+        cfg = self.CFG
+        rng = np.random.default_rng(0)
+        ar = {n: p.astype(dtype) for n, p in ar_model.init_ar_params(cfg, rng).items()}
+        nar = {n: p.astype(dtype) for n, p in nar_model.init_nar_params(cfg, rng).items()}
+        phon, ac = [2, 9, 4], [1, 3, 0, 4]
+        prompt, target = rng.integers(0, 5, (3, 3)), rng.integers(0, 5, (4, 3))
+        train = dict(train=True, rng=np.random.default_rng(1))
+        dec = ar_model.ArDecoder(ar, cfg, phon, ac[:2])
+        dec.push(ac[2])
+        outputs = {
+            "ar_forward": ar_model.ar_forward(ar, cfg, phon, ac, **train),
+            "next_logits": dec.next_logits(),
+            "nar_forward": nar_model.nar_forward(nar, cfg, phon, prompt, target[:, :1], 2,
+                                                 **train),
+            "kv": dec.kv.keys[0],
+        }
+        _, ar_grads, _ = ar_model.ar_loss(ar, cfg, [(phon, ac)], **train)
+        _, nar_grads, _ = nar_model.nar_loss(nar, cfg, [(phon, prompt, target)], 3, **train)
+        assert ar_grads.keys() == ar.keys() and nar_grads.keys() == nar.keys()
+        outputs.update({f"ar grad {n}": g for n, g in ar_grads.items()})
+        outputs.update({f"nar grad {n}": g for n, g in nar_grads.items()})
+        assert {name: out.dtype for name, out in outputs.items()} == dict.fromkeys(outputs, dtype)
+
+    def test_adamw_keeps_float32(self):
+        params = ar_model.init_ar_params(self.CFG, np.random.default_rng(0))
+        assert {p.dtype for p in params.values()} == {np.dtype(np.float32)}
+        grads = {n: np.ones_like(p) for n, p in params.items()}
+        state = AdamWState()
+        lm_core.adamw_step(params, grads, state, 1, TrainConfig(warmup_steps=1, total_steps=2))
+        arrays = [*params.values(), *state.m.values(), *state.v.values()]
+        assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
 
 
 class TestCrossEntropy:

@@ -260,9 +260,8 @@ class TestAdaLNIdentityReduction:
         emb = emb + lm_core.segment_position_encoding(
             [len(phon), prompt.shape[0], target.shape[0]], cfg.embed_dim
         )
-        mask = lm_core.full_mask(emb.shape[0])
         adaln_out, _ = lm_core.stack_forward(
-            forced, cfg, emb, mask, stage_vec=params["stage_emb"][0]
+            forced, cfg, emb, None, stage_vec=params["stage_emb"][0]
         )
-        plain_out, _ = lm_core.stack_forward(plain, cfg, emb, mask)
+        plain_out, _ = lm_core.stack_forward(plain, cfg, emb, None)
         np.testing.assert_allclose(adaln_out, plain_out, atol=1e-6)

@@ -71,6 +71,20 @@ def test_bundle_checks_parameter_blocks(tmp_path, kind, edit, message):
         pipeline.ModelBundle.load(path, kind)
 
 
+def test_loaded_checkpoint_is_the_trained_model(tmp_path, tiny_corpus_dir, tiny_codec):
+    """Training, saving and loading keep the weights exactly: the loaded
+    params are the float32 arrays training left in memory, so synthesis with
+    a loaded model runs the same weights as with the one just trained."""
+    train_cfg = pipeline.TrainConfig(total_steps=2, warmup_steps=1, batch_tokens=64)
+    summary = pipeline.train_ar(tiny_corpus_dir, tiny_codec, _small_cfg(tiny_codec), train_cfg,
+                                out_path=tmp_path / "ar.ckp")
+    loaded = pipeline.ModelBundle.load(tmp_path / "ar.ckp", "ar")
+    assert loaded.params.keys() == summary["params"].keys()
+    for name, trained in summary["params"].items():
+        assert trained.dtype == loaded.params[name].dtype == np.float32, name
+        assert np.array_equal(loaded.params[name], trained), name
+
+
 def test_evaluate_encodes_each_record_once(tiny_corpus_dir, tiny_codec, monkeypatch):
     """The split is tokenized once, and the codec SNR rows decode those
     tokens instead of encoding the audio again."""
