@@ -3,17 +3,21 @@ update and cluster accumulation.
 
 One numpy implementation of each. `nearest_codeword` returns, for each row,
 the index of the book row at the smallest direct L2 distance
-sum((r - c)**2), the smallest such index on ties, and the residual
-r - book[code]. `shrink_sq_dist` updates `d2` in place to a result bitwise
-equal to `np.minimum(d2, ((data - center)**2).sum(axis=1))`.
-`cluster_accumulate` returns per-cluster row sums and counts bitwise equal to
-`np.bincount` of the codes (weighted by each column for the sums), and
-rejects codes outside [0, k).
+sum((r - c)**2), the smallest such index on ties; it returns only the codes,
+and a caller that needs the residual forms `frames - book[codes]` itself.
+`shrink_sq_dist` updates `d2` in place to a result bitwise equal to
+`np.minimum(d2, ((data - center)**2).sum(axis=1))`. `cluster_accumulate`
+returns per-cluster row sums and counts bitwise equal to `np.bincount` of the
+codes (weighted by each column for the sums), and rejects codes outside
+[0, k).
 
 The first two score rows by the expanded form ||x||^2 - 2 x.c + ||c||^2,
-one GEMM or GEMV, and re-score by direct differences every row the expanded
+one GEMM or GEMV with the -2 folded into the codeword operand (a power-of-two
+scale, so exact), and re-score by direct differences every row the expanded
 form cannot decide: one whose expanded score lies within
-`_rounding_slack(D) * (||x||^2 + ||c||^2)` of the decision. That bound,
+`_rounding_slack(D) * (||x||^2 + ||c||^2)` of the decision. For
+`nearest_codeword` that is a row whose runner-up score, the smallest score
+once the best is masked out, lies within that slack of its best. The bound,
 20*(D+2)*eps, is several times the worst-case rounding of the expanded form
 and of the direct distance together (about 4*(D+3)*eps), so the results are
 those of the direct formula even where the expanded form goes negative
@@ -34,9 +38,11 @@ def _rounding_slack(dim: int) -> float:
     return 20.0 * (dim + 2) * np.finfo(np.float64).eps
 
 
-def nearest_codeword(frames: np.ndarray, book: np.ndarray):
-    """Per row of `frames`, find the nearest row of `book` (L2, smallest-index
-    ties) and the residual. Returns (codes, residuals)."""
+def nearest_codeword(frames: np.ndarray, book: np.ndarray) -> np.ndarray:
+    """Per row of `frames`, the index of the nearest row of `book` (direct L2
+    distance, smallest index on ties), as an int64 array. A row is re-scored
+    by direct differences when its runner-up score lies within the rounding
+    slack of its best."""
     frames = np.ascontiguousarray(frames, dtype=np.float64)
     book = np.ascontiguousarray(book, dtype=np.float64)
     if frames.ndim != 2 or book.ndim != 2 or frames.shape[1] != book.shape[1]:
@@ -54,20 +60,20 @@ def nearest_codeword(frames: np.ndarray, book: np.ndarray):
     k = book.shape[0]
     codes = np.empty(n, dtype=np.int64)
     book_sq = np.einsum("kd,kd->k", book, book)
-    scores = frames @ book.T
-    scores *= -2.0
+    scores = frames @ (-2.0 * book).T
     scores += book_sq
     np.argmin(scores, axis=1, out=codes)
-    best = scores[np.arange(n), codes]
-    limit = best + _rounding_slack(dim) * (np.einsum("nd,nd->n", frames, frames) + book_sq[codes])
-    close = np.count_nonzero(scores <= limit[:, None], axis=1) > 1
-    rows = np.flatnonzero(close)
+    every = np.arange(n)
+    limit = scores[every, codes]
+    limit += _rounding_slack(dim) * (np.einsum("nd,nd->n", frames, frames) + book_sq[codes])
+    scores[every, codes] = np.inf  # what is left is each row's runner-up
+    rows = np.flatnonzero(scores.min(axis=1) <= limit)
     step = max(1, _RESCORE_BLOCK // max(1, k * dim))
     for i in range(0, rows.size, step):
         blk = rows[i : i + step]
         dist = ((frames[blk, None, :] - book[None, :, :]) ** 2).sum(axis=-1)
         codes[blk] = np.argmin(dist, axis=1)  # first index of the minimum
-    return codes, frames - book[codes]
+    return codes
 
 
 def shrink_sq_dist(data: np.ndarray, data_sq: np.ndarray, center: np.ndarray,
@@ -83,8 +89,7 @@ def shrink_sq_dist(data: np.ndarray, data_sq: np.ndarray, center: np.ndarray,
     slack has a direct distance above `d2`, which `np.minimum` would discard;
     only the other rows (and any NaN) are scored by direct differences."""
     c_sq = float(center @ center)
-    approx = data @ center
-    approx *= -2.0
+    approx = data @ (-2.0 * center)
     approx += data_sq
     approx += c_sq
     limit = data_sq + c_sq

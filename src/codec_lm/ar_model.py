@@ -34,15 +34,19 @@ class SamplingSpec:
             raise ValidationError("sampling.top_p must lie in (0, 1]")
 
 
-def init_ar_params(cfg: ModelConfig, rng: np.random.Generator) -> dict:
+def ar_layout(cfg: ModelConfig) -> dict:
+    """The AR model's parameters in draw order (see `lm_core.stack_layout`)."""
     cfg.validate()
     d = cfg.embed_dim
-    params = {
-        "phoneme_emb": lm_core.normal_init(rng, EMB_INIT_STD, (cfg.phoneme_vocab + 1, d)),
-        "acoustic_emb": lm_core.normal_init(rng, EMB_INIT_STD, (cfg.codebook_size + 1, d)),
+    return {
+        "phoneme_emb": ((cfg.phoneme_vocab + 1, d), "normal", EMB_INIT_STD),
+        "acoustic_emb": ((cfg.codebook_size + 1, d), "normal", EMB_INIT_STD),
+        **lm_core.stack_layout(cfg, adaln=False),
     }
-    params.update(lm_core.init_stack_params(cfg, rng, adaln=False))
-    return params
+
+
+def init_ar_params(cfg: ModelConfig, rng: np.random.Generator) -> dict:
+    return lm_core.init_params(ar_layout(cfg), rng)
 
 
 def _check_prompt(phon_ids, acoustic_ids, cfg: ModelConfig):

@@ -190,7 +190,8 @@ def rvq_encode(frames: np.ndarray, cs: CodebookSet) -> CodeMatrix:
     codes = np.empty((t, cs.quantizers), dtype=np.int64)
     resid = frames
     for j in range(cs.quantizers):
-        codes[:, j], resid = _kernels.nearest_codeword(resid, cs.books[j])
+        codes[:, j] = _kernels.nearest_codeword(resid, cs.books[j])
+        resid = resid - cs.books[j][codes[:, j]]
     return CodeMatrix(codes=codes, codebook_size=cs.codebook_size)
 
 
@@ -236,19 +237,41 @@ def reconstruction_snr(original: Waveform, reconstructed: Waveform) -> float:
 
 # -- codebook training ----------------------------------------------------------
 
+def _weighted_row(d2: np.ndarray, total: float, rng: np.random.Generator) -> int:
+    """The row `rng.choice(d2.size, p=d2 / total)` draws, from the same stream,
+    without its check of p: `total` must be the finite, positive sum of d2."""
+    cdf = np.cumsum(d2 / total)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _kmeans_plusplus(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k centers drawn by k-means++ seeding, or, when `data` has fewer than k
+    distinct rows, those rows in `np.unique` order.
+
+    Each pick is a row at positive distance from every center so far, so with
+    m < k distinct rows the distances sum to 0 at pick m: only then are the
+    distinct rows counted. With k or more (some distances underflow to 0),
+    the remaining centers are random rows."""
     n = data.shape[0]
     centers = np.empty((k, data.shape[1]))
     centers[0] = data[rng.integers(n)]
     d2 = ((data - centers[0]) ** 2).sum(axis=1)
     data_sq = np.einsum("nd,nd->n", data, data)
+    counted = False
     for i in range(1, k):
         total = d2.sum()
+        if not np.isfinite(total):
+            raise ValidationError("k-means++ squared distances are not finite")
         if total <= 0:
+            if not counted:
+                distinct = np.unique(data, axis=0)
+                if distinct.shape[0] < k:
+                    return distinct
+                counted = True
             centers[i] = data[rng.integers(n)]
             continue
-        probs = d2 / total
-        centers[i] = data[rng.choice(n, p=probs)]
+        centers[i] = data[_weighted_row(d2, total, rng)]
         _kernels.shrink_sq_dist(data, data_sq, centers[i], d2)
     return centers
 
@@ -256,27 +279,26 @@ def _kmeans_plusplus(data: np.ndarray, k: int, rng: np.random.Generator) -> np.n
 def kmeans_fit(data: np.ndarray, k: int, iters: int, rng: np.random.Generator) -> np.ndarray:
     """At most `iters` Lloyd iterations with k-means++ init; empty clusters keep
     their previous centroid. Pads with zero vectors (and warns) when data has
-    fewer than k distinct rows.
+    fewer than k distinct rows. The distinct rows are counted only when the
+    k-means++ distances sum to 0 before the k-th pick, which they always do
+    in that case.
 
     Stops early at a fixed point: once an iteration assigns every row as the
     one before did, its sums, counts and so its centroids equal the current
     ones bit for bit, and so would every later iteration's. The result is the
     same as running all `iters`."""
     data = np.ascontiguousarray(data, dtype=np.float64)
-    distinct = np.unique(data, axis=0)
-    if distinct.shape[0] < k:
+    centers = _kmeans_plusplus(data, k, rng)
+    if centers.shape[0] < k:
         log.warning(
             "only %d distinct vectors for %d clusters; padding codebook with zeros",
-            distinct.shape[0],
+            centers.shape[0],
             k,
         )
-        centers = np.zeros((k, data.shape[1]))
-        centers[: distinct.shape[0]] = distinct
-        return centers
-    centers = _kmeans_plusplus(data, k, rng)
+        return np.concatenate([centers, np.zeros((k - centers.shape[0], data.shape[1]))])
     prev = None
     for _ in range(iters):
-        codes, _ = _kernels.nearest_codeword(data, centers)
+        codes = _kernels.nearest_codeword(data, centers)
         if prev is not None and np.array_equal(codes, prev):
             break
         sums, counts = _kernels.cluster_accumulate(data, codes, k)
@@ -297,6 +319,8 @@ def train_codebooks(waveforms, cfg: CodecConfig) -> CodebookSet:
     waveforms = list(waveforms)
     if not waveforms:
         raise ValidationError("training dataset is empty")
+    if not all(np.isfinite(w.samples).all() for w in waveforms):
+        raise ValidationError("training audio contains non-finite samples")
     if cfg.pitch_augment > 0:
         p = cfg.pitch_augment
         waveforms = waveforms + [
@@ -314,6 +338,6 @@ def train_codebooks(waveforms, cfg: CodecConfig) -> CodebookSet:
         if j > 0:
             book[0] = 0.0
         cs.books[j] = book
-        _, resid = _kernels.nearest_codeword(resid, book)
+        resid = resid - book[_kernels.nearest_codeword(resid, book)]
         log.info("stage %d fitted, residual rms %.6f", j + 1, float(np.sqrt((resid**2).mean())))
     return cs

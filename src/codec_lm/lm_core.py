@@ -156,39 +156,48 @@ def normal_init(rng: np.random.Generator, std: float, shape) -> np.ndarray:
     return (std * rng.standard_normal(shape)).astype(np.float32)
 
 
-def init_stack_params(cfg: ModelConfig, rng: np.random.Generator, adaln: bool) -> dict:
-    """Transformer trunk parameters (no embeddings), float32. Residual-branch
-    output projections are scaled down by sqrt(2 * layers)."""
+def init_params(layout: dict, rng: np.random.Generator) -> dict:
+    """float32 parameters of `layout` (see `stack_layout`): the normal blocks
+    drawn from `rng` in layout order, the constant ones filled."""
+    return {name: normal_init(rng, value, shape) if how == "normal"
+            else np.full(shape, value, np.float32)
+            for name, (shape, how, value) in layout.items()}
+
+
+def stack_layout(cfg: ModelConfig, adaln: bool) -> dict:
+    """Transformer trunk parameters (no embeddings) in draw order: name ->
+    (shape, "normal", std) for a drawn block or (shape, "fill", value) for a
+    constant one. Residual-branch output projections are scaled down by
+    sqrt(2 * layers)."""
     d, f = cfg.embed_dim, cfg.ffn_dim
     out_std = W_INIT_STD / math.sqrt(2.0 * cfg.layers)
-    params = {}
+    layout = {}
 
     def norm_site(name):
         if adaln:
-            params[f"{name}.pa"] = normal_init(rng, W_INIT_STD, (d, d))
-            params[f"{name}.ba"] = np.ones(d, np.float32)
-            params[f"{name}.pb"] = normal_init(rng, W_INIT_STD, (d, d))
-            params[f"{name}.bb"] = np.zeros(d, np.float32)
+            layout[f"{name}.pa"] = ((d, d), "normal", W_INIT_STD)
+            layout[f"{name}.ba"] = ((d,), "fill", 1.0)
+            layout[f"{name}.pb"] = ((d, d), "normal", W_INIT_STD)
+            layout[f"{name}.bb"] = ((d,), "fill", 0.0)
         else:
-            params[f"{name}.g"] = np.ones(d, np.float32)
-            params[f"{name}.b"] = np.zeros(d, np.float32)
+            layout[f"{name}.g"] = ((d,), "fill", 1.0)
+            layout[f"{name}.b"] = ((d,), "fill", 0.0)
 
     for i in range(cfg.layers):
         p = f"layers.{i}"
         norm_site(f"{p}.ln1")
-        params[f"{p}.attn.wq"] = normal_init(rng, W_INIT_STD, (d, d))
-        params[f"{p}.attn.wk"] = normal_init(rng, W_INIT_STD, (d, d))
-        params[f"{p}.attn.wv"] = normal_init(rng, W_INIT_STD, (d, d))
-        params[f"{p}.attn.wo"] = normal_init(rng, out_std, (d, d))
+        for w in ("wq", "wk", "wv"):
+            layout[f"{p}.attn.{w}"] = ((d, d), "normal", W_INIT_STD)
+        layout[f"{p}.attn.wo"] = ((d, d), "normal", out_std)
         for b in ("bq", "bk", "bv", "bo"):
-            params[f"{p}.attn.{b}"] = np.zeros(d, np.float32)
+            layout[f"{p}.attn.{b}"] = ((d,), "fill", 0.0)
         norm_site(f"{p}.ln2")
-        params[f"{p}.ffn.w1"] = normal_init(rng, W_INIT_STD, (d, f))
-        params[f"{p}.ffn.b1"] = np.zeros(f, np.float32)
-        params[f"{p}.ffn.w2"] = normal_init(rng, out_std, (f, d))
-        params[f"{p}.ffn.b2"] = np.zeros(d, np.float32)
+        layout[f"{p}.ffn.w1"] = ((d, f), "normal", W_INIT_STD)
+        layout[f"{p}.ffn.b1"] = ((f,), "fill", 0.0)
+        layout[f"{p}.ffn.w2"] = ((f, d), "normal", out_std)
+        layout[f"{p}.ffn.b2"] = ((d,), "fill", 0.0)
     norm_site("ln_f")
-    return params
+    return layout
 
 
 # -- transformer stack ----------------------------------------------------------------

@@ -22,20 +22,24 @@ from .lm_core import ModelConfig
 
 EMB_INIT_STD = lm_core.EMB_INIT_STD
 
-def init_nar_params(cfg: ModelConfig, rng: np.random.Generator) -> dict:
+def nar_layout(cfg: ModelConfig) -> dict:
+    """The NAR model's parameters in draw order (see `lm_core.stack_layout`)."""
     cfg.validate()
     if cfg.quantizers < 2:
         raise ValidationError("the NAR model needs at least 2 quantizers")
     d = cfg.embed_dim
-    params = {
-        "phoneme_emb": lm_core.normal_init(rng, EMB_INIT_STD, (cfg.phoneme_vocab + 1, d)),
-        "stage_emb": lm_core.normal_init(rng, EMB_INIT_STD, (cfg.quantizers - 1, d)),
+    layout = {
+        "phoneme_emb": ((cfg.phoneme_vocab + 1, d), "normal", EMB_INIT_STD),
+        "stage_emb": ((cfg.quantizers - 1, d), "normal", EMB_INIT_STD),
     }
     for j in range(cfg.quantizers):
-        params[f"acoustic_emb.{j}"] = lm_core.normal_init(rng, EMB_INIT_STD,
-                                                          (cfg.codebook_size, d))
-    params.update(lm_core.init_stack_params(cfg, rng, adaln=True))
-    return params
+        layout[f"acoustic_emb.{j}"] = ((cfg.codebook_size, d), "normal", EMB_INIT_STD)
+    layout.update(lm_core.stack_layout(cfg, adaln=True))
+    return layout
+
+
+def init_nar_params(cfg: ModelConfig, rng: np.random.Generator) -> dict:
+    return lm_core.init_params(nar_layout(cfg), rng)
 
 
 def nar_embed_stages(params, cfg: ModelConfig, codes, columns: int, what: str) -> np.ndarray:

@@ -102,8 +102,8 @@ class ModelBundle:
         """The model of the checkpoint at `path`, which must be of `kind` ("ar"
         or "nar") and hold exactly the parameter blocks of its config."""
         cfg, params = lm_core.load_model(path, kind)
-        init = ar_model.init_ar_params if kind == "ar" else nar_model.init_nar_params
-        shapes = {name: p.shape for name, p in init(cfg, np.random.default_rng(0)).items()}
+        layout = ar_model.ar_layout if kind == "ar" else nar_model.nar_layout
+        shapes = {name: shape for name, (shape, _, _) in layout(cfg).items()}
         formats.check_blocks(path, params, shapes)
         return cls(params=params, cfg=cfg)
 

@@ -74,7 +74,8 @@ class TestWeightTying:
     def test_parameter_count_reflects_sharing(self, params, cfg):
         # one (K+1) x d table serves as both embedding and output projection
         d = cfg.embed_dim
-        stack = lm_core.init_stack_params(cfg, np.random.default_rng(9), adaln=False)
+        stack = lm_core.init_params(lm_core.stack_layout(cfg, adaln=False),
+                                    np.random.default_rng(9))
         expected = (
             count_params(stack)
             + (cfg.phoneme_vocab + 1) * d

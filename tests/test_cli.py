@@ -162,6 +162,25 @@ def test_malformed_corpus_exits_2(chain, tmp_path, capsys, name, corrupt, where)
     assert not (tmp_path / "c.cbk").exists()
 
 
+def test_non_finite_training_audio_exits_2(chain, tmp_path, capsys):
+    """A NaN sample in a training utterance is refused with a one-line error,
+    not a traceback from inside the k-means++ draw."""
+    corpus_dir = tmp_path / "corpus"
+    shutil.copytree(chain["corpus"], corpus_dir)
+    rel = next(e[3] for e in formats.read_manifest(corpus_dir / "manifest.tsv")
+               if e[2] == "train")
+    samples, sample_rate = formats.read_audio(corpus_dir / rel)
+    samples[100] = float("nan")
+    formats.write_audio(corpus_dir / rel, samples, sample_rate)
+    argv = ["train-codec", "--corpus", corpus_dir, "--out", tmp_path / "c.cbk",
+            *_sets(SMALL_CODEC)]
+    assert cli.main([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "c.cbk").exists()
+
+
 def test_eval_without_a_nar_usable_utterance_exits_2(chain, tmp_path, capsys):
     """When no utterance of the split is longer than the NAR prompt, eval
     refuses with a one-line error instead of writing nan accuracy rows."""

@@ -238,7 +238,7 @@ def _oracle_kmeans_fit(data, k, iters, rng):
         return centers
     centers = _oracle_kmeans_plusplus(data, k, rng)
     for _ in range(iters):
-        codes, _ = _kernels.nearest_codeword(data, centers)
+        codes = _kernels.nearest_codeword(data, centers)
         sums = np.zeros((k, data.shape[1]))
         counts = np.zeros(k, dtype=np.int64)
         np.add.at(sums, codes, data)
@@ -249,6 +249,48 @@ def _oracle_kmeans_fit(data, k, iters, rng):
 
 
 class TestKmeansOracles:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    def test_weighted_row_draws_as_rng_choice(self, seed):
+        """Same pick and same stream as rng.choice, zero weights included."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 200))
+        d2 = rng.exponential(size=n) * (rng.random(n) < 0.6)
+        d2[rng.integers(n)] = rng.exponential() + 1e-3  # a positive total
+        total = d2.sum()
+        for s in range(20):
+            got_rng, want_rng = np.random.default_rng([seed, s]), np.random.default_rng([seed, s])
+            got = codec._weighted_row(d2, total, got_rng)
+            assert got == want_rng.choice(n, p=d2 / total)
+            assert d2[got] > 0
+            assert got_rng.random() == want_rng.random()
+
+    def test_plusplus_refuses_non_finite_distances(self):
+        data = np.zeros((10, 3))
+        data[4, 1] = np.inf
+        with pytest.raises(ValidationError, match="not finite"):
+            codec._kmeans_plusplus(data, 4, np.random.default_rng(0))
+
+    def test_distinct_rows_counted_only_when_init_runs_out(self, make_rows, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.unique called")
+
+        data = make_rows(np.random.default_rng(3))
+        want = _oracle_kmeans_fit(data, 32, 2, np.random.default_rng(7))
+        monkeypatch.setattr(np, "unique", refuse)
+        got = codec.kmeans_fit(data, 32, 2, np.random.default_rng(7))
+        np.testing.assert_array_equal(got, want)
+
+    def test_underflowing_distinct_rows_fall_back_to_random_rows(self, caplog):
+        """Distinct rows whose squared distances underflow to 0: the init
+        runs out, counts k or more distinct rows and draws random ones."""
+        data = np.random.default_rng(2).normal(size=(50, 3)) * 1e-170
+        with caplog.at_level("WARNING"):
+            got = codec.kmeans_fit(data, 8, 2, np.random.default_rng(9))
+        assert "padding" not in caplog.text
+        want = _oracle_kmeans_fit(data, 8, 2, np.random.default_rng(9))
+        np.testing.assert_array_equal(got, want)
+
     def test_plusplus_matches_direct_distance_loop(self, make_rows):
         for seed in range(60):
             data = make_rows(np.random.default_rng(seed))
@@ -336,6 +378,20 @@ class TestTrainCodebooks:
             cs = codec.train_codebooks([Waveform(samples, 8000)], cfg)
         assert "padding" in caplog.text
         assert cs.books.shape == (1, 16, 4)
+        distinct = np.unique(codec.frame_encode(Waveform(samples, 8000), cs), axis=0)
+        m = distinct.shape[0]
+        assert m < 16
+        np.testing.assert_array_equal(cs.books[0, :m], distinct)
+        assert not cs.books[0, m:].any()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_audio_rejected(self, rng, bad):
+        cfg = codec.CodecConfig(sample_rate=8000, stride=4, dim=4,
+                                quantizers=2, codebook_size=4, kmeans_iters=2)
+        samples = rng.uniform(-0.5, 0.5, 400)
+        samples[123] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            codec.train_codebooks([Waveform(samples, 8000)], cfg)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValidationError):

@@ -126,7 +126,7 @@ class TestAdaLayerNorm:
     def _trunks(self, rng, c, e):
         """An AdaLN trunk with pa = pb = 0, ba = c, bb = e at every norm site,
         and the plain-LN trunk with g = c, b = e and the same weights."""
-        ada = lm_core.init_stack_params(self.CFG, rng, adaln=True)
+        ada = lm_core.init_params(lm_core.stack_layout(self.CFG, adaln=True), rng)
         plain = {}
         for name, value in ada.items():
             site, _, leaf = name.rpartition(".")
@@ -160,7 +160,7 @@ class TestAdaLayerNorm:
         self._check_reduces_to_layernorm(rng, rng.normal(size=8), rng.normal(size=8))
 
     def test_distinct_stages_differ(self, rng):
-        params = lm_core.init_stack_params(self.CFG, rng, adaln=True)
+        params = lm_core.init_params(lm_core.stack_layout(self.CFG, adaln=True), rng)
         x = rng.normal(size=(5, 8))
         a, _ = lm_core.stack_forward(params, self.CFG, x, None, stage_vec=rng.normal(size=8))
         b, _ = lm_core.stack_forward(params, self.CFG, x, None, stage_vec=rng.normal(size=8))
@@ -185,7 +185,7 @@ class TestPastKV:
     CFG = ModelConfig(layers=2, heads=2, embed_dim=8, ffn_dim=16, dropout=0.0, max_len=6)
 
     def _params64(self, rng):
-        params = lm_core.init_stack_params(self.CFG, rng, adaln=False)
+        params = lm_core.init_params(lm_core.stack_layout(self.CFG, adaln=False), rng)
         return {name: p.astype(np.float64) for name, p in params.items()}
 
     def test_chunked_forward_matches_one_pass(self, rng):

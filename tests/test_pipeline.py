@@ -71,6 +71,42 @@ def test_bundle_checks_parameter_blocks(tmp_path, kind, edit, message):
         pipeline.ModelBundle.load(path, kind)
 
 
+_TINY = ModelConfig(layers=2, heads=2, embed_dim=8, ffn_dim=16, dropout=0.0,
+                    codebook_size=7, quantizers=3)
+
+
+@pytest.mark.parametrize("kind", ["ar", "nar"])
+def test_bundle_load_draws_no_model(tmp_path, monkeypatch, kind):
+    """Loading a checkpoint checks its blocks without drawing parameters."""
+    init = ar_model.init_ar_params if kind == "ar" else nar_model.init_nar_params
+    params = init(_TINY, np.random.default_rng(0))
+    path = tmp_path / "m.ckp"
+    lm_core.save_model(path, kind, _TINY, params)
+
+    def refuse(*args):
+        raise AssertionError("normal_init called")
+
+    monkeypatch.setattr(lm_core, "normal_init", refuse)
+    bundle = pipeline.ModelBundle.load(path, kind)
+    for name, p in params.items():
+        np.testing.assert_array_equal(bundle.params[name], p)
+
+
+@pytest.mark.parametrize("init, layout", [
+    (ar_model.init_ar_params, ar_model.ar_layout),
+    (nar_model.init_nar_params, nar_model.nar_layout),
+], ids=["ar", "nar"])
+def test_layout_is_what_init_draws(init, layout):
+    """Names, order, shapes and constants of the init equal its layout."""
+    params = init(_TINY, np.random.default_rng(0))
+    spec = layout(_TINY)
+    assert list(params) == list(spec)
+    for name, (shape, how, value) in spec.items():
+        assert params[name].shape == shape and params[name].dtype == np.float32
+        if how == "fill":
+            assert (params[name] == value).all()
+
+
 def test_loaded_checkpoint_is_the_trained_model(tmp_path, tiny_corpus_dir, tiny_codec):
     """Training, saving and loading keep the weights exactly: the loaded
     params are the float32 arrays training left in memory, so synthesis with
