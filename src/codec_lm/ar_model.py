@@ -1,10 +1,10 @@
 """Causal decoder-only language model over first-quantizer codes.
 
 Input is the phoneme sequence and the stage-1 acoustic code sequence, each
-terminated by its own EOS token, under one causal mask. Only acoustic
-positions contribute to the loss. The output projection shares storage with
-the acoustic embedding table: logits are computed against `acoustic_emb`
-directly, so the tying is structural.
+terminated by its own EOS token, with positions restarting for each, under
+causal attention. Only acoustic positions contribute to the loss. The model
+is one `lm_core.lm_forward` pass whose head is the acoustic embedding table
+itself, so the tying is structural.
 """
 
 from dataclasses import dataclass
@@ -13,9 +13,7 @@ import numpy as np
 
 from . import lm_core
 from .errors import ValidationError
-from .lm_core import ModelConfig
-
-EMB_INIT_STD = lm_core.EMB_INIT_STD
+from .lm_core import EMB_INIT_STD, ModelConfig
 
 
 @dataclass
@@ -69,12 +67,12 @@ def _check_length(p, ac_len, cfg: ModelConfig):
         raise ValidationError(f"sequence length {n} exceeds max_len {cfg.max_len}")
 
 
-def _embed(params, cfg, phon_part, ac_part):
-    emb = np.concatenate(
-        [params["phoneme_emb"][phon_part], params["acoustic_emb"][ac_part]], axis=0
-    )
-    emb += lm_core.segment_position_encoding([len(phon_part), len(ac_part)], cfg.embed_dim)
-    return emb
+def _pass(params, cfg: ModelConfig, phon_part, ac_part, rows, **kw):
+    """The pass over phoneme then acoustic rows, predicting acoustic ids."""
+    p = len(phon_part)
+    lookups = [("phoneme_emb", phon_part, 0), ("acoustic_emb", ac_part, p)]
+    return lm_core.lm_forward(params, cfg, lookups, [(p, 0), (len(ac_part), 0)],
+                              "acoustic_emb", rows, causal=True, **kw)
 
 
 def ar_forward(params, cfg: ModelConfig, phon_ids, acoustic_ids, *, train=False, rng=None,
@@ -87,39 +85,15 @@ def ar_forward(params, cfg: ModelConfig, phon_ids, acoustic_ids, *, train=False,
     """
     phon_part, acoustic_ids = _check_prompt(phon_ids, acoustic_ids, cfg)
     ac_part = np.concatenate([acoustic_ids, [cfg.acoustic_eos]])
-    n = len(phon_part) + len(ac_part)
-    emb = _embed(params, cfg, phon_part, ac_part)
-    out, stack_cache = lm_core.stack_forward(
-        params, cfg, emb, lm_core.causal_mask(n), train=train, rng=rng
-    )
     p = len(phon_part)
-    rows = out[p - 1 : n - 1]
-    logits = rows @ params["acoustic_emb"].T
-    if not return_cache:
-        return logits
-    cache = {
-        "stack": stack_cache,
-        "rows": rows,
-        "phon_part": phon_part,
-        "ac_part": ac_part,
-        "p": p,
-        "n": n,
-    }
-    return logits, cache
+    logits, cache = _pass(params, cfg, phon_part, ac_part, slice(p - 1, p + len(acoustic_ids)),
+                          train=train, rng=rng)
+    return (logits, cache) if return_cache else logits
 
 
 def ar_backward(params, cfg: ModelConfig, cache, dlogits) -> dict:
     """Gradients for ar_forward given d(loss)/d(logits)."""
-    p, n = cache["p"], cache["n"]
-    grads = {"acoustic_emb": dlogits.T @ cache["rows"]}
-    dout = np.zeros((n, cfg.embed_dim), cache["rows"].dtype)
-    dout[p - 1 : n - 1] = dlogits @ params["acoustic_emb"]
-    dx, stack_grads, _ = lm_core.stack_backward(params, cfg, cache["stack"], dout)
-    grads.update(stack_grads)
-    grads["phoneme_emb"] = np.zeros_like(params["phoneme_emb"])
-    np.add.at(grads["phoneme_emb"], cache["phon_part"], dx[:p])
-    np.add.at(grads["acoustic_emb"], cache["ac_part"], dx[p:])
-    return grads
+    return lm_core.lm_backward(params, cfg, cache, dlogits)
 
 
 def ar_loss(params, cfg: ModelConfig, batch, *, train=False, rng=None):
@@ -136,7 +110,8 @@ def ar_loss(params, cfg: ModelConfig, batch, *, train=False, rng=None):
         logits, cache = ar_forward(
             params, cfg, phon_ids, acoustic_ids, train=train, rng=rng, return_cache=True
         )
-        return logits, cache["ac_part"], lambda d: ar_backward(params, cfg, cache, d)
+        targets = np.append(np.asarray(acoustic_ids, np.int64), cfg.acoustic_eos)
+        return logits, targets, lambda d: ar_backward(params, cfg, cache, d)
 
     return lm_core.batch_loss(batch, example)
 
@@ -144,12 +119,12 @@ def ar_loss(params, cfg: ModelConfig, batch, *, train=False, rng=None):
 class ArDecoder:
     """Incremental decoder over a key/value cache.
 
-    The prefill and every step run the same `lm_core.stack_forward` as
-    ar_forward: the prefill over the prompt under a causal mask, each step
-    over the one new token against every cached key and value (full
-    attention, as the new token is the last). So cached decoding performs the
+    The prefill and every step run the same causal `lm_core.lm_forward` pass
+    as ar_forward: the prefill over the prompt, each step over the one new
+    token against every cached key and value. So cached decoding performs the
     same per-position computation as the one-shot pass. The cache is a
-    `lm_core.KVCache`, which the trunk fills in place.
+    `lm_core.KVCache`, which the trunk fills in place. `next_logits` returns
+    the logits of the last pass, the same array until the next push.
     """
 
     def __init__(self, params, cfg: ModelConfig, phon_ids, prefix_codes):
@@ -158,24 +133,19 @@ class ArDecoder:
         self.cfg = cfg
         self.p = len(phon_part)
         self.ac_len = len(prefix_codes)
-        n = self.p + self.ac_len
         self.kv = lm_core.KVCache()
-        self._advance(_embed(params, cfg, phon_part, prefix_codes), lm_core.causal_mask(n))
-
-    def _advance(self, x, mask):
-        out, _ = lm_core.stack_forward(self.params, self.cfg, x, mask, kv=self.kv)
-        self._last_hidden = out[-1]
+        self._logits, _ = _pass(params, cfg, phon_part, prefix_codes, -1, kv=self.kv)
 
     def next_logits(self) -> np.ndarray:
-        return self._last_hidden @ self.params["acoustic_emb"].T
+        return self._logits
 
     def push(self, token: int) -> None:
         """Append one acoustic token and advance the caches."""
-        cfg = self.cfg
-        _check_length(self.p, self.ac_len + 1, cfg)
-        x = self.params["acoustic_emb"][[int(token)]]
-        x += lm_core.sinusoidal_positions(1, cfg.embed_dim, start=self.ac_len)
-        self._advance(x, None)
+        _check_length(self.p, self.ac_len + 1, self.cfg)
+        self._logits, _ = lm_core.lm_forward(
+            self.params, self.cfg, [("acoustic_emb", [int(token)], 0)], [(1, self.ac_len)],
+            "acoustic_emb", -1, causal=True, kv=self.kv,
+        )
         self.ac_len += 1
 
 

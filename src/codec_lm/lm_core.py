@@ -1,21 +1,23 @@
 """Shared neural machinery for both language models.
 
 Everything is plain numpy with hand-written backward passes: embeddings,
-per-segment sinusoidal positions, masked multi-head self-attention, LayerNorm
-and its stage-conditioned AdaLN variant, position-wise feed-forward blocks,
+sinusoidal positions, causal or full multi-head self-attention, LayerNorm and
+its stage-conditioned AdaLN variant, position-wise feed-forward blocks,
 cross-entropy, AdamW with linear warmup/decay, nucleus sampling, and model
 checkpoints.
 
-The AR and NAR models differ only in mask, stage conditioning and targets;
-they share the trunk, `check_ids`, `batch_loss` and the optimizer here.
+The AR and NAR models are one pass, `lm_forward`/`lm_backward`: summed table
+lookups plus positions, the trunk, and an output head tied to an embedding
+table. A model only states which tables feed which rows, which table and rows
+form the head, whether attention is causal, and its AdaLN stage. The models
+also share `check_ids`, `batch_loss` and the optimizer here.
 
 Parameters live in a flat dict of name -> ndarray, float32 as initialized,
 trained and stored. The parameters' dtype is the compute dtype: every
 activation, gradient and optimizer moment follows it, so float64 parameters
 (as the gradient checks use) run the same code in float64. Weight sharing is
-by construction: shared tensors are stored once and referenced by the code
-paths that use them (e.g. the AR output projection IS the acoustic embedding
-table), so tying cannot drift.
+by construction: a head is an embedding table, read by name (e.g. the AR
+output projection IS the acoustic embedding table), so tying cannot drift.
 """
 
 import math
@@ -84,32 +86,16 @@ def sinusoidal_positions(length: int, dim: int, start: int = 0) -> np.ndarray:
     return out
 
 
-def segment_position_encoding(segment_lengths, dim: int) -> np.ndarray:
-    """Sinusoid encodings restarting at position 0 for each segment."""
-    blocks = [sinusoidal_positions(n, dim) for n in segment_lengths]
-    if not blocks:
-        return np.empty((0, dim), dtype=np.float64)
-    return np.concatenate(blocks, axis=0)
-
-
-# -- masks -----------------------------------------------------------------------
-
-def causal_mask(n: int) -> np.ndarray:
-    return np.tril(np.ones((n, n), dtype=bool))
-
-
 # -- attention --------------------------------------------------------------------
 
-def _attention_forward(q, k, v, mask):
-    """Scaled dot-product attention. q/k/v: (..., T, hd); mask: (Tq, Tk) with
-    True = may attend, or None for full attention. Returns (context,
+def _attention_forward(q, k, v, blocked):
+    """Scaled dot-product attention. q/k/v: (..., T, hd); blocked: (Tq, Tk)
+    with True = may not attend, or None for full attention. Returns (context,
     probabilities)."""
     scores = q @ np.swapaxes(k, -1, -2)
     scores *= 1.0 / math.sqrt(q.shape[-1])
-    if mask is not None:
-        if not mask.any(axis=-1).all():
-            raise ValidationError("attention mask has a fully masked row")
-        np.copyto(scores, -np.inf, where=~mask)
+    if blocked is not None:
+        np.copyto(scores, -np.inf, where=blocked)
     scores -= scores.max(axis=-1, keepdims=True)
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=-1, keepdims=True)
@@ -132,11 +118,13 @@ def _attention_backward(dctx, q, k, v, probs):
 # -- layer norm / AdaLN -------------------------------------------------------------
 
 def _ln_core_forward(x):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv
-    return xhat, inv
+    """(x - mean) * inv and inv = 1 / sqrt(var + eps) over the last axis:
+    bitwise the `x.mean`/`x.var` form, without those methods' overhead."""
+    n = x.shape[-1]
+    c = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.add.reduce(c * c, axis=-1, keepdims=True) / n + LN_EPS)
+    c *= inv
+    return c, inv
 
 
 def _ln_core_backward(dxhat, xhat, inv):
@@ -223,30 +211,31 @@ class KVCache:
     length: int = 0
 
 
-def stack_forward(params, cfg: ModelConfig, x, mask, *, stage_vec=None, train=False, rng=None,
-                  kv: KVCache | None = None):
+def stack_forward(params, cfg: ModelConfig, x, causal: bool, *, stage_vec=None, train=False,
+                  rng=None, kv: KVCache | None = None):
     """Run the transformer trunk. x: (T, d) summed embeddings (+ positions).
 
-    mask is (T, T) with True = may attend, or None for full attention.
-    stage_vec selects AdaLN conditioning (NAR); None selects plain LayerNorm
-    with learned gain/bias (AR). With `kv`, for incremental decoding, each
-    layer attends to the cached positions followed by the T new ones (a mask
-    is then (T, kv.length + T)), and the new keys and values are appended to
-    the cache. Returns (output (T, d), cache); the cache's per-layer kh/vh
-    hold every key and value the layer attended to. Backward needs a cache
-    made without kv.
+    `causal` lets each position attend only to itself and earlier ones;
+    otherwise attention is full. stage_vec selects AdaLN conditioning (NAR);
+    None selects plain LayerNorm with learned gain/bias (AR). With `kv`, for
+    incremental decoding, each layer attends to the cached positions followed
+    by the T new ones, and the new keys and values are appended to the cache.
+    Returns (output (T, d), cache); the cache's per-layer kh/vh hold every key
+    and value the layer attended to. Backward needs a cache made without kv.
     """
     adaln = stage_vec is not None
     cache = {"adaln": adaln, "stage_vec": stage_vec, "layers": []}
     h, t = cfg.heads, x.shape[0]
     hd = cfg.head_dim
-    if kv is not None:
-        start, end = kv.length, kv.length + t
-        if end > cfg.max_len:
-            raise ValidationError(f"sequence length {end} exceeds max_len {cfg.max_len}")
-        if not kv.keys:
-            kv.keys = [np.empty((h, cfg.max_len, hd), x.dtype) for _ in range(cfg.layers)]
-            kv.values = [np.empty((h, cfg.max_len, hd), x.dtype) for _ in range(cfg.layers)]
+    start = 0 if kv is None else kv.length
+    end = start + t
+    if end > cfg.max_len:
+        raise ValidationError(f"sequence length {end} exceeds max_len {cfg.max_len}")
+    if kv is not None and not kv.keys:
+        kv.keys = [np.empty((h, cfg.max_len, hd), x.dtype) for _ in range(cfg.layers)]
+        kv.values = [np.empty((h, cfg.max_len, hd), x.dtype) for _ in range(cfg.layers)]
+    # new row i (position start + i) may not see a later key; one row sees all
+    blocked = np.triu(np.ones((t, end), bool), start + 1) if causal and t > 1 else None
     x, cache["emb_drop"] = _dropout(x, cfg.dropout, rng, train)
 
     def norm_fwd(name, h):
@@ -273,7 +262,7 @@ def stack_forward(params, cfg: ModelConfig, x, mask, *, stage_vec=None, train=Fa
             kv.keys[i][:, start:end] = kh
             kv.values[i][:, start:end] = vh
             kh, vh = kv.keys[i][:, :end], kv.values[i][:, :end]
-        ctx, probs = _attention_forward(qh, kh, vh, mask)
+        ctx, probs = _attention_forward(qh, kh, vh, blocked)
         ctx_flat = ctx.transpose(1, 0, 2).reshape(t, cfg.embed_dim)
         attn_out = ctx_flat @ params[f"{p}.attn.wo"] + params[f"{p}.attn.bo"]
         attn_out, lc["drop1"] = _dropout(attn_out, cfg.dropout, rng, train)
@@ -371,6 +360,53 @@ def stack_backward(params, cfg: ModelConfig, cache, dout):
     if cache["emb_drop"] is not None:
         dx = dx * cache["emb_drop"]
     return dx, grads, dstage
+
+
+# -- the language-model pass -------------------------------------------------------------
+
+def lm_forward(params, cfg: ModelConfig, lookups, segments, head: str, rows, *, causal: bool,
+               stage: int | None = None, train=False, rng=None, kv: KVCache | None = None):
+    """One pass of either model: embed, run the trunk, apply a tied head.
+
+    An input row is the sum, in lookup order, of the `lookups` (table, ids,
+    first row) that cover it, plus the sinusoid position of its segment:
+    `segments` are (length, start) in row order. `stage` picks the `stage_emb`
+    row that feeds AdaLN (None: plain LayerNorm). The logits are the output
+    `rows` (a slice or an index) against the head table `params[head]`.
+    Returns (logits, cache for lm_backward)."""
+    n = sum(length for length, _ in segments)
+    x = np.zeros((n, cfg.embed_dim), params[head].dtype)
+    for table, ids, first in lookups:
+        x[first : first + len(ids)] += params[table][ids]
+    row = 0
+    for length, start in segments:
+        x[row : row + length] += sinusoidal_positions(length, cfg.embed_dim, start)
+        row += length
+    stage_vec = None if stage is None else params["stage_emb"][stage]
+    out, trunk = stack_forward(params, cfg, x, causal, stage_vec=stage_vec, train=train, rng=rng,
+                               kv=kv)
+    hidden = out[rows]
+    return hidden @ params[head].T, {"trunk": trunk, "lookups": lookups, "head": head,
+                                     "rows": rows, "hidden": hidden, "stage": stage, "n": n}
+
+
+def lm_backward(params, cfg: ModelConfig, cache, dlogits) -> dict:
+    """Gradients for lm_forward given d(loss)/d(logits), for every block it
+    read. A table's gradient is its head term, if any, then its lookups'
+    rows of the input gradient, scattered in lookup order."""
+    head, hidden = cache["head"], cache["hidden"]
+    grads = {head: dlogits.T @ hidden}
+    dout = np.zeros((cache["n"], cfg.embed_dim), hidden.dtype)
+    dout[cache["rows"]] = dlogits @ params[head]
+    dx, trunk_grads, dstage = stack_backward(params, cfg, cache["trunk"], dout)
+    grads.update(trunk_grads)
+    if cache["stage"] is not None:
+        grads["stage_emb"] = np.zeros_like(params["stage_emb"])
+        grads["stage_emb"][cache["stage"]] = dstage
+    for table, ids, first in cache["lookups"]:
+        g = grads.setdefault(table, np.zeros_like(params[table]))
+        np.add.at(g, ids, dx[first : first + len(ids)])
+    return grads
 
 
 # -- losses ----------------------------------------------------------------------------

@@ -2,25 +2,26 @@
 
 The transformer input is the concatenation of phoneme embeddings, the summed
 all-stage embedding of the enrolled acoustic prompt, and the summed embedding
-of the target's already-known stages (both sums are `nar_embed_stages`),
-under full (unmasked) self-attention. The training/decoding stage is injected
-through AdaLN at every norm site. The trunk, the id checks and the batch loss
-are shared with the AR model through `lm_core`; `nar_generate_all` decodes
-stages 2..Q with one `nar_forward` call each.
+of the target's already-known stages (column j of a code matrix looks up
+table j), under full (unmasked) self-attention. The training/decoding stage
+is injected through AdaLN at every norm site. The model is one
+`lm_core.lm_forward` pass, as the AR model is, and shares its id checks and
+batch loss; `nar_generate_all` decodes stages 2..Q with one `nar_forward`
+call each.
 
 Weight sharing: the prediction head for stage i is the acoustic embedding
 table of stage i (1-indexed), i.e. head j ties to embedding table j+1 for
-j = 1..Q-1. Tables are stored once in `acoustic_emb.{0..Q-1}` and heads are
-views into them, so the tied parameter count is untied minus (Q-1)*K*d.
+j = 1..Q-1. Tables are stored once in `acoustic_emb.{0..Q-1}` and a head is
+read by its table's name, so the tied parameter count is untied minus
+(Q-1)*K*d.
 """
 
 import numpy as np
 
 from . import lm_core
 from .errors import ValidationError
-from .lm_core import ModelConfig
+from .lm_core import EMB_INIT_STD, ModelConfig
 
-EMB_INIT_STD = lm_core.EMB_INIT_STD
 
 def nar_layout(cfg: ModelConfig) -> dict:
     """The NAR model's parameters in draw order (see `lm_core.stack_layout`)."""
@@ -42,18 +43,15 @@ def init_nar_params(cfg: ModelConfig, rng: np.random.Generator) -> dict:
     return lm_core.init_params(nar_layout(cfg), rng)
 
 
-def nar_embed_stages(params, cfg: ModelConfig, codes, columns: int, what: str) -> np.ndarray:
-    """Per frame, the sum of the stage embeddings of the code matrix `codes`,
-    which must have exactly `columns` columns: column j looks up table j."""
+def _check_codes(codes, cfg: ModelConfig, columns: int, what: str) -> np.ndarray:
+    """The code matrix `codes` as checked ids; it must have exactly `columns`
+    columns."""
     codes = lm_core.check_ids(codes, cfg.codebook_size, f"{what} code")
     if codes.ndim != 2 or codes.shape[1] != columns:
         raise ValidationError(
             f"{what} codes must have exactly {columns} columns, got shape {codes.shape}"
         )
-    out = np.zeros((codes.shape[0], cfg.embed_dim), params["acoustic_emb.0"].dtype)
-    for j in range(columns):
-        out += params[f"acoustic_emb.{j}"][codes[:, j]]
-    return out
+    return codes
 
 
 def nar_forward(params, cfg: ModelConfig, phon_ids, acoustic_prompt, partial_target,
@@ -65,60 +63,25 @@ def nar_forward(params, cfg: ModelConfig, phon_ids, acoustic_prompt, partial_tar
     phon_ids = lm_core.check_ids(phon_ids, cfg.phoneme_vocab, "phoneme")
     if phon_ids.size == 0:
         raise ValidationError("phoneme sequence is empty")
-    prompt_emb = nar_embed_stages(params, cfg, acoustic_prompt, cfg.quantizers, "prompt")
-    target_emb = nar_embed_stages(params, cfg, partial_target, stage - 1, "target")
-    p, tp, tt = len(phon_ids), prompt_emb.shape[0], target_emb.shape[0]
-    n = p + tp + tt
-    if n > cfg.max_len:
-        raise ValidationError(f"sequence length {n} exceeds max_len {cfg.max_len}")
-    emb = np.concatenate([params["phoneme_emb"][phon_ids], prompt_emb, target_emb], axis=0)
+    prompt = _check_codes(acoustic_prompt, cfg, cfg.quantizers, "prompt")
+    known = _check_codes(partial_target, cfg, stage - 1, "target")
+    p, tp, tt = len(phon_ids), len(prompt), len(known)
+    lookups = [("phoneme_emb", phon_ids, 0)]
+    lookups += [(f"acoustic_emb.{j}", prompt[:, j], p) for j in range(cfg.quantizers)]
+    lookups += [(f"acoustic_emb.{j}", known[:, j], p + tp) for j in range(stage - 1)]
     # positions restart for the phoneme prompt; the acoustic prompt and the
     # target continue one numbering, so a target query can address its own
     # neighborhood unambiguously under full attention
-    emb += lm_core.segment_position_encoding([p, tp + tt], cfg.embed_dim)
-    stage_vec = params["stage_emb"][stage - 2]
-    out, stack_cache = lm_core.stack_forward(
-        params, cfg, emb, None, stage_vec=stage_vec, train=train, rng=rng
+    logits, cache = lm_core.lm_forward(
+        params, cfg, lookups, [(p, 0), (tp + tt, 0)], f"acoustic_emb.{stage - 1}",
+        slice(p + tp, None), causal=False, stage=stage - 2, train=train, rng=rng,
     )
-    head = params[f"acoustic_emb.{stage - 1}"]
-    rows = out[p + tp :]
-    logits = rows @ head.T
-    if not return_cache:
-        return logits
-    cache = {
-        "stack": stack_cache,
-        "rows": rows,
-        "phon_ids": phon_ids,
-        "prompt": np.asarray(acoustic_prompt, dtype=np.int64),
-        "partial": np.asarray(partial_target, dtype=np.int64),
-        "stage": stage,
-        "p": p,
-        "tp": tp,
-        "tt": tt,
-    }
-    return logits, cache
+    return (logits, cache) if return_cache else logits
 
 
 def nar_backward(params, cfg: ModelConfig, cache, dlogits) -> dict:
-    stage, p, tp, tt = cache["stage"], cache["p"], cache["tp"], cache["tt"]
-    head_name = f"acoustic_emb.{stage - 1}"
-    grads = {head_name: dlogits.T @ cache["rows"]}
-    dout = np.zeros((p + tp + tt, cfg.embed_dim), cache["rows"].dtype)
-    dout[p + tp :] = dlogits @ params[head_name]
-    dx, stack_grads, dstage = lm_core.stack_backward(params, cfg, cache["stack"], dout)
-    grads.update(stack_grads)
-    grads["stage_emb"] = np.zeros_like(params["stage_emb"])
-    grads["stage_emb"][stage - 2] = dstage
-    grads["phoneme_emb"] = np.zeros_like(params["phoneme_emb"])
-    np.add.at(grads["phoneme_emb"], cache["phon_ids"], dx[:p])
-    # backward of the two stage-embedding sums: table j gets the prompt rows,
-    # and the target rows while j is a known stage
-    for j in range(cfg.quantizers):
-        g = grads.setdefault(f"acoustic_emb.{j}", np.zeros_like(params[f"acoustic_emb.{j}"]))
-        np.add.at(g, cache["prompt"][:, j], dx[p : p + tp])
-        if j < stage - 1:
-            np.add.at(g, cache["partial"][:, j], dx[p + tp :])
-    return grads
+    """Gradients for nar_forward given d(loss)/d(logits)."""
+    return lm_core.lm_backward(params, cfg, cache, dlogits)
 
 
 def draw_stage(rng: np.random.Generator, quantizers: int) -> int:

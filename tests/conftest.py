@@ -1,12 +1,27 @@
 import numpy as np
 import pytest
 
-from codec_lm import codec, corpus
+from codec_lm import codec, corpus, lm_core
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def trunk_inputs(monkeypatch):
+    """A list that gets a copy of the `x` of every later `lm_core.stack_forward`
+    call: the summed embeddings (+ positions) a model hands the trunk."""
+    seen = []
+    trunk = lm_core.stack_forward
+
+    def capture(params, cfg, x, *args, **kwargs):
+        seen.append(x.copy())
+        return trunk(params, cfg, x, *args, **kwargs)
+
+    monkeypatch.setattr(lm_core, "stack_forward", capture)
+    return seen
 
 
 def _tiny_rows(rng):

@@ -26,7 +26,7 @@ ORACLE = {
         "dim": (int, 80),
         "quantizers": (int, 8),
         "codebook_size": (int, 256),
-        "kmeans_iters": (int, 20),
+        "kmeans_iters": (int, 2),
         "pitch_augment": (float, 0.02),
         "seed": (int, 0),
     },

@@ -42,17 +42,59 @@ class TestSinusoidalPositions:
             )
 
 
+INPUT_CFG = ModelConfig(layers=1, heads=2, embed_dim=8, ffn_dim=16, dropout=0.0)
+
+
+def _trunk_input(trunk_inputs, params, lookups, segments):
+    """The rows `lm_core.lm_forward` hands the trunk for these lookups and
+    segments."""
+    lm_core.lm_forward(params, INPUT_CFG, lookups, segments, "head", slice(None), causal=False)
+    return trunk_inputs[0]
+
+
+def _input_params(rng, head_rows):
+    """float64 trunk parameters of INPUT_CFG and a zero (head_rows, 8) table
+    "head"."""
+    params = lm_core.init_params(lm_core.stack_layout(INPUT_CFG, adaln=False), rng)
+    params["head"] = np.zeros((head_rows, 8), np.float32)
+    return {name: p.astype(np.float64) for name, p in params.items()}
+
+
 class TestSegmentedPositions:
-    def test_encoding_blocks(self):
-        enc = lm_core.segment_position_encoding([3, 2], 8)
-        single = lm_core.sinusoidal_positions(3, 8)
-        np.testing.assert_array_equal(enc[:3], single)
-        np.testing.assert_array_equal(enc[3:], single[:2])
+    def test_encoding_blocks(self, trunk_inputs, rng):
+        """Positions restart at each segment's start: zero embeddings leave
+        the sinusoid table of every segment, in row order."""
+        params = _input_params(rng, 1)
+        x = _trunk_input(trunk_inputs, params, [("head", [0, 0, 0, 0, 0, 0], 0)],
+                         [(3, 0), (2, 0), (1, 7)])
+        single = lm_core.sinusoidal_positions(8, 8)
+        np.testing.assert_array_equal(x, np.concatenate([single[:3], single[:2], single[7:]]))
 
 
-def _attend(q, k, v, mask):
+class TestLmInput:
+    def test_lookups_sum_in_order_onto_their_rows(self, trunk_inputs, rng):
+        """Oracle: each lookup adds its table's rows from its first row on;
+        rows no lookup covers carry the positions alone."""
+        params = _input_params(rng, 4)
+        params["head"] = rng.normal(size=(4, 8))
+        params["other"] = rng.normal(size=(3, 8))
+        lookups = [("head", [3, 1], 0), ("other", [2, 2, 0], 1), ("head", [0], 3)]
+        x = _trunk_input(trunk_inputs, params, lookups, [(5, 0)])
+        head, other = params["head"], params["other"]
+        expected = np.stack([head[3], head[1] + other[2], other[2], other[0] + head[0],
+                             np.zeros(8)])
+        np.testing.assert_allclose(x, expected + lm_core.sinusoidal_positions(5, 8), atol=1e-12)
+
+
+def _attend(q, k, v, blocked):
     """The context output of the trunk's attention."""
-    return lm_core._attention_forward(q, k, v, mask)[0]
+    return lm_core._attention_forward(q, k, v, blocked)[0]
+
+
+def _causal(t, start=0):
+    """The causal mask of `t` new rows after `start` cached ones, as the trunk
+    builds it: True where row i may not see key j > start + i."""
+    return np.triu(np.ones((t, start + t), dtype=bool), start + 1)
 
 
 class TestAttention:
@@ -60,14 +102,14 @@ class TestAttention:
         q = rng.normal(size=(4, 8))
         k = rng.normal(size=(4, 8))
         v = rng.normal(size=(4, 8))
-        out = _attend(q, k, v, np.eye(4, dtype=bool))
+        out = _attend(q, k, v, ~np.eye(4, dtype=bool))
         np.testing.assert_allclose(out, v, atol=1e-12)
 
     def test_uniform_scores_average_v(self, rng):
         q = np.zeros((3, 8))
         k = rng.normal(size=(3, 8))
         v = rng.normal(size=(3, 8))
-        out = _attend(q, k, v, np.ones((3, 3), dtype=bool))
+        out = _attend(q, k, v, None)
         np.testing.assert_allclose(out, np.tile(v.mean(axis=0), (3, 1)), atol=1e-12)
 
     def test_matches_reference_formula(self, rng):
@@ -79,43 +121,66 @@ class TestAttention:
         ref = np.exp(scores - scores.max(axis=1, keepdims=True))
         ref /= ref.sum(axis=1, keepdims=True)
         ref = ref @ v
-        out = _attend(q, k, v, np.ones((3, 3), dtype=bool))
+        out = _attend(q, k, v, None)
         np.testing.assert_allclose(out, ref, atol=1e-6)
 
-    def test_fully_masked_row_rejected(self, rng):
-        mask = np.ones((3, 3), dtype=bool)
-        mask[1] = False
-        with pytest.raises(ValidationError):
-            _attend(rng.normal(size=(3, 4)), rng.normal(size=(3, 4)),
-                    rng.normal(size=(3, 4)), mask)
+    def test_causal_rows_see_exactly_their_past(self, rng):
+        """A causal chunk of t rows after `start` cached ones: row i attends
+        to keys 0..start+i, with weight on its own key, and to no later one,
+        so no row is fully masked."""
+        cfg = ModelConfig(layers=1, heads=2, embed_dim=8, ffn_dim=16, dropout=0.0, max_len=9)
+        params = lm_core.init_params(lm_core.stack_layout(cfg, adaln=False), rng)
+        for start, t in ((0, 5), (3, 4), (4, 2)):
+            kv = lm_core.KVCache()
+            if start:
+                lm_core.stack_forward(params, cfg, rng.normal(size=(start, 8)), True, kv=kv)
+            _, cache = lm_core.stack_forward(params, cfg, rng.normal(size=(t, 8)), True, kv=kv)
+            probs = cache["layers"][0]["probs"]
+            rows = np.arange(t)
+            assert probs.shape == (2, t, start + t)
+            assert (probs[:, rows, start + rows] > 0).all()
+            np.testing.assert_array_equal(probs[:, _causal(t, start)], 0.0)
+            np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_masked_positions_are_ignored(self, rng):
         q = rng.normal(size=(4, 8))
         k = rng.normal(size=(4, 8))
         v = rng.normal(size=(4, 8))
-        mask = lm_core.causal_mask(4)
-        base = _attend(q, k, v, mask)
+        base = _attend(q, k, v, _causal(4))
         k2, v2 = k.copy(), v.copy()
         k2[3] = 99.0
         v2[3] = -99.0
-        out = _attend(q, k2, v2, mask)
+        out = _attend(q, k2, v2, _causal(4))
         np.testing.assert_array_equal(base[:3], out[:3])
 
     def test_no_mask_is_full_attention(self, rng):
-        """mask=None skips the masking pass, and gives bitwise what an
-        all-True mask gives."""
+        """blocked=None skips the masking pass, and gives bitwise what a mask
+        that blocks nothing gives."""
         q, k, v = (rng.normal(size=(2, 4, 8)) for _ in range(3))
         a, pa = lm_core._attention_forward(q, k, v, None)
-        b, pb = lm_core._attention_forward(q, k, v, np.ones((4, 4), dtype=bool))
+        b, pb = lm_core._attention_forward(q, k, v, np.zeros((4, 4), dtype=bool))
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(pa, pb)
 
     def test_softmax_rows_sum_to_one(self, rng):
         q = rng.normal(size=(5, 6))
         k = rng.normal(size=(5, 6))
-        _, probs = lm_core._attention_forward(q, k, rng.normal(size=(5, 6)),
-                                              lm_core.causal_mask(5))
+        _, probs = lm_core._attention_forward(q, k, rng.normal(size=(5, 6)), _causal(5))
         np.testing.assert_allclose(probs.sum(axis=-1), np.ones(5), atol=1e-6)
+
+
+class TestLayerNormCore:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 128), (7, 128), (330, 128), (1, 8), (513, 16)])
+    def test_bitwise_the_mean_var_form(self, rng, dtype, shape):
+        """Oracle: the textbook form with ndarray.mean and ndarray.var."""
+        x = (3.0 * rng.normal(size=shape) + rng.normal(size=shape[-1])).astype(dtype)
+        mu = x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + lm_core.LN_EPS)
+        xhat, got_inv = lm_core._ln_core_forward(x)
+        assert xhat.dtype == got_inv.dtype == dtype
+        np.testing.assert_array_equal(got_inv, inv)
+        np.testing.assert_array_equal(xhat, (x - mu) * inv)
 
 
 class TestAdaLayerNorm:
@@ -145,9 +210,8 @@ class TestAdaLayerNorm:
     def _check_reduces_to_layernorm(self, rng, c, e):
         ada, plain = self._trunks(rng, c, e)
         x = rng.normal(size=(5, 8))
-        mask = lm_core.causal_mask(5)
-        out, _ = lm_core.stack_forward(ada, self.CFG, x, mask, stage_vec=rng.normal(size=8))
-        ref, _ = lm_core.stack_forward(plain, self.CFG, x, mask)
+        out, _ = lm_core.stack_forward(ada, self.CFG, x, True, stage_vec=rng.normal(size=8))
+        ref, _ = lm_core.stack_forward(plain, self.CFG, x, True)
         np.testing.assert_array_equal(out, ref)
 
     def test_identity_modulation_is_layernorm(self, rng):
@@ -162,8 +226,8 @@ class TestAdaLayerNorm:
     def test_distinct_stages_differ(self, rng):
         params = lm_core.init_params(lm_core.stack_layout(self.CFG, adaln=True), rng)
         x = rng.normal(size=(5, 8))
-        a, _ = lm_core.stack_forward(params, self.CFG, x, None, stage_vec=rng.normal(size=8))
-        b, _ = lm_core.stack_forward(params, self.CFG, x, None, stage_vec=rng.normal(size=8))
+        a, _ = lm_core.stack_forward(params, self.CFG, x, False, stage_vec=rng.normal(size=8))
+        b, _ = lm_core.stack_forward(params, self.CFG, x, False, stage_vec=rng.normal(size=8))
         assert np.abs(a - b).max() > 1e-6
 
     def test_stage_out_of_range(self, rng):
@@ -189,33 +253,36 @@ class TestPastKV:
         return {name: p.astype(np.float64) for name, p in params.items()}
 
     def test_chunked_forward_matches_one_pass(self, rng):
-        """Rows 3..4 run against the cached keys/values of rows 0..2 equal
-        the same rows of one causal pass over all five. The cache's buffers
-        are allocated once and filled in place."""
+        """A causal prefill in chunks of 3, 1 and 2 rows, each against the
+        cached keys/values of the rows before it, equals one causal pass over
+        all six. The cache's buffers are allocated once and filled in place."""
         cfg, params = self.CFG, self._params64(rng)
-        x = rng.normal(size=(5, 8))
-        mask = lm_core.causal_mask(5)
-        full, _ = lm_core.stack_forward(params, cfg, x, mask)
+        x = rng.normal(size=(6, 8))
+        full, _ = lm_core.stack_forward(params, cfg, x, True)
         kv = lm_core.KVCache()
-        lm_core.stack_forward(params, cfg, x[:3], mask[:3, :3], kv=kv)
+        head, _ = lm_core.stack_forward(params, cfg, x[:3], True, kv=kv)
         buffers = [*kv.keys, *kv.values]
         assert kv.length == 3
         assert all(b.shape == (2, cfg.max_len, 4) and b.dtype == np.float64 for b in buffers)
-        tail, cache = lm_core.stack_forward(params, cfg, x[3:], mask[3:], kv=kv)
-        np.testing.assert_allclose(tail, full[3:], atol=1e-12)
-        assert kv.length == 5
+        one, _ = lm_core.stack_forward(params, cfg, x[3:4], True, kv=kv)
+        tail, cache = lm_core.stack_forward(params, cfg, x[4:], True, kv=kv)
+        np.testing.assert_allclose(np.concatenate([head, one, tail]), full, atol=1e-12)
+        assert kv.length == 6
         assert all(a is b for a, b in zip([*kv.keys, *kv.values], buffers))
-        assert all(lc["kh"].shape == (2, 5, 4) for lc in cache["layers"])
+        assert all(lc["kh"].shape == (2, 6, 4) for lc in cache["layers"])
 
     def test_write_past_max_len_rejected(self, rng):
         """A call that would fill the cache past max_len raises before it
-        writes, and the cache keeps its length."""
+        writes, and the cache keeps its length; so does one pass without a
+        cache that is longer than max_len."""
         cfg, params = self.CFG, self._params64(rng)
         kv = lm_core.KVCache()
-        lm_core.stack_forward(params, cfg, rng.normal(size=(5, 8)), lm_core.causal_mask(5), kv=kv)
+        lm_core.stack_forward(params, cfg, rng.normal(size=(5, 8)), True, kv=kv)
         with pytest.raises(ValidationError, match="exceeds max_len 6"):
-            lm_core.stack_forward(params, cfg, rng.normal(size=(2, 8)), None, kv=kv)
+            lm_core.stack_forward(params, cfg, rng.normal(size=(2, 8)), True, kv=kv)
         assert kv.length == 5
+        with pytest.raises(ValidationError, match="length 7 exceeds max_len 6"):
+            lm_core.stack_forward(params, cfg, rng.normal(size=(7, 8)), False)
 
 
 class TestComputeDtype:
@@ -478,6 +545,24 @@ class TestWholeModelGradients:
         assert report.max_rel_error < 1e-4, report.worst
 
 
+    @pytest.mark.parametrize("stage", [None, 2, 3, 4], ids=["ar", "nar2", "nar3", "nar4"])
+    def test_every_block_gets_a_gradient(self, stage):
+        """AdamW updates and decays only the blocks it is given, so a loss
+        that left a block out would silently freeze it."""
+        cfg = self.CFG
+        rng = np.random.default_rng(0)
+        if stage is None:
+            params = ar_model.init_ar_params(cfg, rng)
+            _, grads, _ = ar_model.ar_loss(params, cfg, [([2, 9, 4], [1, 3, 0, 4])])
+        else:
+            params = nar_model.init_nar_params(cfg, rng)
+            k, q = cfg.codebook_size, cfg.quantizers
+            batch = [([2, 9, 4], rng.integers(0, k, (3, q)), rng.integers(0, k, (4, q)))]
+            _, grads, _ = nar_model.nar_loss(params, cfg, batch, stage)
+        assert sorted(grads) == sorted(params)
+        assert all(grads[n].shape == p.shape for n, p in params.items())
+
+
 class TestCheckpointHelpers:
     CFG = ModelConfig(layers=1, heads=2, embed_dim=8, ffn_dim=16, dropout=0.0,
                       codebook_size=7, quantizers=3)
@@ -527,10 +612,11 @@ class TestCheckpointHelpers:
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_softmax_rows_sum_to_one_property(seed):
+    """Under the causal mask of any chunk, every row's weights sum to one."""
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 8))
+    n, start = int(rng.integers(1, 8)), int(rng.integers(0, 5))
     q = rng.normal(size=(n, 4)) * 5
-    k = rng.normal(size=(n, 4)) * 5
-    mask = lm_core.causal_mask(n)
-    _, probs = lm_core._attention_forward(q, k, rng.normal(size=(n, 4)), mask)
+    k = rng.normal(size=(start + n, 4)) * 5
+    _, probs = lm_core._attention_forward(q, k, rng.normal(size=(start + n, 4)),
+                                          _causal(n, start))
     np.testing.assert_allclose(probs.sum(axis=-1), np.ones(n), atol=1e-6)

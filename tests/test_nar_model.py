@@ -32,68 +32,93 @@ def inputs(cfg):
     return phon, prompt, target
 
 
-class TestTargetEmbedding:
-    def test_stage2_is_single_table(self, params, cfg, inputs):
-        _, _, target = inputs
-        out = nar_model.nar_embed_stages(params, cfg, target[:, :1], 1, "target")
-        np.testing.assert_array_equal(out, params["acoustic_emb.0"][target[:, 0]])
+@pytest.fixture
+def summed_inputs(trunk_inputs, monkeypatch):
+    """A function (params, cfg, phon, prompt, partial, stage) -> the rows
+    nar_forward hands the trunk, with the sinusoid positions zeroed: the
+    phoneme rows, then the prompt's and the known stages' summed stage
+    embeddings."""
+    monkeypatch.setattr(lm_core, "sinusoidal_positions",
+                        lambda length, dim, start=0: np.zeros((length, dim)))
 
-    def test_cancellation(self, cfg, inputs):
-        _, _, target = inputs
+    def run(*args):
+        nar_model.nar_forward(*args)
+        return trunk_inputs[-1]
+
+    return run
+
+
+class TestTargetEmbedding:
+    def test_stage2_is_single_table(self, params, cfg, inputs, summed_inputs):
+        phon, prompt, target = inputs
+        x = summed_inputs(params, cfg, phon, prompt, target[:, :1], 2)
+        np.testing.assert_array_equal(x[-len(target):], params["acoustic_emb.0"][target[:, 0]])
+        np.testing.assert_array_equal(x[: len(phon)], params["phoneme_emb"][phon])
+
+    def test_cancellation(self, cfg, inputs, summed_inputs):
+        phon, prompt, target = inputs
         params = nar_model.init_nar_params(cfg, np.random.default_rng(2))
         params["acoustic_emb.1"] = -params["acoustic_emb.0"]
         pt = np.stack([target[:, 0], target[:, 0]], axis=1)
-        out = nar_model.nar_embed_stages(params, cfg, pt, 2, "target")
-        np.testing.assert_allclose(out, 0.0, atol=1e-12)
+        x = summed_inputs(params, cfg, phon, prompt, pt, 3)
+        np.testing.assert_allclose(x[-len(target):], 0.0, atol=1e-12)
 
-    def test_matches_manual_three_table_sum(self, params, cfg):
+    def test_matches_manual_three_table_sum(self, params, cfg, inputs, summed_inputs):
         """Oracle: explicit lookup-and-add over three tables."""
+        phon, prompt, _ = inputs
         rng = np.random.default_rng(3)
         pt = rng.integers(0, cfg.codebook_size, size=(3, 3))
-        out = nar_model.nar_embed_stages(params, cfg, pt, 3, "target")
+        x = summed_inputs(params, cfg, phon, prompt, pt, 4)
         for t in range(3):
             manual = sum(params[f"acoustic_emb.{j}"][pt[t, j]] for j in range(3))
-            np.testing.assert_allclose(out[t], manual, atol=1e-12)
+            np.testing.assert_allclose(x[-3 + t], manual, atol=1e-12)
 
     def test_wrong_column_count_rejected(self, params, cfg, inputs):
-        _, _, target = inputs
-        with pytest.raises(ValidationError):
-            nar_model.nar_embed_stages(params, cfg, target[:, :2], 1, "target")
+        phon, prompt, target = inputs
+        with pytest.raises(ValidationError, match="exactly 1 columns"):
+            nar_model.nar_forward(params, cfg, phon, prompt, target[:, :2], 2)
 
 
 class TestPromptEmbedding:
-    def test_single_quantizer_degenerate(self):
-        cfg1 = ModelConfig(layers=1, heads=1, embed_dim=8, ffn_dim=16, dropout=0.0,
-                           codebook_size=5, quantizers=1)
-        params = {"acoustic_emb.0": np.random.default_rng(0).normal(size=(5, 8))}
-        prompt = np.array([[1], [4], [2]])
-        out = nar_model.nar_embed_stages(params, cfg1, prompt, 1, "prompt")
-        np.testing.assert_array_equal(out, params["acoustic_emb.0"][[1, 4, 2]])
+    def test_single_quantizer_degenerate(self, params, cfg, inputs, summed_inputs):
+        """A prompt whose codes are 0 at every stage after the first sums to
+        table 0 plus one constant row per frame."""
+        phon, prompt, target = inputs
+        one = prompt * np.eye(1, cfg.quantizers, dtype=prompt.dtype)
+        x = summed_inputs(params, cfg, phon, one, target[:, :1], 2)
+        rest = sum(params[f"acoustic_emb.{j}"][0] for j in range(1, cfg.quantizers))
+        rows = x[len(phon) : len(phon) + len(prompt)]
+        np.testing.assert_allclose(rows, params["acoustic_emb.0"][prompt[:, 0]] + rest,
+                                   atol=1e-6)
 
-    def test_equal_rows_give_equal_outputs(self, params, cfg):
+    def test_equal_rows_give_equal_outputs(self, params, cfg, inputs, summed_inputs):
+        phon, _, target = inputs
         prompt = np.tile([[3, 1, 4, 1]], (5, 1))
-        out = nar_model.nar_embed_stages(params, cfg, prompt, cfg.quantizers, "prompt")
+        x = summed_inputs(params, cfg, phon, prompt, target[:, :1], 2)
         for t in range(1, 5):
-            np.testing.assert_array_equal(out[t], out[0])
+            np.testing.assert_array_equal(x[len(phon) + t], x[len(phon)])
 
-    def test_matches_manual_sum(self, params, cfg, inputs):
+    def test_matches_manual_sum(self, params, cfg, inputs, summed_inputs):
         """Oracle: explicit Q-table summation."""
-        _, prompt, _ = inputs
-        out = nar_model.nar_embed_stages(params, cfg, prompt, cfg.quantizers, "prompt")
+        phon, prompt, target = inputs
+        x = summed_inputs(params, cfg, phon, prompt, target[:, :1], 2)
         for t in range(prompt.shape[0]):
             manual = sum(
                 params[f"acoustic_emb.{j}"][prompt[t, j]] for j in range(cfg.quantizers)
             )
-            np.testing.assert_allclose(out[t], manual, atol=1e-12)
+            np.testing.assert_allclose(x[len(phon) + t], manual, atol=1e-12)
 
-    def test_out_of_range_code_rejected(self, params, cfg):
-        with pytest.raises(ValidationError):
-            nar_model.nar_embed_stages(params, cfg, np.full((2, 4), 99), 4, "prompt")
+    def test_out_of_range_code_rejected(self, params, cfg, inputs):
+        phon, _, target = inputs
+        with pytest.raises(ValidationError, match="prompt code id out of range"):
+            nar_model.nar_forward(params, cfg, phon, np.full((2, 4), 99), target[:, :1], 2)
+        with pytest.raises(ValidationError, match="target code id out of range"):
+            nar_model.nar_forward(params, cfg, phon, np.zeros((2, 4), int), [[-1], [0]], 2)
 
     def test_missing_columns_rejected(self, params, cfg, inputs):
-        _, prompt, _ = inputs
-        with pytest.raises(ValidationError):
-            nar_model.nar_embed_stages(params, cfg, prompt[:, :2], cfg.quantizers, "prompt")
+        phon, prompt, target = inputs
+        with pytest.raises(ValidationError, match="exactly 4 columns"):
+            nar_model.nar_forward(params, cfg, phon, prompt[:, :2], target[:, :1], 2)
 
 
 class TestForward:
@@ -252,16 +277,16 @@ class TestAdaLNIdentityReduction:
             if ".attn." in name or ".ffn." in name:
                 plain[name] = params[name]
 
+        p, tp, tt = len(phon), prompt.shape[0], target.shape[0]
         emb = np.concatenate([
             params["phoneme_emb"][np.asarray(phon)],
-            nar_model.nar_embed_stages(params, cfg, prompt, cfg.quantizers, "prompt"),
-            nar_model.nar_embed_stages(params, cfg, target[:, :1], 1, "target"),
+            sum(params[f"acoustic_emb.{j}"][prompt[:, j]] for j in range(cfg.quantizers)),
+            params["acoustic_emb.0"][target[:, 0]],
         ])
-        emb = emb + lm_core.segment_position_encoding(
-            [len(phon), prompt.shape[0], target.shape[0]], cfg.embed_dim
-        )
+        emb[:p] += lm_core.sinusoidal_positions(p, cfg.embed_dim)
+        emb[p:] += lm_core.sinusoidal_positions(tp + tt, cfg.embed_dim)
         adaln_out, _ = lm_core.stack_forward(
-            forced, cfg, emb, None, stage_vec=params["stage_emb"][0]
+            forced, cfg, emb, False, stage_vec=params["stage_emb"][0]
         )
-        plain_out, _ = lm_core.stack_forward(plain, cfg, emb, None)
+        plain_out, _ = lm_core.stack_forward(plain, cfg, emb, False)
         np.testing.assert_allclose(adaln_out, plain_out, atol=1e-6)
