@@ -16,14 +16,14 @@ from .errors import ValidationError
 from .lm_core import EMB_INIT_STD, ModelConfig
 
 
-@dataclass
+@dataclass(frozen=True)
 class SamplingSpec:
     temperature: float = 1.0
     top_p: float = 0.9
     seed: int = 0
     max_new_tokens: int = 600
 
-    def validate(self):
+    def __post_init__(self):
         if self.max_new_tokens <= 0:
             raise ValidationError("sampling.max_new_tokens must be positive")
         if not self.temperature >= 0:  # also refuses nan
@@ -34,7 +34,6 @@ class SamplingSpec:
 
 def ar_layout(cfg: ModelConfig) -> dict:
     """The AR model's parameters in draw order (see `lm_core.stack_layout`)."""
-    cfg.validate()
     d = cfg.embed_dim
     return {
         "phoneme_emb": ((cfg.phoneme_vocab + 1, d), "normal", EMB_INIT_STD),
@@ -140,10 +139,14 @@ class ArDecoder:
         return self._logits
 
     def push(self, token: int) -> None:
-        """Append one acoustic token and advance the caches."""
+        """Append one acoustic token, a code in [0, K), and advance the caches."""
+        token = int(token)
+        if not 0 <= token < self.cfg.codebook_size:
+            raise ValidationError(
+                f"acoustic token {token} out of range [0, {self.cfg.codebook_size})")
         _check_length(self.p, self.ac_len + 1, self.cfg)
         self._logits, _ = lm_core.lm_forward(
-            self.params, self.cfg, [("acoustic_emb", [int(token)], 0)], [(1, self.ac_len)],
+            self.params, self.cfg, [("acoustic_emb", [token], 0)], [(1, self.ac_len)],
             "acoustic_emb", -1, causal=True, kv=self.kv,
         )
         self.ac_len += 1
@@ -155,7 +158,6 @@ def ar_generate(params, cfg: ModelConfig, phon_ids, prefix_codes, sampling: Samp
     Returns the generated codes only (prefix and EOS excluded). Deterministic
     for a fixed sampling seed.
     """
-    sampling.validate()
     rng = np.random.default_rng(np.random.SeedSequence([sampling.seed & 0xFFFFFFFF]))
     decoder = ArDecoder(params, cfg, phon_ids, prefix_codes)
     out = []

@@ -23,7 +23,7 @@ from .errors import ValidationError
 log = logging.getLogger("codec_lm.codec")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CodecConfig:
     sample_rate: int = 8000
     stride: int = 80
@@ -38,7 +38,7 @@ class CodecConfig:
     # (stand-in for a universally pretrained codec; 0 disables)
     pitch_augment: float = 0.02
 
-    def validate(self):
+    def __post_init__(self):
         if self.stride < 1 or self.dim < 1 or self.quantizers < 1 or self.codebook_size < 1:
             raise ValidationError("codec stride/dim/quantizers/codebook_size must be positive")
         if self.dim > self.stride:
@@ -106,6 +106,9 @@ class CodebookSet:
     def synthesis(self) -> np.ndarray:  # (stride, D), a C-contiguous analysis.T
         return self.analysis.T.copy()
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
         q, k, d = self.books.shape
         if not 1 <= d <= self.stride:
@@ -120,13 +123,11 @@ class CodebookSet:
 
     @classmethod
     def load(cls, path):
-        """The codebooks saved at `path`, validated."""
+        """The codebooks saved at `path`, which must hold valid books."""
         fields, blocks = formats.read_artifact(path, "codebooks",
                                                {"stride": int, "sample_rate": int})
         formats.check_blocks(path, blocks, {"books": (None, None, None)})
-        cs = cls(books=blocks["books"].astype(np.float64), **fields)
-        cs.validate()
-        return cs
+        return cls(books=blocks["books"].astype(np.float64), **fields)
 
 
 def dct_basis(dim: int, stride: int) -> np.ndarray:
@@ -145,7 +146,6 @@ def initial_codebooks(cfg: CodecConfig, rng: np.random.Generator | None = None) 
     Useful for shape tests and as the k-means starting structure; stages >= 2
     already carry the reserved zero codeword.
     """
-    cfg.validate()
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 11]))
     books = 0.01 * rng.standard_normal((cfg.quantizers, cfg.codebook_size, cfg.dim))
@@ -317,29 +317,28 @@ def train_codebooks(waveforms, cfg: CodecConfig) -> CodebookSet:
     left by all previous stages and then has index 0 overwritten with the zero
     vector. The frame transform is the fixed orthonormal DCT basis.
     """
-    cfg.validate()
     waveforms = list(waveforms)
     if not waveforms:
         raise ValidationError("training dataset is empty")
-    if not all(np.isfinite(w.samples).all() for w in waveforms):
-        raise ValidationError("training audio contains non-finite samples")
     if cfg.pitch_augment > 0:
         p = cfg.pitch_augment
         waveforms = waveforms + [
             resample_waveform(w, f) for w in waveforms for f in (1.0 - p, 1.0 + p)
         ]
-    cs = CodebookSet(books=np.empty((cfg.quantizers, cfg.codebook_size, cfg.dim)),
-                     stride=cfg.stride, sample_rate=cfg.sample_rate)
-    frames = np.concatenate([frame_encode(w, cs) for w in waveforms], axis=0)
+    # the frame transform follows from dim and stride alone
+    transform = CodebookSet(books=np.zeros((1, 1, cfg.dim)), stride=cfg.stride,
+                            sample_rate=cfg.sample_rate)
+    frames = np.concatenate([frame_encode(w, transform) for w in waveforms], axis=0)
     log.info("training %d codebooks on %d frames", cfg.quantizers, frames.shape[0])
 
+    books = []
     resid = frames
     for j in range(cfg.quantizers):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 23, j]))
         book = kmeans_fit(resid, cfg.codebook_size, cfg.kmeans_iters, rng)
         if j > 0:
             book[0] = 0.0
-        cs.books[j] = book
+        books.append(book)
         resid = resid - book[_kernels.nearest_codeword(resid, book)]
         log.info("stage %d fitted, residual rms %.6f", j + 1, float(np.sqrt((resid**2).mean())))
-    return cs
+    return CodebookSet(books=np.stack(books), stride=cfg.stride, sample_rate=cfg.sample_rate)

@@ -22,6 +22,11 @@ The one alias is `corpus.held_out` for `held_out_speakers`. A file cannot
 set `corpus.out_dir` (the `--out` directory), `model.phoneme_vocab` (the
 frontend's inventory) or `model.codebook_size`/`quantizers` (the trained
 codec's K and Q); the commands fill these in.
+
+Values are checked when `RunConfig.build` makes a section's dataclass, whose
+`__post_init__` refuses an invalid one, so a command refuses every section it
+builds: `eval`, which builds `[train]` for its crop lengths, refuses an
+invalid `[train]` section too.
 """
 
 import math

@@ -37,10 +37,13 @@ class Waveform:
     def duration(self) -> float:
         return self.samples.size / self.sample_rate
 
-    def validate(self):
+    def __post_init__(self):
         if self.sample_rate <= 0:
             raise ValidationError("waveform.sample_rate must be positive")
-        if self.samples.size and np.max(np.abs(self.samples)) > 1.0 + 1e-9:
+        peak = np.max(np.abs(self.samples), initial=0.0)
+        if not np.isfinite(peak):
+            raise ValidationError("waveform.samples are non-finite")
+        if peak > 1.0 + 1e-9:
             raise ValidationError("waveform.samples exceed [-1, 1]")
 
 
@@ -52,19 +55,17 @@ class SpeakerSpec:
     vibrato_rate: float
     vibrato_depth: float
 
-    def validate(self):
-        if self.f0 <= 0:
+    def __post_init__(self):
+        if not self.f0 > 0:  # also refuses nan
             raise ValidationError("speaker.f0 must be positive")
         amps = np.asarray(self.harmonic_amps, dtype=np.float64)
-        if amps.size == 0:
-            raise ValidationError("speaker.harmonic_amps must be nonempty")
-        if np.any(amps < 0) or not np.any(amps > 0):
+        if not (np.all(amps >= 0) and np.any(amps > 0)):
             raise ValidationError(
                 "speaker.harmonic_amps must be nonnegative with at least one positive"
             )
         if not 0.0 <= self.vibrato_depth <= 0.2:
             raise ValidationError("speaker.vibrato_depth must lie in [0, 0.2]")
-        if self.vibrato_rate < 0:
+        if not self.vibrato_rate >= 0:
             raise ValidationError("speaker.vibrato_rate must be nonnegative")
 
 
@@ -74,23 +75,21 @@ class ContentUnit:
     duration: float
     pitch_offset: float = 0.0  # semitones
 
+    def __post_init__(self):
+        if not self.duration > 0:
+            raise ValidationError(f"content unit duration {self.duration} must be positive")
+        if self.symbol_id not in frontend.ID_TO_SYMBOL:
+            raise ValidationError(
+                f"content unit symbol_id {self.symbol_id} not in frontend vocabulary")
+
 
 @dataclass(frozen=True)
 class ContentSeq:
-    units: tuple
+    units: tuple  # of ContentUnit
 
-    def validate(self):
+    def __post_init__(self):
         if not self.units:
             raise ValidationError("content.units must be nonempty")
-        for i, unit in enumerate(self.units):
-            if unit.duration <= 0:
-                raise ValidationError(f"content.units[{i}].duration must be positive")
-            if not 1 <= unit.symbol_id < frontend.VOCAB_SIZE or (
-                unit.symbol_id not in frontend.ID_TO_SYMBOL
-            ):
-                raise ValidationError(
-                    f"content.units[{i}].symbol_id {unit.symbol_id} not in frontend vocabulary"
-                )
 
     def text(self) -> str:
         return "".join(frontend.ID_TO_SYMBOL[u.symbol_id] for u in self.units)
@@ -120,8 +119,6 @@ def generate_utterance(
     Deterministic for fixed arguments: the seed only drives the vibrato
     starting phase.
     """
-    spec.validate()
-    content.validate()
     if sample_rate < 8000:
         raise ValidationError("sample_rate must be at least 8000 Hz")
 
@@ -169,7 +166,6 @@ def generate_utterance(
         pos += n
 
     wav = Waveform(samples=samples, sample_rate=sample_rate)
-    wav.validate()
     return Utterance(speaker=spec, content=content, waveform=wav, text=content.text())
 
 
@@ -253,7 +249,7 @@ UNIT_QUANTUM = 0.01  # unit durations snap to this (envelope ramp length)
 ALPHABET = "aeioubdg"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorpusConfig:
     out_dir: Path
     speakers: int = 10
@@ -264,7 +260,7 @@ class CorpusConfig:
     sample_rate: int = 8000
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         problems = []
         if self.speakers < 1:
             problems.append("corpus.speakers must be >= 1")
@@ -347,7 +343,6 @@ def build_corpus(cfg: CorpusConfig):
     Held-out speakers are the last `held_out_speakers` ids and are marked
     split=eval; they appear in no train entry.
     """
-    cfg.validate()
     out = Path(cfg.out_dir)
     (out / "audio").mkdir(parents=True, exist_ok=True)
     specs = make_speakers(cfg)
@@ -410,9 +405,13 @@ class CorpusData:
 
 
 def read_waveform(path) -> Waveform:
-    """An audio artifact as a Waveform."""
+    """An audio artifact as a Waveform; samples that are non-finite or outside
+    [-1, 1] raise ValidationError naming `path`."""
     samples, sample_rate = formats.read_audio(path)
-    return Waveform(samples=samples, sample_rate=sample_rate)
+    try:
+        return Waveform(samples=samples, sample_rate=sample_rate)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def _parse_units(triples):
@@ -438,9 +437,10 @@ def _parse_speaker(sid, f0, rate, depth, amps, split):
 
 def load_corpus(corpus_dir) -> CorpusData:
     """Read back what `build_corpus` wrote: the manifest, the unit timings of
-    alignments.tsv and the speaker table of speakers.tsv. A malformed line, or
-    a manifest entry without its alignment or speaker row, raises
-    ValidationError."""
+    alignments.tsv and the speaker table of speakers.tsv. A malformed line, a
+    row whose ContentUnit or SpeakerSpec refuses its values (such as a unit
+    duration or a speaker f0 that is not positive), or a manifest entry
+    without its alignment or speaker row, raises ValidationError."""
     root = Path(corpus_dir)
     entries = formats.read_manifest(root / "manifest.tsv")
     units = dict(formats.read_tsv(

@@ -1,9 +1,9 @@
 """Rule-based text to pseudo-phoneme conversion.
 
 Pseudo-phonemes are normalized characters (plus a few digraphs) mapped onto a
-fixed vocabulary of size VOCAB_SIZE. Id 0 is reserved for padding; the
-phoneme-EOS id used by the language models is VOCAB_SIZE itself (one past the
-vocabulary, see lm_core).
+fixed vocabulary of size VOCAB_SIZE. Id 0 is reserved: no symbol maps to it.
+The phoneme-EOS id used by the language models is VOCAB_SIZE itself (one past
+the vocabulary, see lm_core).
 """
 
 from dataclasses import dataclass
@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from .errors import ValidationError
 
 VOCAB_SIZE = 64
-PAD_ID = 0
 
 # digraphs first (longest match wins), then single characters
 _DIGRAPHS = ("ch", "sh", "th")
@@ -32,7 +31,6 @@ def vocab_table() -> str:
 @dataclass(frozen=True)
 class PhonemeSeq:
     ids: tuple
-    source_text: str
 
 
 def dedup_consecutive(ids):
@@ -74,4 +72,4 @@ def text_to_phonemes(text: str) -> PhonemeSeq:
     ids = dedup_consecutive(ids)
     if not ids:
         raise ValidationError(f"text {text!r} maps to an empty phoneme sequence")
-    return PhonemeSeq(ids=tuple(ids), source_text=text)
+    return PhonemeSeq(ids=tuple(ids))

@@ -31,7 +31,7 @@ from .errors import OptimizerError, ValidationError
 LN_EPS = 1e-5
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     layers: int = 4
     heads: int = 4
@@ -43,7 +43,7 @@ class ModelConfig:
     quantizers: int = 8
     max_len: int = 4096
 
-    def validate(self):
+    def __post_init__(self):
         if self.embed_dim % self.heads != 0:
             raise ValidationError("embed_dim must be divisible by heads")
         if not 0.0 <= self.dropout < 1.0:
@@ -561,6 +561,4 @@ def load_model(path, kind: str):
     header, params = formats.read_artifact(path, kind, {**types, "phoneme_table": str})
     if header["phoneme_table"] != frontend.vocab_table():
         raise ValidationError(f"{path}: checkpoint was written for another phoneme inventory")
-    cfg = ModelConfig(**{name: header[name] for name in types})
-    cfg.validate()
-    return cfg, params
+    return ModelConfig(**{name: header[name] for name in types}), params

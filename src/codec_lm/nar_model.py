@@ -25,7 +25,6 @@ from .lm_core import EMB_INIT_STD, ModelConfig
 
 def nar_layout(cfg: ModelConfig) -> dict:
     """The NAR model's parameters in draw order (see `lm_core.stack_layout`)."""
-    cfg.validate()
     if cfg.quantizers < 2:
         raise ValidationError("the NAR model needs at least 2 quantizers")
     d = cfg.embed_dim
@@ -97,7 +96,7 @@ def nar_loss(params, cfg: ModelConfig, batch, stage: int, *, train=False, rng=No
     """
     def example(item):
         phon_ids, prompt, target = item
-        target = lm_core.check_ids(target, cfg.codebook_size, "target code")
+        target = _check_codes(target, cfg, cfg.quantizers, "target")
         if target.shape[0] < 1:
             raise ValidationError("target has no frames")
         logits, cache = nar_forward(

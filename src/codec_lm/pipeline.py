@@ -48,7 +48,7 @@ N_TARGET_SYMBOLS = 8  # units of the speaker's other utterance that the proxy sy
 F0_TOLERANCE = 0.05  # relative f0 error that counts as a match
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     crop_min: float = 1.0
     crop_max: float = 3.0
@@ -61,7 +61,7 @@ class TrainConfig:
     log_every: int = 50
     checkpoint_every: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if not 0 < self.crop_min <= self.crop_max:
             raise ValidationError("train crop range must satisfy 0 < min <= max")
         if not 1 <= self.warmup_steps < self.total_steps:
@@ -76,14 +76,14 @@ class TrainConfig:
             raise ValidationError("train.checkpoint_every must be >= 0 (0: no step checkpoints)")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PromptSpec:
     mode: str
     enrolled_waveform: Waveform
     enrolled_text: str | None
     target_text: str
 
-    def validate(self):
+    def __post_init__(self):
         if self.mode not in ("standard", "continual"):
             raise ValidationError(f"unknown prompt mode {self.mode!r}")
         if not self.target_text or not self.target_text.strip():
@@ -204,8 +204,6 @@ def _check_dims(model_cfg: ModelConfig, cs: CodebookSet):
 
 
 def _train_common(corpus_dir, cs, model_cfg, train_cfg, out_path):
-    model_cfg.validate()
-    train_cfg.validate()
     if train_cfg.checkpoint_every and out_path is None:
         raise ValidationError("checkpoint_every needs an output path to name the step checkpoints")
     _check_dims(model_cfg, cs)
@@ -342,8 +340,6 @@ def synthesize(spec: PromptSpec, ar: ModelBundle, nar: ModelBundle, cs: Codebook
     AR model emits the acoustic EOS first, the waveform is empty and a
     warning says so.
     """
-    spec.validate()
-    sampling.validate()
     _check_dims(ar.cfg, cs)
     _check_dims(nar.cfg, cs)
     phon = build_phoneme_prompt(spec)

@@ -227,6 +227,18 @@ class TestGeneration:
         with pytest.raises(ValidationError):
             ar_model.ar_forward(params, small, phon, codes + [5])
 
+    @pytest.mark.parametrize("token", [-1, 17])
+    def test_push_out_of_range_token_rejected(self, params, cfg, token):
+        """Only a code in [0, K) can be pushed (K = 17 here): -1 would read the
+        acoustic EOS row as the last table row, and K is the EOS itself. The
+        refused push leaves the decoder as it was."""
+        dec = ar_model.ArDecoder(params, cfg, [2, 9, 4], [3, 1])
+        held, logits = dec.ac_len, dec.next_logits()
+        with pytest.raises(ValidationError, match=f"acoustic token {token} out of range"):
+            dec.push(token)
+        assert dec.ac_len == held
+        np.testing.assert_array_equal(dec.next_logits(), logits)
+
 
 class TestDropoutPaths:
     def test_training_forward_needs_rng(self, cfg, seq):

@@ -1,12 +1,15 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
 from codec_lm import config
 from codec_lm.ar_model import SamplingSpec
 from codec_lm.codec import CodecConfig
-from codec_lm.corpus import CorpusConfig
-from codec_lm.errors import ConfigError
+from codec_lm.corpus import ContentSeq, ContentUnit, CorpusConfig, SpeakerSpec, Waveform
+from codec_lm.errors import ConfigError, ValidationError
 from codec_lm.lm_core import ModelConfig
-from codec_lm.pipeline import TrainConfig
+from codec_lm.pipeline import PromptSpec, TrainConfig
 
 # The file keys as they were written out by hand, section -> key -> (type,
 # default). The schema must keep exactly these keys, types and defaults.
@@ -60,6 +63,29 @@ ORACLE = {
 
 SEEDED = ("corpus", "codec", "train", "sampling")
 
+# A valid value for every file key, unequal to every default of its section,
+# so that a key which lands on another field, or on none, is seen.
+NEW_VALUES = {
+    "corpus": {
+        "speakers": 9, "held_out": 3, "utterances_per_speaker": 5, "duration_min": 4.5,
+        "duration_max": 6.5, "sample_rate": 16000, "seed": 7,
+    },
+    "codec": {
+        "sample_rate": 16000, "stride": 160, "dim": 120, "quantizers": 4,
+        "codebook_size": 512, "kmeans_iters": 3, "pitch_augment": 0.05, "seed": 7,
+    },
+    "model": {
+        "layers": 2, "heads": 8, "embed_dim": 64, "ffn_dim": 256, "dropout": 0.2,
+        "max_len": 2048,
+    },
+    "train": {
+        "crop_min": 0.5, "crop_max": 2.0, "batch_tokens": 256, "total_steps": 400,
+        "warmup_steps": 40, "peak_lr": 2e-3, "weight_decay": 0.05, "seed": 7,
+        "log_every": 10, "checkpoint_every": 20,
+    },
+    "sampling": {"temperature": 0.7, "top_p": 0.5, "max_new_tokens": 300, "seed": 7},
+}
+
 
 def _build_all(run, out_dir="corpus_out", codebook_size=16, quantizers=3):
     return {
@@ -106,16 +132,16 @@ def test_every_file_key_reaches_its_field():
     name or under the field it is an alias of."""
     lines = []
     for sec, keys in ORACLE.items():
+        assert NEW_VALUES[sec].keys() == keys.keys()
+        defaults = [default for _, default in keys.values()]
         lines.append(f"[{sec}]")
-        for key, (typ, default) in keys.items():
-            new = typ(default + 1)
+        for key, new in NEW_VALUES[sec].items():
+            assert type(new) is keys[key][0] and new not in defaults, f"[{sec}] {key}"
             lines.append(f"{key} = {new}")
-    run = config.parse_config_text("\n".join(lines))
-    built = _build_all(run)
+    built = _build_all(config.parse_config_text("\n".join(lines)))
     fields = {"held_out": "held_out_speakers"}
-    for sec, keys in ORACLE.items():
-        for key, (typ, default) in keys.items():
-            want = typ(default + 1)
+    for sec, values in NEW_VALUES.items():
+        for key, want in values.items():
             assert getattr(built[sec], fields.get(key, key)) == want, f"[{sec}] {key}"
 
 
@@ -169,12 +195,44 @@ def test_every_override_error_reported_at_once():
     ]
 
 
+# (type, valid fields, field to spoil, invalid value, error it raises)
+BUILT_CASES = [
+    (Waveform, dict(samples=np.zeros(4), sample_rate=8000), "samples",
+     np.array([0.0, np.nan]), "non-finite"),
+    (SpeakerSpec, dict(speaker_id=0, f0=220.0, harmonic_amps=(1.0, 0.5), vibrato_rate=5.0,
+                       vibrato_depth=0.0), "f0", -150.0, "f0 must be positive"),
+    (ContentUnit, dict(symbol_id=3, duration=0.2), "duration", -0.5, "duration -0.5"),
+    (ContentSeq, dict(units=(ContentUnit(3, 0.2),)), "units", (), "nonempty"),
+    (CorpusConfig, dict(out_dir="c"), "speakers", 11, "grid has 10 points"),
+    (CodecConfig, {}, "dim", 81, "dim cannot exceed"),
+    (ModelConfig, {}, "heads", 3, "divisible by heads"),
+    (SamplingSpec, {}, "top_p", 0.0, "top_p"),
+    (TrainConfig, {}, "warmup_steps", 1000, "warmup_steps < total_steps"),
+    (PromptSpec, dict(mode="continual", enrolled_waveform=Waveform(np.zeros(4), 8000),
+                      enrolled_text=None, target_text="abc"), "mode", "whisper", "prompt mode"),
+]
+
+
+@pytest.mark.parametrize("cls, valid, field, bad, match", BUILT_CASES,
+                         ids=[case[0].__name__ for case in BUILT_CASES])
+def test_values_are_checked_when_built(cls, valid, field, bad, match):
+    """Each value type refuses an invalid field when it is built, also by
+    `dataclasses.replace`, and is frozen, so a built value stays valid."""
+    value = cls(**valid)
+    with pytest.raises(ValidationError, match=match):
+        dataclasses.replace(value, **{field: bad})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, field, bad)
+
+
 def test_file_and_overrides_set_values(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("[train]\ntotal_steps = 7\npeak_lr = 0.5\n[sampling]\ntop_p = 0.5\n")
+    path.write_text("[train]\ntotal_steps = 7\nwarmup_steps = 3\npeak_lr = 0.5\n"
+                    "[sampling]\ntop_p = 0.5\n")
     run = config.apply_overrides(config.parse_config_file(path),
                                  [" train.total_steps = 9 ", "corpus.duration_max=7.5"])
     assert run.build("train").total_steps == 9
+    assert run.build("train").warmup_steps == 3
     assert run.build("train").peak_lr == 0.5
     assert run.build("sampling").top_p == 0.5
     assert run.build("corpus", out_dir="c").duration_max == 7.5

@@ -1,4 +1,6 @@
 import hashlib
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -116,7 +118,8 @@ def test_pitch_offset_shifts_f0():
 def test_make_speakers_roster(seed):
     """Default size: distinct f0s on the 20 Hz grid over [120, 300]; the two
     held-out speakers take its centermost points, strictly inside the train
-    speakers' range; an 11th speaker finds no grid point."""
+    speakers' range; a config with an 11th speaker, which would find no grid
+    point, cannot be built."""
     specs = corpus.make_speakers(corpus.CorpusConfig(out_dir="unused", seed=seed))
     assert [s.speaker_id for s in specs] == list(range(10))
     f0s = [s.f0 for s in specs]
@@ -124,10 +127,8 @@ def test_make_speakers_roster(seed):
     train, held = f0s[:8], f0s[8:]
     assert sorted(held) == [200.0, 220.0]
     assert min(train) < min(held) and max(held) < max(train)
-    for spec in specs:
-        spec.validate()
     with pytest.raises(ValidationError, match="grid has 10 points"):
-        corpus.CorpusConfig(out_dir="unused", speakers=11).validate()
+        corpus.CorpusConfig(out_dir="unused", speakers=11)
 
 
 class TestBuildCorpus:
@@ -145,14 +146,15 @@ class TestBuildCorpus:
         assert len(evals) == 1 * 2
 
     def test_zero_utterances_rejected(self, tmp_path):
-        cfg = corpus.CorpusConfig(out_dir=tmp_path, utterances_per_speaker=0)
-        with pytest.raises(ValidationError):
-            corpus.build_corpus(cfg)
+        with pytest.raises(ValidationError, match="utterances_per_speaker"):
+            corpus.build_corpus(corpus.CorpusConfig(out_dir=tmp_path, utterances_per_speaker=0))
+        assert not any(tmp_path.iterdir())
 
     def test_more_held_out_than_speakers_rejected(self, tmp_path):
-        cfg = corpus.CorpusConfig(out_dir=tmp_path, speakers=2, held_out_speakers=3)
-        with pytest.raises(ValidationError):
-            corpus.build_corpus(cfg)
+        with pytest.raises(ValidationError, match="held_out_speakers"):
+            corpus.build_corpus(
+                corpus.CorpusConfig(out_dir=tmp_path, speakers=2, held_out_speakers=3))
+        assert not any(tmp_path.iterdir())
 
     def test_rebuild_is_bit_identical(self, tmp_path):
         """Oracle: content hash of the first run."""
@@ -183,8 +185,32 @@ class TestBuildCorpus:
             assert ids == aligned
 
     def test_speakers_file_round_trip(self, tiny_corpus_dir):
+        """speakers.tsv reads back the roster of the tiny corpus's config (4
+        speakers, 1 held out, seed 7) exactly."""
         table = corpus.load_corpus(tiny_corpus_dir).speakers
-        assert len(table) == 4
-        spec, split = table[3]
-        assert split == "eval"
-        spec.validate()
+        roster = corpus.make_speakers(
+            corpus.CorpusConfig(out_dir="unused", speakers=4, held_out_speakers=1, seed=7))
+        assert table == {s.speaker_id: (s, "train" if s.speaker_id < 3 else "eval")
+                         for s in roster}
+
+    @pytest.mark.parametrize("table, lineno, column, value, message", [
+        ("speakers.tsv", 1, 1, "0.0", "speaker.f0 must be positive"),
+        ("speakers.tsv", 1, 1, "-150.0", "speaker.f0 must be positive"),
+        ("speakers.tsv", 2, 4, "-1.0,0.5", "speaker.harmonic_amps must be nonnegative"),
+        ("alignments.tsv", 3, 1, "a:-0.5:0.0", "content unit duration -0.5 must be positive"),
+        ("alignments.tsv", 3, 1, "a:0.2:0.0 e:0.0:0.0", "content unit duration 0.0 must"),
+    ])
+    def test_load_refuses_invalid_rows(self, tiny_corpus_dir, tmp_path, table, lineno,
+                                       column, value, message):
+        """A table row whose record refuses its values is an error naming
+        `path:line`."""
+        root = tmp_path / "corpus"
+        shutil.copytree(tiny_corpus_dir, root)
+        path = root / table
+        lines = path.read_text().splitlines()
+        fields = lines[lineno - 1].split("\t")
+        fields[column] = value
+        lines[lineno - 1] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}:{lineno}: {message}")):
+            corpus.load_corpus(root)

@@ -437,7 +437,7 @@ class TestNucleusSampling:
         with pytest.raises(ValidationError):
             lm_core.nucleus_sample(np.array([0.0, 5.0, 1.0]), math.nan, 0.9, rng)
         with pytest.raises(ValidationError):
-            ar_model.SamplingSpec(temperature=math.nan).validate()
+            ar_model.SamplingSpec(temperature=math.nan)
 
 
 @dataclass

@@ -215,6 +215,14 @@ class TestLoss:
         assert loss0 > 0.5
         assert f"acoustic_emb.1" in grads
 
+    def test_target_must_be_a_code_matrix(self, params, cfg, inputs):
+        """A target of shape (T,) or (T, Q-1) is refused by name, not by an
+        IndexError from slicing its stages."""
+        phon, prompt, target = inputs
+        for bad in (target[:, 0], target[:, :-1]):
+            with pytest.raises(ValidationError, match="target codes must have exactly 4"):
+                nar_model.nar_loss(params, cfg, [(phon, prompt, bad)], 2)
+
 
 class TestGenerateAll:
     def test_column_one_passthrough(self, params, cfg, inputs):
