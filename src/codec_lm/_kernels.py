@@ -21,7 +21,10 @@ once the best is masked out, lies within that slack of its best. The bound,
 20*(D+2)*eps, is several times the worst-case rounding of the expanded form
 and of the direct distance together (about 4*(D+3)*eps), so the results are
 those of the direct formula even where the expanded form goes negative
-(residuals of about 1e-13). `tests/test_kernels.py` holds the kernels to
+(residuals of about 1e-13). An all-zero book, which `codec.train_codebooks`
+gives the stages past its residual floor, ties every codeword on every row,
+so `nearest_codeword` returns code 0 for it without scoring a row: exactly
+the direct formula's answer. `tests/test_kernels.py` holds the kernels to
 these contracts; the traced run of `perfbench/run.py` (`--trace 1`) reports
 the time of `kernels.nearest_codeword` and `kernels.cluster_accumulate`.
 """
@@ -57,6 +60,8 @@ def nearest_codeword(frames: np.ndarray, book: np.ndarray) -> np.ndarray:
     # norm and the rounding of the direct distances). Those rows are re-scored
     # by direct differences, as the oracle in the contract does.
     n, dim = frames.shape
+    if not book.any():  # every codeword ties, so the smallest index wins
+        return np.zeros(n, dtype=np.int64)
     k = book.shape[0]
     codes = np.empty(n, dtype=np.int64)
     book_sq = np.einsum("kd,kd->k", book, book)

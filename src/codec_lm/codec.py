@@ -6,7 +6,9 @@ is exact. The transform follows from `(dim, stride)` and is not stored: a
 codebook file holds the fitted books, the stride and the sample rate. Each
 frame embedding is quantized by a stack of residually trained k-means
 codebooks; stages 2..Q reserve index 0 as the all-zero codeword, which makes
-reconstruction error provably non-increasing in the number of stages.
+reconstruction error provably non-increasing in the number of stages. Books
+are fitted at the float32 precision a codebook file stores, and a stage left
+no residual above the rounding floor gets the all-zero book instead of a fit.
 """
 
 import logging
@@ -315,7 +317,16 @@ def train_codebooks(waveforms, cfg: CodecConfig) -> CodebookSet:
 
     Stage 1 fits the raw frame embeddings; each later stage fits the residual
     left by all previous stages and then has index 0 overwritten with the zero
-    vector. The frame transform is the fixed orthonormal DCT basis.
+    vector. Each book is rounded to float32 before its residual is formed. The
+    frame transform is the fixed orthonormal DCT basis.
+
+    A later stage with no input row whose squared norm exceeds the floor,
+    `_kernels._rounding_slack(D)` times the median squared norm of the stage-1
+    frames, holds only rounding noise: it gets the all-zero book, runs no
+    k-means and logs a warning. The test is on every row, not the median: on
+    the benchmark corpus (seed 1, no augment) the median stage-5 input is
+    8e-16 of the stage-1 scale, under the floor, yet 41-43% of its rows lie
+    above it, and stage 5 adds 4.8-8.6 dB of SNR on new utterances.
     """
     waveforms = list(waveforms)
     if not waveforms:
@@ -331,13 +342,20 @@ def train_codebooks(waveforms, cfg: CodecConfig) -> CodebookSet:
     frames = np.concatenate([frame_encode(w, transform) for w in waveforms], axis=0)
     log.info("training %d codebooks on %d frames", cfg.quantizers, frames.shape[0])
 
+    scale = float(np.median(np.einsum("nd,nd->n", frames, frames)))
+    floor = _kernels._rounding_slack(cfg.dim) * scale
     books = []
     resid = frames
     for j in range(cfg.quantizers):
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 23, j]))
-        book = kmeans_fit(resid, cfg.codebook_size, cfg.kmeans_iters, rng)
-        if j > 0:
-            book[0] = 0.0
+        if j > 0 and not np.any(np.einsum("nd,nd->n", resid, resid) > floor):
+            log.warning("stage %d: no residual above the rounding floor; zero book", j + 1)
+            book = np.zeros((cfg.codebook_size, cfg.dim))
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 23, j]))
+            book = kmeans_fit(resid, cfg.codebook_size, cfg.kmeans_iters, rng)
+            if j > 0:
+                book[0] = 0.0
+        book = book.astype(np.float32).astype(np.float64)  # the precision `save` stores
         books.append(book)
         resid = resid - book[_kernels.nearest_codeword(resid, book)]
         log.info("stage %d fitted, residual rms %.6f", j + 1, float(np.sqrt((resid**2).mean())))

@@ -20,6 +20,7 @@ by construction: a head is an embedding table, read by name (e.g. the AR
 output projection IS the acoustic embedding table), so tying cannot drift.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -68,11 +69,13 @@ class ModelConfig:
 
 # -- positions -------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=8)
 def sinusoidal_positions(length: int, dim: int, start: int = 0) -> np.ndarray:
     """Fixed sinusoid table for positions start..start+length-1: entry
     (p, 2k) = sin(p / 10000^(2k/dim)), entry (p, 2k+1) = cos of the same
     angle. Each row depends only on its position, so a window equals the
-    same rows of a table that starts at 0."""
+    same rows of a table that starts at 0; `lm_forward` adds windows of the
+    (max_len, dim) table. Tables are cached and read-only."""
     if dim % 2 != 0:
         raise ValidationError("position encoding dim must be even")
     if length < 0 or start < 0:
@@ -83,6 +86,7 @@ def sinusoidal_positions(length: int, dim: int, start: int = 0) -> np.ndarray:
     out = np.empty((length, dim), dtype=np.float64)
     out[:, 0::2] = np.sin(angles)
     out[:, 1::2] = np.cos(angles)
+    out.flags.writeable = False
     return out
 
 
@@ -378,9 +382,12 @@ def lm_forward(params, cfg: ModelConfig, lookups, segments, head: str, rows, *, 
     x = np.zeros((n, cfg.embed_dim), params[head].dtype)
     for table, ids, first in lookups:
         x[first : first + len(ids)] += params[table][ids]
+    positions = sinusoidal_positions(cfg.max_len, cfg.embed_dim)
     row = 0
     for length, start in segments:
-        x[row : row + length] += sinusoidal_positions(length, cfg.embed_dim, start)
+        if start + length > cfg.max_len:
+            raise ValidationError(f"sequence length {start + length} exceeds max_len {cfg.max_len}")
+        x[row : row + length] += positions[start : start + length]
         row += length
     stage_vec = None if stage is None else params["stage_emb"][stage]
     out, trunk = stack_forward(params, cfg, x, causal, stage_vec=stage_vec, train=train, rng=rng,
@@ -555,10 +562,13 @@ def save_model(path, kind: str, cfg: ModelConfig, params: dict, extra: dict | No
 
 def load_model(path, kind: str):
     """Returns (ModelConfig, params) of the `kind` checkpoint at `path`.
-    Rejects a checkpoint of another kind, written for another phoneme
-    inventory, or with a model field missing or of the wrong type."""
+    Rejects a checkpoint of another kind or phoneme inventory, or with a model
+    field missing, of the wrong type or refused by ModelConfig."""
     types = {f.name: f.type for f in fields(ModelConfig)}
     header, params = formats.read_artifact(path, kind, {**types, "phoneme_table": str})
     if header["phoneme_table"] != frontend.vocab_table():
         raise ValidationError(f"{path}: checkpoint was written for another phoneme inventory")
-    return ModelConfig(**{name: header[name] for name in types}), params
+    try:
+        return ModelConfig(**{name: header[name] for name in types}), params
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codec_lm import _kernels, codec
+from codec_lm import _kernels, codec, corpus, pipeline
 from codec_lm.corpus import Waveform
 from codec_lm.errors import ValidationError
 
@@ -381,8 +381,36 @@ class TestTrainCodebooks:
         distinct = np.unique(codec.frame_encode(Waveform(samples, 8000), cs), axis=0)
         m = distinct.shape[0]
         assert m < 16
-        np.testing.assert_array_equal(cs.books[0, :m], distinct)
+        # the books are fitted at the float32 precision `save` stores
+        np.testing.assert_array_equal(cs.books[0, :m], distinct.astype(np.float32))
         assert not cs.books[0, m:].any()
+
+    def test_stage_past_the_residual_floor_gets_the_zero_book(self, rng, caplog):
+        """Frames a, b and one c = b + delta; stage 1 (K=2) merges b and c.
+        Stage 2's input has one row above the floor, c's, so it is fitted;
+        stage 3's has none, so it gets the zero book and a warning, and adds
+        nothing to the reconstruction."""
+        cfg = codec.CodecConfig(sample_rate=8000, stride=4, dim=4, quantizers=3,
+                                codebook_size=2, kmeans_iters=5, seed=4, pitch_augment=0.0)
+        a = np.array([0.5, 0.125, 0.0, -0.25])
+        b = np.array([-0.125, 0.25, 0.1875, 0.0625])  # float32-exact, as is a
+        frames = np.stack([a] * 600 + [b] * 399 + [b + [0.0, 4e-6, 0.0, 0.0]])
+        order = rng.permutation(len(frames))
+        c_row = int(np.flatnonzero(order == len(frames) - 1)[0])
+        w = Waveform((frames[order] @ codec.dct_basis(4, 4)).reshape(-1), 8000)
+        with caplog.at_level("WARNING"):
+            cs = codec.train_codebooks([w], cfg)
+        x = codec.frame_encode(w, cs)
+        floor = _kernels._rounding_slack(4) * np.median((x**2).sum(axis=1))
+        resid = x - cs.books[0][_kernels.nearest_codeword(x, cs.books[0])]
+        assert np.flatnonzero((resid**2).sum(axis=1) > floor).tolist() == [c_row]
+        assert cs.books[1].any() and not cs.books[2].any()
+        assert "stage 3: no residual above the rounding floor" in caplog.text
+        assert "stage 2" not in caplog.text
+        cm = codec.encode(w, cs)
+        assert cm.codes[c_row, 1] != 0
+        snr = [codec.reconstruction_snr(w, codec.decode(cm, cs, stages=j)) for j in (1, 2, 3)]
+        assert snr[1] > snr[0] and snr[2] == snr[1]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_audio_rejected(self, rng, bad):
@@ -411,6 +439,24 @@ class TestCodebookIO:
         assert back.stride == tiny_codec.stride
         assert back.sample_rate == tiny_codec.sample_rate
         np.testing.assert_array_equal(back.books, tiny_codec.books.astype(np.float32))
+
+    @pytest.mark.parametrize("cfg", [codec.CodecConfig(seed=1, pitch_augment=0.0),
+                                     codec.CodecConfig(seed=1)], ids=["no_augment", "default"])
+    def test_fitted_and_loaded_codecs_encode_alike(self, tmp_path, tiny_corpus_dir, cfg):
+        """The books are fitted at the float32 precision `save` stores, so the
+        fitted set and the one read back give equal codes at every stage, on
+        both splits."""
+        data = corpus.load_corpus(tiny_corpus_dir)
+        cs = codec.train_codebooks(
+            [corpus.read_waveform(r.path) for r in data.split_records("train")], cfg)
+        path = tmp_path / "books.cbk"
+        cs.save(path)
+        back = codec.CodebookSet.load(path)
+        np.testing.assert_array_equal(back.books, cs.books)
+        for split in ("train", "eval"):
+            for fitted, loaded in zip(pipeline.tokenize_split(data, cs, split),
+                                      pipeline.tokenize_split(data, back, split), strict=True):
+                np.testing.assert_array_equal(loaded.codes, fitted.codes)
 
     def test_loaded_codec_transforms_bit_for_bit(self, tmp_path, rng):
         """The frame transform is derived, not stored: a loaded codec's

@@ -61,6 +61,25 @@ def test_exact_match_gives_zero_residual(rng):
         _check_exact_match(_near_duplicate_book(seed))
 
 
+class _NoRescoring:
+    """Stands in for the re-scoring block size: sizing a block fails."""
+
+    def __floordiv__(self, other):
+        raise AssertionError("nearest_codeword sized a re-scoring block")
+
+
+def test_zero_book_gives_code_zero_without_rescoring(make_rows, rng, monkeypatch):
+    """Every codeword of an all-zero book ties, so the oracle gives index 0
+    for every row; the kernel returns that without re-scoring a row."""
+    frames = make_rows(rng)
+    book = np.zeros((16, frames.shape[1]))
+    want = _brute_nearest(frames, book)
+    monkeypatch.setattr(_kernels, "_RESCORE_BLOCK", _NoRescoring())
+    codes = _kernels.nearest_codeword(frames, book)
+    np.testing.assert_array_equal(codes, want)
+    assert codes.dtype == np.int64
+
+
 def test_shrink_sq_dist_matches_minimum_oracle(make_rows, rng):
     data = make_rows(rng)
     data_sq = np.einsum("nd,nd->n", data, data)

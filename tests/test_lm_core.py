@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -41,6 +41,15 @@ class TestSinusoidalPositions:
                 lm_core.sinusoidal_positions(p + 1, d)[-1:],
             )
 
+    def test_table_is_built_once_and_read_only(self):
+        """lm_forward adds windows of one cached (max_len, dim) table."""
+        d, n = ModelConfig().embed_dim, ModelConfig().max_len
+        table = lm_core.sinusoidal_positions(n, d)
+        assert lm_core.sinusoidal_positions(n, d) is table
+        assert table.shape == (n, d) and not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
+
 
 INPUT_CFG = ModelConfig(layers=1, heads=2, embed_dim=8, ffn_dim=16, dropout=0.0)
 
@@ -69,6 +78,14 @@ class TestSegmentedPositions:
                          [(3, 0), (2, 0), (1, 7)])
         single = lm_core.sinusoidal_positions(8, 8)
         np.testing.assert_array_equal(x, np.concatenate([single[:3], single[:2], single[7:]]))
+
+    def test_segment_past_max_len_rejected(self, rng):
+        """A segment longer than the position table is refused as too long a
+        sequence, not by a shape error."""
+        params = _input_params(rng, 1)
+        cfg = replace(INPUT_CFG, max_len=16)
+        with pytest.raises(ValidationError, match="sequence length 20 exceeds max_len 16"):
+            lm_core.lm_forward(params, cfg, [], [(20, 0)], "head", slice(None), causal=False)
 
 
 class TestLmInput:
@@ -585,6 +602,8 @@ class TestCheckpointHelpers:
         ("phoneme_table", "a,b,c", "phoneme inventory"),
         pytest.param("layers", None, "field layers is missing", id="layers-None-model field layers"),
         pytest.param("layers", "two", "field layers='two' is not int", id="layers-two-model field layers"),
+        pytest.param("heads", "3", r"m\.ckp: embed_dim must be divisible by heads",
+                     id="heads-3-model values"),
     ])
     def test_foreign_checkpoint_rejected(self, tmp_path, rng, field, value, message):
         params = ar_model.init_ar_params(self.CFG, rng)

@@ -140,6 +140,23 @@ def test_evaluate_encodes_each_record_once(tiny_corpus_dir, tiny_codec, monkeypa
     assert [m for m, _, _ in rows[-q:]] == [f"codec_snr_stages_{j}" for j in range(1, q + 1)]
 
 
+def test_evaluate_rows_without_synthesis(tiny_corpus_dir, tiny_codec):
+    """The rows are AR accuracy, NAR accuracy per stage 2..Q and codec SNR
+    per stage count 1..Q, in that order, all on the split and all finite; a
+    later stage never lowers the SNR."""
+    ar, nar = _bundles(_small_cfg(tiny_codec))
+    rows = pipeline.evaluate(tiny_corpus_dir, tiny_codec, ar, nar, with_synthesis=False)
+    q = tiny_codec.quantizers
+    assert [name for name, _, _ in rows] == (
+        ["ar_teacher_forced_accuracy"]
+        + [f"nar_stage{j}_accuracy" for j in range(2, q + 1)]
+        + [f"codec_snr_stages_{j}" for j in range(1, q + 1)])
+    assert {split for _, split, _ in rows} == {"eval"}
+    assert all(np.isfinite(value) for _, _, value in rows)
+    snr = [value for _, _, value in rows[-q:]]
+    assert all(later >= earlier for earlier, later in zip(snr, snr[1:]))
+
+
 def _nar_train_cfg():
     return pipeline.TrainConfig(total_steps=2, warmup_steps=1, batch_tokens=64, log_every=1)
 
