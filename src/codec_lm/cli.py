@@ -66,7 +66,7 @@ def cmd_train_codec(args) -> int:
     run = _load_run_config(args)
     out = _guard_out(args.out, args.force)
     waves = _load_train_split_waveforms(args.corpus)
-    cs = codec.train_codebooks(waves, run.build("codec"))
+    cs = codec.train_codebooks(waves, run.build("codec", sample_rate=waves[0].sample_rate))
     cs.save(out)
     log.info("codebooks written to %s", out)
     return 0

@@ -6,22 +6,23 @@ and every offending key is reported at once.
 
 The config dataclasses are the only definition of the fields: `SCHEMA` is
 derived from `dataclasses.fields`, so every file key has its field's type and
-default. The 35 file keys:
+default. The 34 file keys:
 
 - corpus: speakers, held_out, utterances_per_speaker, duration_min,
   duration_max, sample_rate, seed (the generator's shape is fixed in
   `corpus.py`);
-- codec: sample_rate, stride, dim, quantizers, codebook_size, kmeans_iters,
-  seed, pitch_augment;
+- codec: stride, dim, quantizers, codebook_size, kmeans_iters, seed,
+  pitch_augment;
 - model: layers, heads, embed_dim, ffn_dim, dropout, max_len;
 - train: crop_min, crop_max, batch_tokens, total_steps, warmup_steps,
   peak_lr, weight_decay, seed, log_every, checkpoint_every;
 - sampling: temperature, top_p, seed, max_new_tokens.
 
 The one alias is `corpus.held_out` for `held_out_speakers`. A file cannot
-set `corpus.out_dir` (the `--out` directory), `model.phoneme_vocab` (the
-frontend's inventory) or `model.codebook_size`/`quantizers` (the trained
-codec's K and Q); the commands fill these in.
+set `corpus.out_dir` (the `--out` directory), `codec.sample_rate` (the
+training audio's rate), `model.phoneme_vocab` (the frontend's inventory) or
+`model.codebook_size`/`quantizers` (the trained codec's K and Q); the
+commands fill these in.
 
 Values are checked when `RunConfig.build` makes a section's dataclass, whose
 `__post_init__` refuses an invalid one, so a command refuses every section it
@@ -42,7 +43,7 @@ from .pipeline import TrainConfig
 # section -> (dataclass, {file key: field name}, fields the file cannot set)
 SECTIONS = {
     "corpus": (CorpusConfig, {"held_out": "held_out_speakers"}, ("out_dir",)),
-    "codec": (CodecConfig, {}, ()),
+    "codec": (CodecConfig, {}, ("sample_rate",)),
     "model": (ModelConfig, {}, ("phoneme_vocab", "codebook_size", "quantizers")),
     "train": (TrainConfig, {}, ()),
     "sampling": (SamplingSpec, {}, ()),

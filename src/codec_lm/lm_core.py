@@ -1,10 +1,11 @@
 """Shared neural machinery for both language models.
 
 Everything is plain numpy with hand-written backward passes: embeddings,
-sinusoidal positions, causal or full multi-head self-attention, LayerNorm and
-its stage-conditioned AdaLN variant, position-wise feed-forward blocks,
-cross-entropy, AdamW with linear warmup/decay, nucleus sampling, and model
-checkpoints.
+sinusoidal positions, causal or full multi-head self-attention, LayerNorm,
+position-wise feed-forward blocks, cross-entropy, AdamW with linear
+warmup/decay, nucleus sampling, and model checkpoints. AdaLN is LayerNorm
+whose (scale, shift) pair, a stored `affine` block, gains the stage vector's
+projection through a `proj` block; the norm code is otherwise one path.
 
 The AR and NAR models are one pass, `lm_forward`/`lm_backward`: summed table
 lookups plus positions, the trunk, and an output head tied to an embedding
@@ -160,29 +161,30 @@ def stack_layout(cfg: ModelConfig, adaln: bool) -> dict:
     """Transformer trunk parameters (no embeddings) in draw order: name ->
     (shape, "normal", std) for a drawn block or (shape, "fill", value) for a
     constant one. Residual-branch output projections are scaled down by
-    sqrt(2 * layers)."""
+    sqrt(2 * layers).
+
+    Each norm site has one `affine` block of (scale, shift) rows, filled with
+    (1, 0); an AdaLN site adds a drawn `proj` block whose rows map the stage
+    vector to the scale and the shift. Each attention has one stacked q/k/v
+    weight `wqkv` and bias `bqkv`. A drawn (n, d, d) block takes the same
+    values from the stream as n consecutive (d, d) draws, so this layout
+    draws what separate per-projection blocks would."""
     d, f = cfg.embed_dim, cfg.ffn_dim
     out_std = W_INIT_STD / math.sqrt(2.0 * cfg.layers)
     layout = {}
 
     def norm_site(name):
+        layout[f"{name}.affine"] = ((2, d), "fill", ((1.0,), (0.0,)))
         if adaln:
-            layout[f"{name}.pa"] = ((d, d), "normal", W_INIT_STD)
-            layout[f"{name}.ba"] = ((d,), "fill", 1.0)
-            layout[f"{name}.pb"] = ((d, d), "normal", W_INIT_STD)
-            layout[f"{name}.bb"] = ((d,), "fill", 0.0)
-        else:
-            layout[f"{name}.g"] = ((d,), "fill", 1.0)
-            layout[f"{name}.b"] = ((d,), "fill", 0.0)
+            layout[f"{name}.proj"] = ((2, d, d), "normal", W_INIT_STD)
 
     for i in range(cfg.layers):
         p = f"layers.{i}"
         norm_site(f"{p}.ln1")
-        for w in ("wq", "wk", "wv"):
-            layout[f"{p}.attn.{w}"] = ((d, d), "normal", W_INIT_STD)
+        layout[f"{p}.attn.wqkv"] = ((3, d, d), "normal", W_INIT_STD)
+        layout[f"{p}.attn.bqkv"] = ((3, d), "fill", 0.0)
         layout[f"{p}.attn.wo"] = ((d, d), "normal", out_std)
-        for b in ("bq", "bk", "bv", "bo"):
-            layout[f"{p}.attn.{b}"] = ((d,), "fill", 0.0)
+        layout[f"{p}.attn.bo"] = ((d,), "fill", 0.0)
         norm_site(f"{p}.ln2")
         layout[f"{p}.ffn.w1"] = ((d, f), "normal", W_INIT_STD)
         layout[f"{p}.ffn.b1"] = ((f,), "fill", 0.0)
@@ -220,15 +222,16 @@ def stack_forward(params, cfg: ModelConfig, x, causal: bool, *, stage_vec=None, 
     """Run the transformer trunk. x: (T, d) summed embeddings (+ positions).
 
     `causal` lets each position attend only to itself and earlier ones;
-    otherwise attention is full. stage_vec selects AdaLN conditioning (NAR);
-    None selects plain LayerNorm with learned gain/bias (AR). With `kv`, for
-    incremental decoding, each layer attends to the cached positions followed
-    by the T new ones, and the new keys and values are appended to the cache.
-    Returns (output (T, d), cache); the cache's per-layer kh/vh hold every key
-    and value the layer attended to. Backward needs a cache made without kv.
+    otherwise attention is full. Every norm site is LayerNorm with a (scale,
+    shift) pair: its `affine` block, plus, when `stage_vec` is given (AdaLN,
+    NAR), the stage vector's projection through its `proj` block. With `kv`,
+    for incremental decoding, each layer attends to the cached positions
+    followed by the T new ones, and the new keys and values are appended to
+    the cache. Returns (output (T, d), cache); the cache's per-layer kh/vh
+    hold every key and value the layer attended to. Backward needs a cache
+    made without kv.
     """
-    adaln = stage_vec is not None
-    cache = {"adaln": adaln, "stage_vec": stage_vec, "layers": []}
+    cache = {"stage_vec": stage_vec, "layers": []}
     h, t = cfg.heads, x.shape[0]
     hd = cfg.head_dim
     start = 0 if kv is None else kv.length
@@ -243,25 +246,18 @@ def stack_forward(params, cfg: ModelConfig, x, causal: bool, *, stage_vec=None, 
     x, cache["emb_drop"] = _dropout(x, cfg.dropout, rng, train)
 
     def norm_fwd(name, h):
+        ab = params[f"{name}.affine"]
+        if stage_vec is not None:
+            ab = stage_vec @ params[f"{name}.proj"] + ab
         xhat, inv = _ln_core_forward(h)
-        if adaln:
-            # scale and shift: linear projections of the stage embedding
-            a = stage_vec @ params[f"{name}.pa"] + params[f"{name}.ba"]
-            b = stage_vec @ params[f"{name}.pb"] + params[f"{name}.bb"]
-            return a * xhat + b, {"xhat": xhat, "inv": inv, "a": a}
-        g = params[f"{name}.g"]
-        return g * xhat + params[f"{name}.b"], {"xhat": xhat, "inv": inv, "g": g}
+        return ab[0] * xhat + ab[1], {"xhat": xhat, "inv": inv, "ab": ab}
 
     for i in range(cfg.layers):
         p = f"layers.{i}"
         lc = {}
         n1, lc["ln1"] = norm_fwd(f"{p}.ln1", x)
-        q = n1 @ params[f"{p}.attn.wq"] + params[f"{p}.attn.bq"]
-        k = n1 @ params[f"{p}.attn.wk"] + params[f"{p}.attn.bk"]
-        v = n1 @ params[f"{p}.attn.wv"] + params[f"{p}.attn.bv"]
-        qh = q.reshape(t, h, hd).transpose(1, 0, 2)
-        kh = k.reshape(t, h, hd).transpose(1, 0, 2)
-        vh = v.reshape(t, h, hd).transpose(1, 0, 2)
+        qkv = n1 @ params[f"{p}.attn.wqkv"] + params[f"{p}.attn.bqkv"][:, None]
+        qh, kh, vh = qkv.reshape(3, t, h, hd).transpose(0, 2, 1, 3)
         if kv is not None:
             kv.keys[i][:, start:end] = kh
             kv.values[i][:, start:end] = vh
@@ -290,36 +286,21 @@ def stack_forward(params, cfg: ModelConfig, x, causal: bool, *, stage_vec=None, 
 
 def stack_backward(params, cfg: ModelConfig, cache, dout):
     """Backward through stack_forward. Returns (dx, grads, dstage_vec)."""
-    adaln = cache["adaln"]
     stage_vec = cache["stage_vec"]
     grads = {}
-    dstage = np.zeros_like(stage_vec) if adaln else None
-
-    def acc(name, g):
-        if name in grads:
-            grads[name] += g
-        else:
-            grads[name] = g
+    dstage = None if stage_vec is None else np.zeros_like(stage_vec)
 
     def norm_bwd(name, dy, nc):
-        nonlocal dstage
-        xhat, inv = nc["xhat"], nc["inv"]
-        if adaln:
-            da = (dy * xhat).sum(axis=0)
-            db = dy.sum(axis=0)
-            acc(f"{name}.pa", np.outer(stage_vec, da))
-            acc(f"{name}.ba", da)
-            acc(f"{name}.pb", np.outer(stage_vec, db))
-            acc(f"{name}.bb", db)
-            dstage += params[f"{name}.pa"] @ da + params[f"{name}.pb"] @ db
-            dxhat = dy * nc["a"]
-        else:
-            acc(f"{name}.g", (dy * xhat).sum(axis=0))
-            acc(f"{name}.b", dy.sum(axis=0))
-            dxhat = dy * nc["g"]
-        return _ln_core_backward(dxhat, xhat, inv)
+        xhat = nc["xhat"]
+        dab = np.stack(((dy * xhat).sum(axis=0), dy.sum(axis=0)))
+        grads[f"{name}.affine"] = dab
+        if stage_vec is not None:
+            grads[f"{name}.proj"] = stage_vec[:, None] * dab[:, None]
+            proj = params[f"{name}.proj"]
+            dstage[...] += proj[0] @ dab[0] + proj[1] @ dab[1]
+        return _ln_core_backward(dy * nc["ab"][0], xhat, nc["inv"])
 
-    h, hd = cfg.heads, cfg.head_dim
+    h, hd, d = cfg.heads, cfg.head_dim, cfg.embed_dim
     dx = norm_bwd("ln_f", dout, cache["ln_f"])
 
     for i in reversed(range(cfg.layers)):
@@ -329,36 +310,26 @@ def stack_backward(params, cfg: ModelConfig, cache, dout):
 
         # feed-forward branch
         df = dx if lc["drop2"] is None else dx * lc["drop2"]
-        acc(f"{p}.ffn.w2", lc["relu"].T @ df)
-        acc(f"{p}.ffn.b2", df.sum(axis=0))
+        grads[f"{p}.ffn.w2"] = lc["relu"].T @ df
+        grads[f"{p}.ffn.b2"] = df.sum(axis=0)
         dr = df @ params[f"{p}.ffn.w2"].T
         dh1 = dr * (lc["relu"] > 0.0)
-        acc(f"{p}.ffn.w1", lc["n2"].T @ dh1)
-        acc(f"{p}.ffn.b1", dh1.sum(axis=0))
+        grads[f"{p}.ffn.w1"] = lc["n2"].T @ dh1
+        grads[f"{p}.ffn.b1"] = dh1.sum(axis=0)
         dn2 = dh1 @ params[f"{p}.ffn.w1"].T
         dx = dx + norm_bwd(f"{p}.ln2", dn2, lc["ln2"])
 
         # attention branch
         da = dx if lc["drop1"] is None else dx * lc["drop1"]
-        acc(f"{p}.attn.wo", lc["ctx_flat"].T @ da)
-        acc(f"{p}.attn.bo", da.sum(axis=0))
+        grads[f"{p}.attn.wo"] = lc["ctx_flat"].T @ da
+        grads[f"{p}.attn.bo"] = da.sum(axis=0)
         dctx_flat = da @ params[f"{p}.attn.wo"].T
         dctx = dctx_flat.reshape(t, h, hd).transpose(1, 0, 2)
-        dqh, dkh, dvh = _attention_backward(dctx, lc["qh"], lc["kh"], lc["vh"], lc["probs"])
-        dq = dqh.transpose(1, 0, 2).reshape(t, cfg.embed_dim)
-        dk = dkh.transpose(1, 0, 2).reshape(t, cfg.embed_dim)
-        dv = dvh.transpose(1, 0, 2).reshape(t, cfg.embed_dim)
-        acc(f"{p}.attn.wq", lc["n1"].T @ dq)
-        acc(f"{p}.attn.bq", dq.sum(axis=0))
-        acc(f"{p}.attn.wk", lc["n1"].T @ dk)
-        acc(f"{p}.attn.bk", dk.sum(axis=0))
-        acc(f"{p}.attn.wv", lc["n1"].T @ dv)
-        acc(f"{p}.attn.bv", dv.sum(axis=0))
-        dn1 = (
-            dq @ params[f"{p}.attn.wq"].T
-            + dk @ params[f"{p}.attn.wk"].T
-            + dv @ params[f"{p}.attn.wv"].T
-        )
+        dqkvh = _attention_backward(dctx, lc["qh"], lc["kh"], lc["vh"], lc["probs"])
+        dqkv = np.stack([g.transpose(1, 0, 2) for g in dqkvh]).reshape(3, t, d)
+        grads[f"{p}.attn.wqkv"] = lc["n1"].T @ dqkv
+        grads[f"{p}.attn.bqkv"] = dqkv.sum(axis=1)
+        dn1 = np.add.reduce(dqkv @ params[f"{p}.attn.wqkv"].transpose(0, 2, 1))
         dx = dx + norm_bwd(f"{p}.ln1", dn1, lc["ln1"])
 
     if cache["emb_drop"] is not None:
@@ -547,7 +518,7 @@ def nucleus_sample(logits, temperature: float, top_p: float, rng: np.random.Gene
     kept_probs /= kept_probs.sum()
     r = rng.random()
     idx = int(np.searchsorted(np.cumsum(kept_probs), r))
-    return int(kept[min(idx, cut - 1)])
+    return int(kept[min(idx, len(kept) - 1)])
 
 
 # -- checkpoints ----------------------------------------------------------------------------

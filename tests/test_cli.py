@@ -112,6 +112,22 @@ def test_unknown_set_key_exits_2(chain, tmp_path, capsys):
     assert not (tmp_path / "c.cbk").exists()
 
 
+def test_codec_takes_the_corpus_sample_rate(tmp_path, capsys):
+    """A 16 kHz corpus trains a 16 kHz codec with no codec setting, and the
+    codec's rate cannot be set apart from the audio's."""
+    corpus_dir, out = tmp_path / "corpus", tmp_path / "c.cbk"
+    _run(["gen-corpus", "--out", corpus_dir, "--seed", 1,
+          *_sets([*SMALL_CORPUS, "corpus.sample_rate=16000"])])
+    _run(["train-codec", "--corpus", corpus_dir, "--out", out, *_sets(SMALL_CODEC)])
+    assert codec.CodebookSet.load(out).sample_rate == 16000
+    argv = ["train-codec", "--corpus", corpus_dir, "--out", tmp_path / "d.cbk",
+            *_sets(SMALL_CODEC), "--set", "codec.sample_rate=16000"]
+    capsys.readouterr()
+    assert cli.main([str(a) for a in argv]) == 2
+    assert "unknown key 'sample_rate' in section [codec]" in capsys.readouterr().err
+    assert not (tmp_path / "d.cbk").exists()
+
+
 def test_eval_refuses_swapped_checkpoints(chain, tmp_path, capsys):
     """Each checkpoint must be of the kind its flag names: swapped, eval
     exits 2 with a one-line error and writes no report."""

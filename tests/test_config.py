@@ -24,7 +24,6 @@ ORACLE = {
         "seed": (int, 0),
     },
     "codec": {
-        "sample_rate": (int, 8000),
         "stride": (int, 80),
         "dim": (int, 80),
         "quantizers": (int, 8),
@@ -71,7 +70,7 @@ NEW_VALUES = {
         "duration_max": 6.5, "sample_rate": 16000, "seed": 7,
     },
     "codec": {
-        "sample_rate": 16000, "stride": 160, "dim": 120, "quantizers": 4,
+        "stride": 160, "dim": 120, "quantizers": 4,
         "codebook_size": 512, "kmeans_iters": 3, "pitch_augment": 0.05, "seed": 7,
     },
     "model": {
@@ -90,7 +89,7 @@ NEW_VALUES = {
 def _build_all(run, out_dir="corpus_out", codebook_size=16, quantizers=3):
     return {
         "corpus": run.build("corpus", out_dir=out_dir),
-        "codec": run.build("codec"),
+        "codec": run.build("codec", sample_rate=8000),
         "model": run.build("model", codebook_size=codebook_size, quantizers=quantizers),
         "train": run.build("train"),
         "sampling": run.build("sampling"),
@@ -257,6 +256,7 @@ def test_field_name_behind_alias_rejected():
     ("model", "quantizers"),
     ("model", "phoneme_vocab"),
     ("corpus", "out_dir"),
+    ("codec", "sample_rate"),
 ])
 def test_fixed_fields_rejected(section, key):
     with pytest.raises(ConfigError, match=f"unknown key '{key}'"):

@@ -206,20 +206,17 @@ class TestAdaLayerNorm:
     CFG = ModelConfig(layers=2, heads=2, embed_dim=8, ffn_dim=16, dropout=0.0, quantizers=4)
 
     def _trunks(self, rng, c, e):
-        """An AdaLN trunk with pa = pb = 0, ba = c, bb = e at every norm site,
-        and the plain-LN trunk with g = c, b = e and the same weights."""
+        """An AdaLN trunk with proj = 0 and affine = (c, e) at every norm site,
+        and the plain-LN trunk with the same affine and the same weights."""
         ada = lm_core.init_params(lm_core.stack_layout(self.CFG, adaln=True), rng)
         plain = {}
         for name, value in ada.items():
-            site, _, leaf = name.rpartition(".")
-            if leaf in ("pa", "pb"):
+            leaf = name.rpartition(".")[2]
+            if leaf == "proj":
                 ada[name] = np.zeros_like(value)
-            elif leaf == "ba":
-                ada[name] = np.full_like(value, c)
-                plain[f"{site}.g"] = ada[name]
-            elif leaf == "bb":
-                ada[name] = np.full_like(value, e)
-                plain[f"{site}.b"] = ada[name]
+            elif leaf == "affine":
+                ada[name] = np.stack([np.full(8, c), np.full(8, e)]).astype(value.dtype)
+                plain[name] = ada[name]
             else:
                 plain[name] = value
         return ada, plain
@@ -235,8 +232,8 @@ class TestAdaLayerNorm:
         self._check_reduces_to_layernorm(rng, 1.0, 0.0)
 
     def test_scalar_affine_composition(self, rng):
-        """Oracle: a = 2, b = 0.5 is the plain trunk with g = 2, b = 0.5, and
-        per-channel a, b are the plain trunk with those gains and biases."""
+        """Oracle: scale 2, shift 0.5 is the plain trunk with that affine, and
+        per-channel scales and shifts are the plain trunk with those."""
         self._check_reduces_to_layernorm(rng, 2.0, 0.5)
         self._check_reduces_to_layernorm(rng, rng.normal(size=8), rng.normal(size=8))
 
@@ -260,6 +257,76 @@ class TestAdaLayerNorm:
             nar_model.nar_forward(params, cfg, [2, 3], prompt, target[:, :0], 1)
         with pytest.raises(ValidationError):
             nar_model.nar_forward(params, cfg, [2, 3], prompt, target, cfg.quantizers + 1)
+
+
+class TestStackLayout:
+    CFG = ModelConfig(layers=2, heads=2, embed_dim=8, ffn_dim=16, dropout=0.0,
+                      codebook_size=7, quantizers=3)
+
+    @staticmethod
+    def _drawn_by_hand(cfg, adaln, rng):
+        """The trunk as separate (d, d) blocks drawn one at a time: scale then
+        shift projection at an AdaLN site, then q, k and v; each group is
+        stacked, and the constant blocks are filled."""
+        d, f = cfg.embed_dim, cfg.ffn_dim
+        std, out_std = lm_core.W_INIT_STD, lm_core.W_INIT_STD / math.sqrt(2.0 * cfg.layers)
+        want = {}
+
+        def draws(n):
+            return np.stack([lm_core.normal_init(rng, std, (d, d)) for _ in range(n)])
+
+        def site(name):
+            want[f"{name}.affine"] = np.stack([np.ones(d), np.zeros(d)]).astype(np.float32)
+            if adaln:
+                want[f"{name}.proj"] = draws(2)
+
+        for i in range(cfg.layers):
+            p = f"layers.{i}"
+            site(f"{p}.ln1")
+            want[f"{p}.attn.wqkv"] = draws(3)
+            want[f"{p}.attn.bqkv"] = np.zeros((3, d), np.float32)
+            want[f"{p}.attn.wo"] = lm_core.normal_init(rng, out_std, (d, d))
+            want[f"{p}.attn.bo"] = np.zeros(d, np.float32)
+            site(f"{p}.ln2")
+            want[f"{p}.ffn.w1"] = lm_core.normal_init(rng, std, (d, f))
+            want[f"{p}.ffn.b1"] = np.zeros(f, np.float32)
+            want[f"{p}.ffn.w2"] = lm_core.normal_init(rng, out_std, (f, d))
+            want[f"{p}.ffn.b2"] = np.zeros(d, np.float32)
+        site("ln_f")
+        return want
+
+    @pytest.mark.parametrize("kind", ["ar", "nar"])
+    def test_init_is_the_per_projection_draw_order(self, kind):
+        """Oracle: a seeded init equals, block for block, the embeddings and
+        then the trunk drawn as separate (d, d) blocks and stacked, so the
+        stacked layout draws the values the per-projection layout drew."""
+        cfg, rng = self.CFG, np.random.default_rng(5)
+        d, emb = cfg.embed_dim, lm_core.EMB_INIT_STD
+        if kind == "ar":
+            got = ar_model.init_ar_params(cfg, np.random.default_rng(5))
+            want = {"phoneme_emb": lm_core.normal_init(rng, emb, (cfg.phoneme_vocab + 1, d)),
+                    "acoustic_emb": lm_core.normal_init(rng, emb, (cfg.codebook_size + 1, d))}
+        else:
+            got = nar_model.init_nar_params(cfg, np.random.default_rng(5))
+            want = {"phoneme_emb": lm_core.normal_init(rng, emb, (cfg.phoneme_vocab + 1, d)),
+                    "stage_emb": lm_core.normal_init(rng, emb, (cfg.quantizers - 1, d))}
+            for j in range(cfg.quantizers):
+                want[f"acoustic_emb.{j}"] = lm_core.normal_init(rng, emb, (cfg.codebook_size, d))
+        want.update(self._drawn_by_hand(cfg, kind == "nar", rng))
+        assert list(got) == list(want)
+        for name, value in want.items():
+            assert got[name].dtype == value.dtype == np.float32, name
+            np.testing.assert_array_equal(got[name], value, err_msg=name)
+
+    @pytest.mark.parametrize("layout, blocks, count", [
+        (ar_model.ar_layout, 43, 834_560),
+        (nar_model.nar_layout, 60, 1_359_616),
+    ], ids=["ar", "nar"])
+    def test_default_parameter_counts(self, layout, blocks, count):
+        """The default models keep their parameter counts in fewer blocks."""
+        spec = layout(ModelConfig())
+        assert len(spec) == blocks
+        assert sum(math.prod(shape) for shape, _, _ in spec.values()) == count
 
 
 class TestPastKV:
@@ -435,6 +502,20 @@ class TestNucleusSampling:
         logits = np.zeros(4)
         seen = {lm_core.nucleus_sample(logits, 1.0, 1.0, rng) for _ in range(400)}
         assert seen == {0, 1, 2, 3}
+
+    def test_last_kept_token_when_the_draw_passes_the_rounded_sum(self):
+        """With top_p = 1 above the rounded cumulative sum, every token is
+        kept; a draw just under 1 that passes the kept probabilities' rounded
+        sum picks the last kept token instead of indexing past the set."""
+        class AlmostOne:
+            def random(self):
+                return np.nextafter(1.0, 0.0)
+
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            logits = 3.0 * rng.normal(size=257)
+            token = lm_core.nucleus_sample(logits, 1.0, 1.0, AlmostOne())
+            assert 0 <= token < logits.size
 
     def test_seeded_determinism(self):
         logits = np.random.default_rng(5).normal(size=30)

@@ -267,21 +267,20 @@ class TestGenerateAll:
 
 class TestAdaLNIdentityReduction:
     def test_forced_identity_matches_plain_layernorm_stack(self, cfg, inputs):
-        """With every AdaLN projection forced to a=1, b=0, the NAR trunk equals
-        the plain-LayerNorm trunk with unit gain and zero bias."""
+        """With every AdaLN projection forced to zero and every (scale, shift)
+        to (1, 0), the NAR trunk equals the plain-LayerNorm trunk with unit
+        scale and zero shift."""
         phon, prompt, target = inputs
         params = nar_model.init_nar_params(cfg, np.random.default_rng(4))
         forced = dict(params)
         plain = {}
         for name in list(params):
-            if name.endswith(".pa") or name.endswith(".pb"):
+            if name.endswith(".proj"):
                 forced[name] = np.zeros_like(params[name])
-            if name.endswith(".ba"):
-                forced[name] = np.ones_like(params[name])
-                plain[name[:-3] + ".g"] = np.ones_like(params[name])
-            if name.endswith(".bb"):
-                forced[name] = np.zeros_like(params[name])
-                plain[name[:-3] + ".b"] = np.zeros_like(params[name])
+            if name.endswith(".affine"):
+                forced[name] = np.stack([np.ones_like(params[name][0]),
+                                         np.zeros_like(params[name][1])])
+                plain[name] = forced[name].copy()
             if ".attn." in name or ".ffn." in name:
                 plain[name] = params[name]
 

@@ -52,7 +52,7 @@ def test_bundle_checks_checkpoint_kind(tmp_path, drop_kind, expected):
 
 
 @pytest.mark.parametrize("kind, edit, message", [
-    ("ar", lambda p: p.pop("ln_f.g"), "block ln_f.g is missing"),
+    ("ar", lambda p: p.pop("ln_f.affine"), "block ln_f.affine is missing"),
     ("nar", lambda p: p.update(extra=np.zeros(2)), "unexpected block extra"),
     ("nar", lambda p: p.update({"stage_emb": np.zeros((3, 8))}),
      r"block stage_emb has shape \(3, 8\), expected \(2, 8\)"),
@@ -68,6 +68,37 @@ def test_bundle_checks_parameter_blocks(tmp_path, kind, edit, message):
     path = tmp_path / "m.ckp"
     lm_core.save_model(path, kind, cfg, params)
     with pytest.raises(ValidationError, match=message):
+        pipeline.ModelBundle.load(path, kind)
+
+
+@pytest.mark.parametrize("kind", ["ar", "nar"])
+def test_bundle_refuses_the_per_projection_layout(tmp_path, kind):
+    """A checkpoint with separate q/k/v and gain/bias blocks (the layout
+    before the stacked `wqkv` and `affine` blocks) is refused on load, and
+    the error names one of its blocks."""
+    cfg = ModelConfig(layers=1, heads=2, embed_dim=8, ffn_dim=16, dropout=0.0,
+                      codebook_size=7, quantizers=3)
+    init = ar_model.init_ar_params if kind == "ar" else nar_model.init_nar_params
+    params = init(cfg, np.random.default_rng(0))
+    old = {}
+    for name, value in params.items():
+        site, _, leaf = name.rpartition(".")
+        if leaf == "wqkv":
+            old.update({f"{site}.{w}": v for w, v in zip(("wq", "wk", "wv"), value)})
+        elif leaf == "bqkv":
+            old.update({f"{site}.{b}": v for b, v in zip(("bq", "bk", "bv"), value)})
+        elif leaf == "affine" and kind == "ar":
+            old.update({f"{site}.g": value[0], f"{site}.b": value[1]})
+        elif leaf == "affine":
+            old.update({f"{site}.ba": value[0], f"{site}.bb": value[1]})
+        elif leaf == "proj":
+            old.update({f"{site}.pa": value[0], f"{site}.pb": value[1]})
+        else:
+            old[name] = value
+    assert "layers.0.attn.wq" in old
+    path = tmp_path / "old.ckp"
+    lm_core.save_model(path, kind, cfg, old)
+    with pytest.raises(ValidationError, match=r"unexpected block layers\.0\.attn\.bk$"):
         pipeline.ModelBundle.load(path, kind)
 
 
@@ -203,9 +234,9 @@ def test_empty_synthesis_is_logged(tiny_corpus_dir, tiny_codec, caplog):
     waveform, and a warning says so."""
     cfg = _small_cfg(tiny_codec)
     ar, nar = _bundles(cfg)
-    # every hidden state becomes ln_f's bias, whose largest logit is the EOS row's
-    ar.params["ln_f.g"][:] = 0.0
-    ar.params["ln_f.b"][:] = 1.0
+    # every hidden state becomes ln_f's shift, whose largest logit is the EOS row's
+    ar.params["ln_f.affine"][0] = 0.0
+    ar.params["ln_f.affine"][1] = 1.0
     ar.params["acoustic_emb"][cfg.acoustic_eos] = 10.0
     rec = corpus.load_corpus(tiny_corpus_dir).split_records("eval")[0]
     spec = pipeline.PromptSpec(mode="standard", enrolled_waveform=corpus.read_waveform(rec.path),
