@@ -1,14 +1,15 @@
 """Synthetic multi-speaker corpus.
 
-Each speaker is a harmonic source with a fixed fundamental, harmonic
-amplitude profile and mild vibrato, so speaker identity is directly
-measurable from audio (f0, spectral shape). Content is a sequence of symbol
-units; each symbol modulates gain and spectral tilt, giving the language
-models real content to predict. Held-out speakers never appear in the
-training split, which is what makes zero-shot cloning checkable.
+A voice is a harmonic source: a fixed fundamental f0 and a harmonic
+amplitude profile, with no vibrato or other pitch movement, so speaker
+identity is directly measurable from audio (f0, spectral shape). Content is
+a sequence of symbol units; each symbol modulates gain and spectral tilt,
+giving the language models real content to predict. Held-out speakers never
+appear in the training split, which is what makes zero-shot cloning
+checkable.
 
 The generator's shape is fixed by the module constants below (the f0 grid,
-harmonic count, vibrato, unit durations and alphabet). A `CorpusConfig` sets
+harmonic count, unit durations and alphabet). A `CorpusConfig` sets
 only the number of speakers, held-out speakers and utterances, the utterance
 duration range, the sample rate and the seed.
 """
@@ -52,8 +53,6 @@ class SpeakerSpec:
     speaker_id: int
     f0: float
     harmonic_amps: tuple
-    vibrato_rate: float
-    vibrato_depth: float
 
     def __post_init__(self):
         if not self.f0 > 0:  # also refuses nan
@@ -63,17 +62,12 @@ class SpeakerSpec:
             raise ValidationError(
                 "speaker.harmonic_amps must be nonnegative with at least one positive"
             )
-        if not 0.0 <= self.vibrato_depth <= 0.2:
-            raise ValidationError("speaker.vibrato_depth must lie in [0, 0.2]")
-        if not self.vibrato_rate >= 0:
-            raise ValidationError("speaker.vibrato_rate must be nonnegative")
 
 
 @dataclass(frozen=True)
 class ContentUnit:
     symbol_id: int
     duration: float
-    pitch_offset: float = 0.0  # semitones
 
     def __post_init__(self):
         if not self.duration > 0:
@@ -97,8 +91,6 @@ class ContentSeq:
 
 @dataclass(frozen=True)
 class Utterance:
-    speaker: SpeakerSpec
-    content: ContentSeq
     waveform: Waveform
     text: str
 
@@ -114,32 +106,17 @@ def _symbol_traits(sym_id: int):
 def generate_utterance(
     spec: SpeakerSpec, content: ContentSeq, sample_rate: int, seed: int
 ) -> Utterance:
-    """Render harmonic audio for one (speaker, content) pair.
-
-    Deterministic for fixed arguments: the seed only drives the vibrato
-    starting phase.
+    """Render harmonic audio for one (speaker, content) pair: a steady f0
+    with the speaker's harmonics below 0.49 of the sample rate, each unit
+    shaped by its symbol's gain and tilt. Deterministic; `seed` is unused and
+    stays for callers that still pass one.
     """
     if sample_rate < 8000:
         raise ValidationError("sample_rate must be at least 8000 Hz")
 
-    rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF]))
-    vib_phase = rng.uniform(0.0, 2.0 * np.pi)
-
     unit_samples = [max(1, int(round(u.duration * sample_rate))) for u in content.units]
     total = sum(unit_samples)
-    t = np.arange(total) / sample_rate
-
-    pitch_factor = np.empty(total)
-    pos = 0
-    for u, n in zip(content.units, unit_samples):
-        pitch_factor[pos : pos + n] = 2.0 ** (u.pitch_offset / 12.0)
-        pos += n
-
-    vibrato = 1.0 + spec.vibrato_depth * np.sin(
-        2.0 * np.pi * spec.vibrato_rate * t + vib_phase
-    )
-    inst_freq = spec.f0 * pitch_factor * vibrato
-    phase = 2.0 * np.pi * np.cumsum(inst_freq) / sample_rate
+    phase = 2.0 * np.pi * np.cumsum(np.full(total, spec.f0)) / sample_rate
 
     base_amps = np.asarray(spec.harmonic_amps, dtype=np.float64)
     base_amps = base_amps / base_amps.sum() * PEAK_TARGET
@@ -152,9 +129,8 @@ def generate_utterance(
         gain, tilt = _symbol_traits(u.symbol_id)
         sl = slice(pos, pos + n)
         unit_wave = np.zeros(n)
-        top = spec.f0 * 2.0 ** (u.pitch_offset / 12.0) * (1.0 + spec.vibrato_depth)
         for h, amp in enumerate(base_amps, start=1):
-            if h * top >= nyquist:
+            if h * spec.f0 >= nyquist:
                 break
             unit_wave += amp * (tilt ** (h - 1)) * np.sin(h * phase[sl])
         env = np.ones(n)
@@ -166,7 +142,7 @@ def generate_utterance(
         pos += n
 
     wav = Waveform(samples=samples, sample_rate=sample_rate)
-    return Utterance(speaker=spec, content=content, waveform=wav, text=content.text())
+    return Utterance(waveform=wav, text=content.text())
 
 
 # -- f0 tracking ---------------------------------------------------------------
@@ -242,8 +218,6 @@ def resample_waveform(w: Waveform, factor: float) -> Waveform:
 # continuously.
 F0_GRID = 20.0 * np.arange(6, 16)
 MAX_HARMONICS = 5
-VIBRATO_RATE = (4.0, 6.0)  # Hz, drawn per speaker
-VIBRATO_DEPTH_MAX = 0.0  # drawn per speaker in [0, this]
 UNIT_DURATION = (0.10, 0.30)  # seconds, drawn per unit
 UNIT_QUANTUM = 0.01  # unit durations snap to this (envelope ramp length)
 ALPHABET = "aeioubdg"
@@ -305,15 +279,11 @@ def make_speakers(cfg: CorpusConfig):
         n_h = int(rng.integers(3, MAX_HARMONICS + 1))
         decay = rng.uniform(0.5, 0.9)
         amps = rng.uniform(0.4, 1.0, n_h) * decay ** np.arange(n_h)
-        specs.append(
-            SpeakerSpec(
-                speaker_id=sid,
-                f0=f0_of[sid],
-                harmonic_amps=tuple(float(a) for a in amps),
-                vibrato_rate=float(rng.uniform(*VIBRATO_RATE)),
-                vibrato_depth=float(rng.uniform(0.0, VIBRATO_DEPTH_MAX)),
-            )
-        )
+        # Two uniforms once drew a vibrato; they are still drawn so that every
+        # later speaker's harmonics, and so every corpus, stay as they were.
+        rng.random(2)
+        specs.append(SpeakerSpec(speaker_id=sid, f0=f0_of[sid],
+                                 harmonic_amps=tuple(float(a) for a in amps)))
     return specs
 
 
@@ -339,7 +309,12 @@ def make_content(cfg: CorpusConfig, rng: np.random.Generator) -> ContentSeq:
 def build_corpus(cfg: CorpusConfig):
     """Generate and persist the corpus; returns the manifest path.
 
-    Layout: <out>/manifest.tsv, speakers.tsv, alignments.tsv, audio/*.clm.
+    Layout (the tables are tab-separated, one row per line):
+    - manifest.tsv: utt_id, speaker_id, split, audio path, text;
+    - speakers.tsv: speaker_id, f0, harmonic amplitudes joined by ",";
+    - alignments.tsv: utt_id, then its units as space-separated
+      `symbol:duration` pairs;
+    - audio/<utt_id>.clm: the rendered waveform.
     Held-out speakers are the last `held_out_speakers` ids and are marked
     split=eval; they appear in no train entry.
     """
@@ -352,23 +327,20 @@ def build_corpus(cfg: CorpusConfig):
     for spec in specs:
         split = "eval" if spec.speaker_id >= first_eval else "train"
         amps = ",".join(repr(a) for a in spec.harmonic_amps)
-        speaker_lines.append(f"{spec.speaker_id}\t{spec.f0!r}\t{spec.vibrato_rate!r}"
-                             f"\t{spec.vibrato_depth!r}\t{amps}\t{split}\n")
+        speaker_lines.append(f"{spec.speaker_id}\t{spec.f0!r}\t{amps}\n")
         for idx in range(cfg.utterances_per_speaker):
             rng = np.random.default_rng(
                 np.random.SeedSequence([cfg.seed, 7, spec.speaker_id, idx])
             )
             content = make_content(cfg, rng)
-            utt = generate_utterance(spec, content, cfg.sample_rate, int(rng.integers(0, 2**31)))
+            utt = generate_utterance(spec, content, cfg.sample_rate, 0)
             utt_id = f"utt_{spec.speaker_id:03d}_{idx:03d}"
             rel = f"audio/{utt_id}.clm"
             formats.write_audio(out / rel, utt.waveform.samples, cfg.sample_rate)
             manifest_rows.append((utt_id, spec.speaker_id, split, rel, utt.text))
-            triples = " ".join(
-                f"{frontend.ID_TO_SYMBOL[u.symbol_id]}:{u.duration!r}:{u.pitch_offset!r}"
-                for u in content.units
-            )
-            align_lines.append(f"{utt_id}\t{triples}\n")
+            pairs = " ".join(f"{frontend.ID_TO_SYMBOL[u.symbol_id]}:{u.duration!r}"
+                             for u in content.units)
+            align_lines.append(f"{utt_id}\t{pairs}\n")
 
     formats.write_manifest(out / "manifest.tsv", manifest_rows)
     formats.write_text(out / "alignments.tsv", "".join(align_lines))
@@ -398,7 +370,7 @@ class UttRecord:
 @dataclass
 class CorpusData:
     records: list
-    speakers: dict  # speaker_id -> (SpeakerSpec, split)
+    speakers: dict  # speaker_id -> SpeakerSpec
 
     def split_records(self, split):
         return [r for r in self.records if r.split == split]
@@ -414,38 +386,36 @@ def read_waveform(path) -> Waveform:
         raise ValidationError(f"{path}: {exc}") from None
 
 
-def _parse_units(triples):
-    """The ContentUnits of an alignments.tsv `sym:duration:pitch_offset` list."""
+def _parse_units(pairs):
+    """The ContentUnits of an alignments.tsv `sym:duration` list."""
     units = []
-    for item in triples.split(" "):
-        sym, dur, off = item.split(":")
-        units.append(ContentUnit(frontend.symbol_id(sym), float(dur), float(off)))
+    for item in pairs.split(" "):
+        parts = item.split(":")
+        if len(parts) != 2:
+            raise ValueError(f"units are symbol:duration pairs, not {item!r}")
+        units.append(ContentUnit(frontend.symbol_id(parts[0]), float(parts[1])))
     return tuple(units)
 
 
-def _parse_speaker(sid, f0, rate, depth, amps, split):
-    """One speakers.tsv row as (speaker_id, (SpeakerSpec, split))."""
-    spec = SpeakerSpec(
-        speaker_id=int(sid),
-        f0=float(f0),
-        harmonic_amps=tuple(float(a) for a in amps.split(",")),
-        vibrato_rate=float(rate),
-        vibrato_depth=float(depth),
-    )
-    return spec.speaker_id, (spec, split)
+def _parse_speaker(sid, f0, amps):
+    """One speakers.tsv row as (speaker_id, SpeakerSpec)."""
+    spec = SpeakerSpec(speaker_id=int(sid), f0=float(f0),
+                       harmonic_amps=tuple(float(a) for a in amps.split(",")))
+    return spec.speaker_id, spec
 
 
 def load_corpus(corpus_dir) -> CorpusData:
     """Read back what `build_corpus` wrote: the manifest, the unit timings of
-    alignments.tsv and the speaker table of speakers.tsv. A malformed line, a
-    row whose ContentUnit or SpeakerSpec refuses its values (such as a unit
-    duration or a speaker f0 that is not positive), or a manifest entry
-    without its alignment or speaker row, raises ValidationError."""
+    alignments.tsv and the speaker table of speakers.tsv. A malformed line
+    (such as one of the older layout with vibrato and pitch-offset columns), a
+    row whose ContentUnit or SpeakerSpec refuses its values (a unit duration
+    or a speaker f0 that is not positive), or a manifest entry without its
+    alignment or speaker row, raises ValidationError naming the file."""
     root = Path(corpus_dir)
     entries = formats.read_manifest(root / "manifest.tsv")
     units = dict(formats.read_tsv(
-        root / "alignments.tsv", 2, lambda utt_id, triples: (utt_id, _parse_units(triples))))
-    speakers = dict(formats.read_tsv(root / "speakers.tsv", 6, _parse_speaker))
+        root / "alignments.tsv", 2, lambda utt_id, pairs: (utt_id, _parse_units(pairs))))
+    speakers = dict(formats.read_tsv(root / "speakers.tsv", 3, _parse_speaker))
     records = []
     for utt_id, sid, split, rel, text in entries:
         if utt_id not in units:

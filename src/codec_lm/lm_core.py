@@ -71,17 +71,16 @@ class ModelConfig:
 # -- positions -------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=8)
-def sinusoidal_positions(length: int, dim: int, start: int = 0) -> np.ndarray:
-    """Fixed sinusoid table for positions start..start+length-1: entry
-    (p, 2k) = sin(p / 10000^(2k/dim)), entry (p, 2k+1) = cos of the same
-    angle. Each row depends only on its position, so a window equals the
-    same rows of a table that starts at 0; `lm_forward` adds windows of the
-    (max_len, dim) table. Tables are cached and read-only."""
+def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
+    """Fixed sinusoid table for positions 0..length-1: entry (p, 2k) =
+    sin(p / 10000^(2k/dim)), entry (p, 2k+1) = cos of the same angle.
+    `lm_forward` adds windows of the (max_len, dim) table. Tables are cached
+    and read-only."""
     if dim % 2 != 0:
         raise ValidationError("position encoding dim must be even")
-    if length < 0 or start < 0:
-        raise ValidationError("length and start must be nonnegative")
-    pos = np.arange(start, start + length, dtype=np.float64)[:, None]
+    if length < 0:
+        raise ValidationError("length must be nonnegative")
+    pos = np.arange(length, dtype=np.float64)[:, None]
     k2 = np.arange(0, dim, 2, dtype=np.float64)[None, :]
     angles = pos / np.power(10000.0, k2 / dim)
     out = np.empty((length, dim), dtype=np.float64)

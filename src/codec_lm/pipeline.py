@@ -433,7 +433,7 @@ def speaker_f0_match(
             enrolled_text=enrolled_text,
             target_text=target_text,
         )
-        true_f0 = corpus.speakers[sid][0].f0
+        true_f0 = corpus.speakers[sid].f0
         fracs = []
         for seed in seeds:
             s = replace(sampling, seed=int(seed))

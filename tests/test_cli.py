@@ -153,18 +153,33 @@ def _drop_first_line(text):
     return text.split("\n", 1)[1]
 
 
+def _old_speakers_layout(text):
+    """Rows as they were with the vibrato rate and depth and the split."""
+    rows = (line.split("\t") for line in text.splitlines())
+    return "".join(f"{sid}\t{f0}\t5.0\t0.0\t{amps}\ttrain\n" for sid, f0, amps in rows)
+
+
+def _old_alignments_layout(text):
+    """Units as they were, `symbol:duration:pitch_offset`."""
+    rows = (line.split("\t") for line in text.splitlines())
+    return "".join(f"{utt}\t{units.replace(' ', ':0.0 ')}:0.0\n" for utt, units in rows)
+
+
 @pytest.mark.parametrize("name, corrupt, where", [
-    ("speakers.tsv", _drop_last_field, ":1: expected 6 fields, got 5"),
+    ("speakers.tsv", _drop_last_field, ":1: expected 3 fields, got 2"),
     ("alignments.tsv", _drop_last_field, ":1: expected 2 fields, got 1"),
     ("speakers.tsv", _bad_first_f0, ":1: could not convert string to float: 'fast'"),
     ("alignments.tsv", _drop_first_line, ": no alignment for utt_000_000"),
     ("speakers.tsv", _drop_first_line, ": no row for speaker 0"),
+    ("speakers.tsv", _old_speakers_layout, ":1: expected 3 fields, got 6"),
+    ("alignments.tsv", _old_alignments_layout, ":1: units are symbol:duration pairs, not '"),
 ], ids=["short-speakers-line", "short-alignments-line", "bad-number", "missing-alignment",
-        "missing-speaker"])
+        "missing-speaker", "old-speakers-layout", "old-alignments-layout"])
 def test_malformed_corpus_exits_2(chain, tmp_path, capsys, name, corrupt, where):
     """A corpus file that does not parse, or lacks the row of a manifest
     entry, gives a one-line error naming the file and line (or the missing
-    utterance or speaker), not a traceback."""
+    utterance or speaker), not a traceback. A corpus in the layout before
+    the vibrato and pitch-offset columns were dropped is refused alike."""
     corpus_dir = tmp_path / "corpus"
     shutil.copytree(chain["corpus"], corpus_dir)
     path = corpus_dir / name

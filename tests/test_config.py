@@ -198,8 +198,8 @@ def test_every_override_error_reported_at_once():
 BUILT_CASES = [
     (Waveform, dict(samples=np.zeros(4), sample_rate=8000), "samples",
      np.array([0.0, np.nan]), "non-finite"),
-    (SpeakerSpec, dict(speaker_id=0, f0=220.0, harmonic_amps=(1.0, 0.5), vibrato_rate=5.0,
-                       vibrato_depth=0.0), "f0", -150.0, "f0 must be positive"),
+    (SpeakerSpec, dict(speaker_id=0, f0=220.0, harmonic_amps=(1.0, 0.5)), "f0", -150.0,
+     "f0 must be positive"),
     (ContentUnit, dict(symbol_id=3, duration=0.2), "duration", -0.5, "duration -0.5"),
     (ContentSeq, dict(units=(ContentUnit(3, 0.2),)), "units", (), "nonempty"),
     (CorpusConfig, dict(out_dir="c"), "speakers", 11, "grid has 10 points"),

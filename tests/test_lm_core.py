@@ -31,16 +31,6 @@ class TestSinusoidalPositions:
         with pytest.raises(ValidationError):
             lm_core.sinusoidal_positions(4, 5)
 
-    def test_window_equals_table_row(self):
-        """A one-row window at position p is bitwise the last row of the
-        table of positions 0..p."""
-        d = ModelConfig().embed_dim
-        for p in (0, 1, 299, 4095):
-            np.testing.assert_array_equal(
-                lm_core.sinusoidal_positions(1, d, start=p),
-                lm_core.sinusoidal_positions(p + 1, d)[-1:],
-            )
-
     def test_table_is_built_once_and_read_only(self):
         """lm_forward adds windows of one cached (max_len, dim) table."""
         d, n = ModelConfig().embed_dim, ModelConfig().max_len

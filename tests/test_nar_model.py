@@ -39,7 +39,7 @@ def summed_inputs(trunk_inputs, monkeypatch):
     phoneme rows, then the prompt's and the known stages' summed stage
     embeddings."""
     monkeypatch.setattr(lm_core, "sinusoidal_positions",
-                        lambda length, dim, start=0: np.zeros((length, dim)))
+                        lambda length, dim: np.zeros((length, dim)))
 
     def run(*args):
         nar_model.nar_forward(*args)

@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from codec_lm import ar_model, codec, corpus, lm_core, nar_model, pipeline
+from codec_lm import ar_model, codec, corpus, frontend, lm_core, nar_model, pipeline
 from codec_lm.ar_model import SamplingSpec
 from codec_lm.errors import ValidationError
 from codec_lm.lm_core import ModelConfig
@@ -245,3 +245,45 @@ def test_empty_synthesis_is_logged(tiny_corpus_dir, tiny_codec, caplog):
         wav = pipeline.synthesize(spec, ar, nar, tiny_codec, SamplingSpec(temperature=0.0))
     assert "acoustic EOS first" in caplog.text
     assert wav.samples.size == 0 and wav.sample_rate == tiny_codec.sample_rate
+
+
+def _ramp(n, sample_rate=8000):
+    return corpus.Waveform(samples=np.linspace(-0.5, 0.5, n), sample_rate=sample_rate)
+
+
+def test_continual_prompt_is_the_first_n_samples():
+    """The enrolled audio is the first int(seconds * rate) samples, bit for
+    bit, and the whole transcription is the target."""
+    full = _ramp(800)
+    spec = pipeline.continual_prompt(full, "abdo", 0.03)
+    assert spec.mode == "continual" and spec.enrolled_text is None
+    assert spec.target_text == "abdo"
+    assert spec.enrolled_waveform.sample_rate == 8000
+    np.testing.assert_array_equal(spec.enrolled_waveform.samples, full.samples[:240])
+
+
+@pytest.mark.parametrize("seconds, message", [
+    (0.0, "shorter than one sample"),
+    (1e-5, "shorter than one sample"),
+    (0.1, "covers the full utterance"),
+    (0.2, "covers the full utterance"),
+])
+def test_continual_prompt_refuses_an_empty_or_whole_prompt(seconds, message):
+    """n < 1 and n >= the utterance's length (800 samples) are refused."""
+    with pytest.raises(ValidationError, match=message):
+        pipeline.continual_prompt(_ramp(800), "abdo", seconds)
+
+
+def test_standard_phoneme_prompt_is_enrolled_then_target():
+    """Each text is deduplicated on its own; a symbol that ends the enrolled
+    text and starts the target appears twice."""
+    a, b, d = (frontend.symbol_id(c) for c in "abd")
+    spec = pipeline.PromptSpec(mode="standard", enrolled_waveform=_ramp(80),
+                               enrolled_text="aabb", target_text="bbda")
+    assert pipeline.build_phoneme_prompt(spec) == [a, b, b, d, a]
+
+
+def test_continual_phoneme_prompt_is_the_target_once():
+    a, b, d = (frontend.symbol_id(c) for c in "abd")
+    spec = pipeline.continual_prompt(_ramp(800), "aabbda", 0.03)
+    assert pipeline.build_phoneme_prompt(spec) == [a, b, d, a]
