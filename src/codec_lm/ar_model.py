@@ -74,8 +74,7 @@ def _pass(params, cfg: ModelConfig, phon_part, ac_part, rows, **kw):
                               "acoustic_emb", rows, causal=True, **kw)
 
 
-def ar_forward(params, cfg: ModelConfig, phon_ids, acoustic_ids, *, train=False, rng=None,
-               return_cache=False):
+def ar_forward(params, cfg: ModelConfig, phon_ids, acoustic_ids, *, rng=None, return_cache=False):
     """Teacher-forced forward pass.
 
     Returns next-token logits of shape (A, K+1) where A = len(acoustic_ids)+1:
@@ -86,7 +85,7 @@ def ar_forward(params, cfg: ModelConfig, phon_ids, acoustic_ids, *, train=False,
     ac_part = np.concatenate([acoustic_ids, [cfg.acoustic_eos]])
     p = len(phon_part)
     logits, cache = _pass(params, cfg, phon_part, ac_part, slice(p - 1, p + len(acoustic_ids)),
-                          train=train, rng=rng)
+                          rng=rng)
     return (logits, cache) if return_cache else logits
 
 
@@ -95,7 +94,7 @@ def ar_backward(params, cfg: ModelConfig, cache, dlogits) -> dict:
     return lm_core.lm_backward(params, cfg, cache, dlogits)
 
 
-def ar_loss(params, cfg: ModelConfig, batch, *, train=False, rng=None):
+def ar_loss(params, cfg: ModelConfig, batch, *, rng=None):
     """Next-token cross-entropy over acoustic positions (incl. acoustic EOS),
     averaged over all acoustic tokens in the batch.
 
@@ -106,9 +105,7 @@ def ar_loss(params, cfg: ModelConfig, batch, *, train=False, rng=None):
         phon_ids, acoustic_ids = item
         if len(acoustic_ids) == 0:
             raise ValidationError("sequence has an empty acoustic part")
-        logits, cache = ar_forward(
-            params, cfg, phon_ids, acoustic_ids, train=train, rng=rng, return_cache=True
-        )
+        logits, cache = ar_forward(params, cfg, phon_ids, acoustic_ids, rng=rng, return_cache=True)
         targets = np.append(np.asarray(acoustic_ids, np.int64), cfg.acoustic_eos)
         return logits, targets, lambda d: ar_backward(params, cfg, cache, d)
 

@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("standard", "continual"), default="standard")
     p.add_argument("--enrolled-audio", help="audio file with the enrolled recording")
     p.add_argument("--enrolled-text", help="transcription of the enrolled recording")
-    p.add_argument("--prompt-seconds", type=float, default=3.0,
+    p.add_argument("--prompt-seconds", type=float, default=pipeline.PROMPT_SECONDS,
                    help="continual mode: seconds of the utterance used as prompt")
     p.set_defaults(func=cmd_synthesize)
 

@@ -1,20 +1,20 @@
 """Trainable residual-vector-quantization codec.
 
-The frame transform is a fixed orthonormal type-II DCT basis (analysis rows,
-synthesis is its transpose), so the quantization-free encode/decode round trip
-is exact. The transform follows from `(dim, stride)` and is not stored: a
-codebook file holds the fitted books, the stride and the sample rate. Each
-frame embedding is quantized by a stack of residually trained k-means
-codebooks; stages 2..Q reserve index 0 as the all-zero codeword, which makes
-reconstruction error provably non-increasing in the number of stages. Books
-are fitted at the float32 precision a codebook file stores, and a stage left
-no residual above the rounding floor gets the all-zero book instead of a fit.
+A frame is `stride` consecutive samples and a codeword is a frame: there is
+no frame transform. An orthonormal one would change only rounding, because
+nearest-codeword search, k-means++, Lloyd and the residual floor read only L2
+distances and norms, which a rotation keeps. A codebook file holds the fitted
+books and the sample rate. Each frame is quantized by a stack of residually
+trained k-means codebooks; stages 2..Q reserve index 0 as the all-zero
+codeword, which makes reconstruction error provably non-increasing in the
+number of stages. Books are fitted at the float32 precision a codebook file
+stores, and a stage left no residual above the rounding floor gets the
+all-zero book instead of a fit.
 """
 
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +29,6 @@ log = logging.getLogger("codec_lm.codec")
 class CodecConfig:
     sample_rate: int = 8000
     stride: int = 80
-    dim: int = 80
     quantizers: int = 8
     codebook_size: int = 256
     # Lloyd iterations per stage; 2 fit the held-out voices better than 20
@@ -41,10 +40,8 @@ class CodecConfig:
     pitch_augment: float = 0.02
 
     def __post_init__(self):
-        if self.stride < 1 or self.dim < 1 or self.quantizers < 1 or self.codebook_size < 1:
-            raise ValidationError("codec stride/dim/quantizers/codebook_size must be positive")
-        if self.dim > self.stride:
-            raise ValidationError("codec.dim cannot exceed codec.stride")
+        if self.stride < 1 or self.quantizers < 1 or self.codebook_size < 1:
+            raise ValidationError("codec stride/quantizers/codebook_size must be positive")
         if self.sample_rate < 1:
             raise ValidationError("codec.sample_rate must be positive")
         if self.kmeans_iters < 1:
@@ -80,8 +77,9 @@ class CodeMatrix:
 
 @dataclass(frozen=True)
 class CodebookSet:
-    books: np.ndarray  # (Q, K, D)
-    stride: int
+    """Q residual books of K codewords; a codeword is a frame of `stride`
+    samples at `sample_rate`, so the stride is the books' last axis."""
+    books: np.ndarray  # (Q, K, stride)
     sample_rate: int
 
     @property
@@ -93,73 +91,53 @@ class CodebookSet:
         return self.books.shape[1]
 
     @property
-    def dim(self) -> int:
+    def stride(self) -> int:
         return self.books.shape[2]
 
     @property
     def frame_rate(self) -> float:
         return self.sample_rate / self.stride
 
-    @cached_property
-    def analysis(self) -> np.ndarray:  # (D, stride) DCT rows
-        return dct_basis(self.dim, self.stride)
-
-    @cached_property
-    def synthesis(self) -> np.ndarray:  # (stride, D), a C-contiguous analysis.T
-        return self.analysis.T.copy()
-
     def __post_init__(self):
         self.validate()
 
     def validate(self):
-        q, k, d = self.books.shape
-        if not 1 <= d <= self.stride:
-            raise ValidationError(f"codec dim {d} must lie in [1, stride {self.stride}]")
-        for j in range(1, q):
+        if self.books.ndim != 3 or 0 in self.books.shape:
+            raise ValidationError(f"books of shape {self.books.shape} are not (Q, K, stride)")
+        for j in range(1, self.quantizers):
             if np.any(self.books[j, 0] != 0.0):
                 raise ValidationError(f"codebook {j + 1} must reserve index 0 as the zero vector")
 
     def save(self, path):
-        fields = {"stride": self.stride, "sample_rate": self.sample_rate}
-        formats.write_artifact(path, "codebooks", fields, {"books": self.books})
+        formats.write_artifact(path, "frame_codebooks", {"sample_rate": self.sample_rate},
+                               {"books": self.books})
 
     @classmethod
     def load(cls, path):
-        """The codebooks saved at `path`, which must hold valid books."""
-        fields, blocks = formats.read_artifact(path, "codebooks",
-                                               {"stride": int, "sample_rate": int})
+        """The codebooks saved at `path`, which must hold valid books. A file of
+        the older `codebooks` kind holds DCT coefficients and is refused."""
+        fields, blocks = formats.read_artifact(path, "frame_codebooks", {"sample_rate": int})
         formats.check_blocks(path, blocks, {"books": (None, None, None)})
-        return cls(books=blocks["books"].astype(np.float64), **fields)
-
-
-def dct_basis(dim: int, stride: int) -> np.ndarray:
-    """First `dim` rows of the orthonormal type-II DCT on `stride` points."""
-    n = np.arange(stride)
-    k = np.arange(dim)[:, None]
-    basis = np.cos(np.pi * (2 * n[None, :] + 1) * k / (2 * stride))
-    scale = np.full((dim, 1), math.sqrt(2.0 / stride))
-    scale[0, 0] = math.sqrt(1.0 / stride)
-    return scale * basis
+        return cls(books=blocks["books"].astype(np.float64), sample_rate=fields["sample_rate"])
 
 
 def initial_codebooks(cfg: CodecConfig, rng: np.random.Generator | None = None) -> CodebookSet:
-    """Untrained CodebookSet: DCT transform plus small random codewords.
+    """Untrained CodebookSet of small random codewords.
 
     Useful for shape tests and as the k-means starting structure; stages >= 2
     already carry the reserved zero codeword.
     """
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 11]))
-    books = 0.01 * rng.standard_normal((cfg.quantizers, cfg.codebook_size, cfg.dim))
+    books = 0.01 * rng.standard_normal((cfg.quantizers, cfg.codebook_size, cfg.stride))
     books[1:, 0, :] = 0.0
-    return CodebookSet(books=books, stride=cfg.stride, sample_rate=cfg.sample_rate)
+    return CodebookSet(books=books, sample_rate=cfg.sample_rate)
 
 
-def frame_encode(w: Waveform, cs: CodebookSet) -> np.ndarray:
-    """Split into stride-sized frames and apply the analysis transform.
-
-    Returns a (T, D) embedding matrix with T = floor(num_samples / stride);
-    trailing samples short of a full frame are dropped.
+def frame_encode(w: Waveform, cs: CodebookSet | CodecConfig) -> np.ndarray:
+    """The waveform's stride-sized frames, as a new (T, stride) float64 array
+    with T = floor(num_samples / stride); trailing samples short of a full
+    frame are dropped. `cs` gives the stride and the sample rate.
     """
     if w.sample_rate != cs.sample_rate:
         raise ValidationError(
@@ -169,27 +147,26 @@ def frame_encode(w: Waveform, cs: CodebookSet) -> np.ndarray:
     if n < cs.stride:
         raise ValidationError(f"waveform has {n} samples, shorter than one frame ({cs.stride})")
     t = n // cs.stride
-    chunks = np.asarray(w.samples[: t * cs.stride], dtype=np.float64).reshape(t, cs.stride)
-    return chunks @ cs.analysis.T
+    return np.array(w.samples[: t * cs.stride], dtype=np.float64).reshape(t, cs.stride)
+
+
+def _check_frames(frames, cs: CodebookSet) -> np.ndarray:
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 2 or frames.shape[1] != cs.stride:
+        raise ValidationError(f"frames shape {frames.shape} does not match stride {cs.stride}")
+    return frames
 
 
 def frame_decode(frames: np.ndarray, cs: CodebookSet) -> Waveform:
-    """Inverse of frame_encode: synthesis transform per frame, concatenated.
-
-    Output is clamped to [-1, 1] (quantization error can overshoot slightly).
-    """
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[1] != cs.dim:
-        raise ValidationError(f"frames shape {frames.shape} does not match codec dim {cs.dim}")
-    samples = (frames @ cs.synthesis.T).reshape(-1)
+    """Inverse of frame_encode: the frames concatenated, clamped to [-1, 1]
+    (quantization error can overshoot slightly)."""
+    samples = _check_frames(frames, cs).reshape(-1)
     return Waveform(samples=np.clip(samples, -1.0, 1.0), sample_rate=cs.sample_rate)
 
 
 def rvq_encode(frames: np.ndarray, cs: CodebookSet) -> CodeMatrix:
     """Greedy stagewise residual quantization (smallest-index tie-break)."""
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[1] != cs.dim:
-        raise ValidationError(f"frames shape {frames.shape} does not match codec dim {cs.dim}")
+    frames = _check_frames(frames, cs)
     t = frames.shape[0]
     codes = np.empty((t, cs.quantizers), dtype=np.int64)
     resid = frames
@@ -209,7 +186,7 @@ def rvq_decode(cm: CodeMatrix, cs: CodebookSet, stages: int | None = None) -> np
         raise ValidationError("code matrix has fewer stages than requested")
     if cm.codes.size and cm.codes.max() >= cs.codebook_size:
         raise ValidationError("code entry out of range for this codebook set")
-    frames = np.zeros((cm.num_frames, cs.dim))
+    frames = np.zeros((cm.num_frames, cs.stride))
     for j in range(stages):
         frames += cs.books[j][cm.codes[:, j]]
     return frames
@@ -315,13 +292,12 @@ def kmeans_fit(data: np.ndarray, k: int, iters: int, rng: np.random.Generator) -
 def train_codebooks(waveforms, cfg: CodecConfig) -> CodebookSet:
     """Stagewise residual k-means over the frames of `waveforms`.
 
-    Stage 1 fits the raw frame embeddings; each later stage fits the residual
-    left by all previous stages and then has index 0 overwritten with the zero
-    vector. Each book is rounded to float32 before its residual is formed. The
-    frame transform is the fixed orthonormal DCT basis.
+    Stage 1 fits the frames; each later stage fits the residual left by all
+    previous stages and then has index 0 overwritten with the zero vector.
+    Each book is rounded to float32 before its residual is formed.
 
     A later stage with no input row whose squared norm exceeds the floor,
-    `_kernels._rounding_slack(D)` times the median squared norm of the stage-1
+    `_kernels._rounding_slack(stride)` times the median squared norm of the stage-1
     frames, holds only rounding noise: it gets the all-zero book, runs no
     k-means and logs a warning. The test is on every row, not the median: on
     the benchmark corpus (seed 1, no augment) the median stage-5 input is
@@ -336,20 +312,17 @@ def train_codebooks(waveforms, cfg: CodecConfig) -> CodebookSet:
         waveforms = waveforms + [
             resample_waveform(w, f) for w in waveforms for f in (1.0 - p, 1.0 + p)
         ]
-    # the frame transform follows from dim and stride alone
-    transform = CodebookSet(books=np.zeros((1, 1, cfg.dim)), stride=cfg.stride,
-                            sample_rate=cfg.sample_rate)
-    frames = np.concatenate([frame_encode(w, transform) for w in waveforms], axis=0)
+    frames = np.concatenate([frame_encode(w, cfg) for w in waveforms], axis=0)
     log.info("training %d codebooks on %d frames", cfg.quantizers, frames.shape[0])
 
     scale = float(np.median(np.einsum("nd,nd->n", frames, frames)))
-    floor = _kernels._rounding_slack(cfg.dim) * scale
+    floor = _kernels._rounding_slack(cfg.stride) * scale
     books = []
     resid = frames
     for j in range(cfg.quantizers):
         if j > 0 and not np.any(np.einsum("nd,nd->n", resid, resid) > floor):
             log.warning("stage %d: no residual above the rounding floor; zero book", j + 1)
-            book = np.zeros((cfg.codebook_size, cfg.dim))
+            book = np.zeros((cfg.codebook_size, cfg.stride))
         else:
             rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 23, j]))
             book = kmeans_fit(resid, cfg.codebook_size, cfg.kmeans_iters, rng)
@@ -359,4 +332,4 @@ def train_codebooks(waveforms, cfg: CodecConfig) -> CodebookSet:
         books.append(book)
         resid = resid - book[_kernels.nearest_codeword(resid, book)]
         log.info("stage %d fitted, residual rms %.6f", j + 1, float(np.sqrt((resid**2).mean())))
-    return CodebookSet(books=np.stack(books), stride=cfg.stride, sample_rate=cfg.sample_rate)
+    return CodebookSet(books=np.stack(books), sample_rate=cfg.sample_rate)

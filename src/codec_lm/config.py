@@ -6,13 +6,13 @@ and every offending key is reported at once.
 
 The config dataclasses are the only definition of the fields: `SCHEMA` is
 derived from `dataclasses.fields`, so every file key has its field's type and
-default. The 34 file keys:
+default. The 33 file keys:
 
 - corpus: speakers, held_out, utterances_per_speaker, duration_min,
   duration_max, sample_rate, seed (the generator's shape is fixed in
   `corpus.py`);
-- codec: stride, dim, quantizers, codebook_size, kmeans_iters, seed,
-  pitch_augment;
+- codec: stride (samples per frame), quantizers, codebook_size,
+  kmeans_iters, seed, pitch_augment;
 - model: layers, heads, embed_dim, ffn_dim, dropout, max_len;
 - train: crop_min, crop_max, batch_tokens, total_steps, warmup_steps,
   peak_lr, weight_decay, seed, log_every, checkpoint_every;

@@ -195,11 +195,10 @@ def stack_layout(cfg: ModelConfig, adaln: bool) -> dict:
 
 # -- transformer stack ----------------------------------------------------------------
 
-def _dropout(x, rate, rng, train):
-    if not train or rate <= 0.0:
+def _dropout(x, rate, rng):
+    """Inverted dropout, on exactly when a dropout `rng` is given."""
+    if rng is None or rate <= 0.0:
         return x, None
-    if rng is None:
-        raise ValidationError("training forward needs an rng for dropout")
     mask = (rng.random(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
     return x * mask, mask
 
@@ -216,8 +215,8 @@ class KVCache:
     length: int = 0
 
 
-def stack_forward(params, cfg: ModelConfig, x, causal: bool, *, stage_vec=None, train=False,
-                  rng=None, kv: KVCache | None = None):
+def stack_forward(params, cfg: ModelConfig, x, causal: bool, *, stage_vec=None, rng=None,
+                  kv: KVCache | None = None):
     """Run the transformer trunk. x: (T, d) summed embeddings (+ positions).
 
     `causal` lets each position attend only to itself and earlier ones;
@@ -242,7 +241,7 @@ def stack_forward(params, cfg: ModelConfig, x, causal: bool, *, stage_vec=None, 
         kv.values = [np.empty((h, cfg.max_len, hd), x.dtype) for _ in range(cfg.layers)]
     # new row i (position start + i) may not see a later key; one row sees all
     blocked = np.triu(np.ones((t, end), bool), start + 1) if causal and t > 1 else None
-    x, cache["emb_drop"] = _dropout(x, cfg.dropout, rng, train)
+    x, cache["emb_drop"] = _dropout(x, cfg.dropout, rng)
 
     def norm_fwd(name, h):
         ab = params[f"{name}.affine"]
@@ -264,7 +263,7 @@ def stack_forward(params, cfg: ModelConfig, x, causal: bool, *, stage_vec=None, 
         ctx, probs = _attention_forward(qh, kh, vh, blocked)
         ctx_flat = ctx.transpose(1, 0, 2).reshape(t, cfg.embed_dim)
         attn_out = ctx_flat @ params[f"{p}.attn.wo"] + params[f"{p}.attn.bo"]
-        attn_out, lc["drop1"] = _dropout(attn_out, cfg.dropout, rng, train)
+        attn_out, lc["drop1"] = _dropout(attn_out, cfg.dropout, rng)
         lc.update(n1=n1, qh=qh, kh=kh, vh=vh, probs=probs, ctx_flat=ctx_flat)
         x = x + attn_out
 
@@ -272,7 +271,7 @@ def stack_forward(params, cfg: ModelConfig, x, causal: bool, *, stage_vec=None, 
         h1 = n2 @ params[f"{p}.ffn.w1"] + params[f"{p}.ffn.b1"]
         r = np.maximum(h1, 0.0)
         f_out = r @ params[f"{p}.ffn.w2"] + params[f"{p}.ffn.b2"]
-        f_out, lc["drop2"] = _dropout(f_out, cfg.dropout, rng, train)
+        f_out, lc["drop2"] = _dropout(f_out, cfg.dropout, rng)
         lc.update(n2=n2, relu=r)
         x = x + f_out
         cache["layers"].append(lc)
@@ -339,7 +338,7 @@ def stack_backward(params, cfg: ModelConfig, cache, dout):
 # -- the language-model pass -------------------------------------------------------------
 
 def lm_forward(params, cfg: ModelConfig, lookups, segments, head: str, rows, *, causal: bool,
-               stage: int | None = None, train=False, rng=None, kv: KVCache | None = None):
+               stage: int | None = None, rng=None, kv: KVCache | None = None):
     """One pass of either model: embed, run the trunk, apply a tied head.
 
     An input row is the sum, in lookup order, of the `lookups` (table, ids,
@@ -347,6 +346,7 @@ def lm_forward(params, cfg: ModelConfig, lookups, segments, head: str, rows, *, 
     `segments` are (length, start) in row order. `stage` picks the `stage_emb`
     row that feeds AdaLN (None: plain LayerNorm). The logits are the output
     `rows` (a slice or an index) against the head table `params[head]`.
+    Dropout is on exactly when a dropout `rng` is given.
     Returns (logits, cache for lm_backward)."""
     n = sum(length for length, _ in segments)
     x = np.zeros((n, cfg.embed_dim), params[head].dtype)
@@ -360,8 +360,7 @@ def lm_forward(params, cfg: ModelConfig, lookups, segments, head: str, rows, *, 
         x[row : row + length] += positions[start : start + length]
         row += length
     stage_vec = None if stage is None else params["stage_emb"][stage]
-    out, trunk = stack_forward(params, cfg, x, causal, stage_vec=stage_vec, train=train, rng=rng,
-                               kv=kv)
+    out, trunk = stack_forward(params, cfg, x, causal, stage_vec=stage_vec, rng=rng, kv=kv)
     hidden = out[rows]
     return hidden @ params[head].T, {"trunk": trunk, "lookups": lookups, "head": head,
                                      "rows": rows, "hidden": hidden, "stage": stage, "n": n}

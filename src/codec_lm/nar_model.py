@@ -54,7 +54,7 @@ def _check_codes(codes, cfg: ModelConfig, columns: int, what: str) -> np.ndarray
 
 
 def nar_forward(params, cfg: ModelConfig, phon_ids, acoustic_prompt, partial_target,
-                stage: int, *, train=False, rng=None, return_cache=False):
+                stage: int, *, rng=None, return_cache=False):
     """Logits (T, K) for the target frames at the given stage in [2, Q], from
     the Q-stage prompt and the target's known stages 1..stage-1."""
     if not 2 <= stage <= cfg.quantizers:
@@ -73,7 +73,7 @@ def nar_forward(params, cfg: ModelConfig, phon_ids, acoustic_prompt, partial_tar
     # neighborhood unambiguously under full attention
     logits, cache = lm_core.lm_forward(
         params, cfg, lookups, [(p, 0), (tp + tt, 0)], f"acoustic_emb.{stage - 1}",
-        slice(p + tp, None), causal=False, stage=stage - 2, train=train, rng=rng,
+        slice(p + tp, None), causal=False, stage=stage - 2, rng=rng,
     )
     return (logits, cache) if return_cache else logits
 
@@ -88,7 +88,7 @@ def draw_stage(rng: np.random.Generator, quantizers: int) -> int:
     return int(rng.integers(2, quantizers + 1))
 
 
-def nar_loss(params, cfg: ModelConfig, batch, stage: int, *, train=False, rng=None):
+def nar_loss(params, cfg: ModelConfig, batch, stage: int, *, rng=None):
     """Cross-entropy on target positions at `stage` in [2, Q].
 
     `batch` items are (phoneme_ids, acoustic_prompt (T',Q), target_codes (T,Q)).
@@ -99,10 +99,8 @@ def nar_loss(params, cfg: ModelConfig, batch, stage: int, *, train=False, rng=No
         target = _check_codes(target, cfg, cfg.quantizers, "target")
         if target.shape[0] < 1:
             raise ValidationError("target has no frames")
-        logits, cache = nar_forward(
-            params, cfg, phon_ids, prompt, target[:, : stage - 1], stage,
-            train=train, rng=rng, return_cache=True,
-        )
+        logits, cache = nar_forward(params, cfg, phon_ids, prompt, target[:, : stage - 1], stage,
+                                    rng=rng, return_cache=True)
         return logits, target[:, stage - 1], lambda d: nar_backward(params, cfg, cache, d)
 
     return lm_core.batch_loss(batch, example)

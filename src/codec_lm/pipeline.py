@@ -39,11 +39,9 @@ from .lm_core import ModelConfig
 
 log = logging.getLogger("codec_lm.pipeline")
 
-NAR_PROMPT_SECONDS = 3.0
-
+PROMPT_SECONDS = 3.0  # the paper's enrolled recording: NAR prompts, the f0 proxy, the CLI
 EVAL_SEED = 1234
 AR_CROPS_PER_UTT = 3  # teacher-forced crops scored per utterance
-F0_PROMPT_SECONDS = 3.0  # enrolled prefix of the speaker-f0 proxy
 N_TARGET_SYMBOLS = 8  # units of the speaker's other utterance that the proxy synthesizes
 F0_TOLERANCE = 0.05  # relative f0 error that counts as a match
 
@@ -149,7 +147,7 @@ def sample_ar_item(tu, crop, frame_rate, rng):
 
 
 def _nar_prompt_len(frame_rate) -> int:
-    return int(NAR_PROMPT_SECONDS * frame_rate)
+    return int(PROMPT_SECONDS * frame_rate)
 
 
 def _nar_usable(items, frame_rate):
@@ -271,7 +269,7 @@ def train_ar(corpus_dir, cs: CodebookSet, model_cfg: ModelConfig, train_cfg: Tra
     def step_fn():
         batch = _draw_batch(items, sample_ar_item, lambda phon, ac: len(ac) + 1,
                             train_cfg, cs.frame_rate, rng_batch)
-        loss, grads, _ = ar_model.ar_loss(params, model_cfg, batch, train=True, rng=rng_drop)
+        loss, grads, _ = ar_model.ar_loss(params, model_cfg, batch, rng=rng_drop)
         return loss, grads, ""
 
     return _fit("ar", params, model_cfg, train_cfg, out_path, log_path, step_fn)
@@ -293,8 +291,7 @@ def train_nar(corpus_dir, cs: CodebookSet, model_cfg: ModelConfig, train_cfg: Tr
         batch = _draw_batch(items, sample_nar_item,
                             lambda phon, prompt, target: len(target) + len(prompt),
                             train_cfg, cs.frame_rate, rng_batch)
-        loss, grads, _ = nar_model.nar_loss(params, model_cfg, batch, stage,
-                                            train=True, rng=rng_drop)
+        loss, grads, _ = nar_model.nar_loss(params, model_cfg, batch, stage, rng=rng_drop)
         stage_draws.append(stage)
         return loss, grads, f" stage {stage}"
 
@@ -395,13 +392,13 @@ def _codec_snr_by_stages(items, cs):
 
 
 def _enrolled_from_prefix(record: UttRecord):
-    """First F0_PROMPT_SECONDS of an utterance's audio plus the transcription
+    """First PROMPT_SECONDS of an utterance's audio plus the transcription
     of that window."""
     wav = read_waveform(record.path)
-    n = int(F0_PROMPT_SECONDS * wav.sample_rate)
+    n = int(PROMPT_SECONDS * wav.sample_rate)
     n = min(n, wav.samples.size)
     ends = np.cumsum([u.duration for u in record.units])
-    k = int(np.searchsorted(ends, F0_PROMPT_SECONDS)) + 1
+    k = int(np.searchsorted(ends, PROMPT_SECONDS)) + 1
     text = "".join(frontend.ID_TO_SYMBOL[u.symbol_id] for u in record.units[:k])
     return Waveform(samples=wav.samples[:n], sample_rate=wav.sample_rate), text
 

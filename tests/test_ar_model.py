@@ -241,17 +241,16 @@ class TestGeneration:
 
 
 class TestDropoutPaths:
-    def test_training_forward_needs_rng(self, cfg, seq):
+    def test_dropout_is_on_exactly_with_an_rng(self, seq):
+        """Without a dropout rng the pass is the deterministic one; with one
+        it draws its masks from that rng."""
         phon, ac = seq
-        params = ar_model.init_ar_params(
-            ModelConfig(layers=1, heads=2, embed_dim=32, ffn_dim=64, dropout=0.5,
-                        codebook_size=17, quantizers=4),
-            np.random.default_rng(0),
-        )
         cfg_dropout = ModelConfig(layers=1, heads=2, embed_dim=32, ffn_dim=64, dropout=0.5,
                                   codebook_size=17, quantizers=4)
-        with pytest.raises(ValidationError):
-            ar_model.ar_forward(params, cfg_dropout, phon, ac, train=True)
-        out = ar_model.ar_forward(params, cfg_dropout, phon, ac, train=True,
-                                  rng=np.random.default_rng(5))
-        assert np.isfinite(out).all()
+        params = ar_model.init_ar_params(cfg_dropout, np.random.default_rng(0))
+        plain = ar_model.ar_forward(params, cfg_dropout, phon, ac)
+        assert np.array_equal(ar_model.ar_forward(params, cfg_dropout, phon, ac, rng=None), plain)
+        drop = [ar_model.ar_forward(params, cfg_dropout, phon, ac, rng=np.random.default_rng(5))
+                for _ in range(2)]
+        assert np.isfinite(drop[0]).all() and not np.array_equal(drop[0], plain)
+        assert np.array_equal(drop[0], drop[1])

@@ -72,7 +72,7 @@ def test_train_writes_loss_log_next_to_checkpoint(chain):
 
 
 @pytest.mark.parametrize("artifact, kind, block", [
-    ("codec", "codebooks", "books [3x16x80]"), ("ar", "ar", "acoustic_emb"),
+    ("codec", "frame_codebooks", "books [3x16x80]"), ("ar", "ar", "acoustic_emb"),
     ("nar", "nar", "stage_emb [2x16]"), ("audio", "audio", "samples"),
 ], ids=["codec", "ar", "nar", "audio"])
 def test_inspect_prints_each_kind(chain, capsys, artifact, kind, block):
@@ -138,6 +138,22 @@ def test_eval_refuses_swapped_checkpoints(chain, tmp_path, capsys):
     assert "kind is 'nar', expected 'ar'" in err
     assert "Traceback" not in err
     assert not (tmp_path / "report.tsv").exists()
+
+
+def test_codec_of_the_dct_layout_exits_2(chain, tmp_path, capsys):
+    """A codebook file of the older layout (DCT coefficients, a `stride`
+    header field) is refused with a one-line error naming it."""
+    old = tmp_path / "old.cbk"
+    books = codec.CodebookSet.load(chain["codec"]).books
+    formats.write_artifact(old, "codebooks", {"stride": 80, "sample_rate": 8000},
+                           {"books": books})
+    argv = ["train-ar", "--corpus", chain["corpus"], "--codec", old,
+            "--out", tmp_path / "ar.ckp", *_sets(SMALL_MODEL)]
+    assert cli.main([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {old}: kind is 'codebooks', expected 'frame_codebooks'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "ar.ckp").exists()
 
 
 def _drop_last_field(text):

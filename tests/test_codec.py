@@ -5,35 +5,54 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codec_lm import _kernels, codec, corpus, pipeline
+from codec_lm import _kernels, codec, corpus, formats, pipeline
 from codec_lm.corpus import Waveform
 from codec_lm.errors import ValidationError
 
 
-def _random_codebooks(rng, *, sample_rate=8000, stride=80, dim=80, q=4, k=16):
-    cfg = codec.CodecConfig(
-        sample_rate=sample_rate, stride=stride, dim=dim, quantizers=q, codebook_size=k
-    )
+def _random_codebooks(rng, *, sample_rate=8000, stride=80, q=4, k=16):
+    cfg = codec.CodecConfig(sample_rate=sample_rate, stride=stride, quantizers=q, codebook_size=k)
     cs = codec.initial_codebooks(cfg, rng)
     books = rng.normal(size=cs.books.shape)
     books[1:, 0, :] = 0.0
-    return codec.CodebookSet(books=books, stride=stride, sample_rate=sample_rate)
+    return codec.CodebookSet(books=books, sample_rate=sample_rate)
 
 
-class TestDctBasis:
-    def test_orthonormal_when_square(self):
-        basis = codec.dct_basis(80, 80)
-        np.testing.assert_allclose(basis @ basis.T, np.eye(80), atol=1e-12)
+def _dct_basis(dim, stride):
+    """First `dim` rows of the orthonormal type-II DCT on `stride` points:
+    the frame transform the codec once applied, kept here as a reference."""
+    n = np.arange(stride)
+    k = np.arange(dim)[:, None]
+    basis = np.cos(np.pi * (2 * n[None, :] + 1) * k / (2 * stride))
+    scale = np.full((dim, 1), math.sqrt(2.0 / stride))
+    scale[0, 0] = math.sqrt(1.0 / stride)
+    return scale * basis
 
-    def test_rows_orthonormal_when_rectangular(self):
-        basis = codec.dct_basis(40, 80)
-        np.testing.assert_allclose(basis @ basis.T, np.eye(40), atol=1e-12)
+
+def test_a_square_dct_changes_no_stage_1_fit(tiny_corpus_dir):
+    """Why the codec has no frame transform: k-means++, Lloyd and the
+    nearest-codeword search read only L2 distances, which an orthonormal
+    rotation keeps. On the tiny corpus's stage-1 frames, fitting the raw
+    frames and their square DCT from one seed gives the same assignment of
+    every row, and centers related by the basis."""
+    cfg = codec.CodecConfig()
+    data = corpus.load_corpus(tiny_corpus_dir)
+    frames = np.concatenate([codec.frame_encode(corpus.read_waveform(r.path), cfg)
+                             for r in data.split_records("train")])
+    basis = _dct_basis(cfg.stride, cfg.stride)
+    np.testing.assert_allclose(basis @ basis.T, np.eye(cfg.stride), atol=1e-12)
+    rotated = frames @ basis.T
+    raw_centers = codec.kmeans_fit(frames, 64, 8, np.random.default_rng(3))
+    rot_centers = codec.kmeans_fit(rotated, 64, 8, np.random.default_rng(3))
+    np.testing.assert_allclose(rot_centers, raw_centers @ basis.T, rtol=0, atol=1e-9)
+    codes = _kernels.nearest_codeword(frames, raw_centers)
+    assert np.array_equal(_kernels.nearest_codeword(rotated, rot_centers), codes)
+    assert np.unique(codes).size == 64
 
 
 class TestFrameEncode:
     def test_paper_scale_shape(self, rng):
-        cfg = codec.CodecConfig(sample_rate=24000, stride=320, dim=320,
-                                quantizers=8, codebook_size=1024)
+        cfg = codec.CodecConfig(sample_rate=24000, stride=320, quantizers=8, codebook_size=1024)
         cs = codec.initial_codebooks(cfg, rng)
         w = Waveform(samples=rng.uniform(-0.5, 0.5, 240000), sample_rate=24000)
         frames = codec.frame_encode(w, cs)
@@ -44,14 +63,13 @@ class TestFrameEncode:
         w = Waveform(samples=np.zeros(800), sample_rate=8000)
         assert not codec.frame_encode(w, cs).any()
 
-    def test_first_frame_is_dot_products(self, rng):
+    def test_frames_are_a_copy_of_the_samples(self, rng):
         cs = _random_codebooks(rng)
-        w = Waveform(samples=rng.uniform(-1, 1, 8000), sample_rate=8000)
+        w = Waveform(samples=rng.uniform(-1, 1, 8050), sample_rate=8000)
         frames = codec.frame_encode(w, cs)
-        assert frames.shape[0] == 100
-        for d in range(0, 80, 17):
-            expected = float(cs.analysis[d] @ w.samples[:80])
-            assert frames[0, d] == pytest.approx(expected, abs=1e-12)
+        assert np.array_equal(frames, w.samples[:8000].reshape(100, 80))
+        frames[0, 0] = 7.0  # a copy: writing into the frames leaves the waveform as it was
+        assert w.samples[0] != 7.0
 
     def test_sample_rate_mismatch(self, rng):
         cs = _random_codebooks(rng)
@@ -78,12 +96,11 @@ class TestRvq:
             d = int(rng.integers(2, 9))
             k = int(rng.integers(2, 17))
             q = int(rng.integers(1, 5))
-            cfg = codec.CodecConfig(sample_rate=8000, stride=max(d, 2), dim=d,
-                                    quantizers=q, codebook_size=k)
+            cfg = codec.CodecConfig(sample_rate=8000, stride=d, quantizers=q, codebook_size=k)
             cs = codec.initial_codebooks(cfg, rng)
             books = rng.normal(size=cs.books.shape)
             books[1:, 0, :] = 0.0
-            cs = codec.CodebookSet(books=books, stride=cs.stride, sample_rate=8000)
+            cs = codec.CodebookSet(books=books, sample_rate=8000)
             frames = rng.normal(size=(3, d))
             cm = codec.rvq_encode(frames, cs)
             for t in range(3):
@@ -95,8 +112,7 @@ class TestRvq:
                     resid = resid - books[j][choice]
 
     def test_paper_shape_750x8(self, rng):
-        cfg = codec.CodecConfig(sample_rate=24000, stride=320, dim=320,
-                                quantizers=8, codebook_size=1024)
+        cfg = codec.CodecConfig(sample_rate=24000, stride=320, quantizers=8, codebook_size=1024)
         cs = codec.initial_codebooks(cfg, rng)
         w = Waveform(samples=rng.uniform(-0.5, 0.5, 240000), sample_rate=24000)
         cm = codec.rvq_encode(codec.frame_encode(w, cs), cs)
@@ -140,7 +156,7 @@ class TestRvq:
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_monotone_refinement(self, seed):
         rng = np.random.default_rng(seed)
-        cs = _random_codebooks(rng, dim=6, stride=6, q=4, k=8)
+        cs = _random_codebooks(rng, stride=6, q=4, k=8)
         frames = rng.normal(size=(10, 6))
         cm = codec.rvq_encode(frames, cs)
         errs = []
@@ -159,14 +175,14 @@ class TestFrameDecode:
         assert w.samples.size == 7 * 80
 
     def test_orthonormal_round_trip(self, rng):
+        """Framing is the identity transform, so the round trip is exact."""
         cs = _random_codebooks(rng)
-        w = Waveform(samples=rng.uniform(-0.9, 0.9, 8000), sample_rate=8000)
+        w = Waveform(samples=rng.uniform(-1, 1, 8000), sample_rate=8000)
         back = codec.frame_decode(codec.frame_encode(w, cs), cs)
-        np.testing.assert_allclose(back.samples, w.samples, atol=1e-5)
+        assert np.array_equal(back.samples, w.samples)
 
     def test_length_law(self, rng):
-        cfg = codec.CodecConfig(sample_rate=24000, stride=320, dim=320,
-                                quantizers=2, codebook_size=4)
+        cfg = codec.CodecConfig(sample_rate=24000, stride=320, quantizers=2, codebook_size=4)
         cs = codec.initial_codebooks(cfg, rng)
         w = codec.frame_decode(np.zeros((750, 320)), cs)
         assert w.samples.size == 240000
@@ -332,16 +348,13 @@ class TestKmeansOracles:
 class TestTrainCodebooks:
     def test_recovers_known_centroids(self, rng):
         """Oracle: dataset built from K known centroids -> stage-1 error 0."""
-        cfg = codec.CodecConfig(sample_rate=8000, stride=4, dim=4,
-                                quantizers=1, codebook_size=3, kmeans_iters=15, seed=5,
-                                pitch_augment=0.0)
+        cfg = codec.CodecConfig(sample_rate=8000, stride=4, quantizers=1, codebook_size=3,
+                                kmeans_iters=15, seed=5, pitch_augment=0.0)
         centroids = np.array(
             [[1.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0], [0.0, 0.0, -3.0, 0.0]]
         )
-        # build waveforms whose frames are exactly these embeddings
-        basis = codec.dct_basis(4, 4)
-        frames = centroids[rng.integers(0, 3, size=300)]
-        samples = (frames @ basis).reshape(-1) * 0.1
+        # a waveform whose frames are these centroids, scaled into [-1, 1]
+        samples = centroids[rng.integers(0, 3, size=300)].reshape(-1) * 0.1
         cs = codec.train_codebooks([Waveform(samples, 8000)], cfg)
         cm = codec.rvq_encode(codec.frame_encode(Waveform(samples, 8000), cs), cs)
         recon = codec.rvq_decode(cm, cs, stages=1)
@@ -349,31 +362,26 @@ class TestTrainCodebooks:
         np.testing.assert_allclose(recon, got, atol=1e-9)
 
     def test_single_quantizer_keeps_index_zero_live(self, rng):
-        cfg = codec.CodecConfig(sample_rate=8000, stride=4, dim=4,
-                                quantizers=1, codebook_size=4, kmeans_iters=5, seed=1,
-                                pitch_augment=0.0)
+        cfg = codec.CodecConfig(sample_rate=8000, stride=4, quantizers=1, codebook_size=4,
+                                kmeans_iters=5, seed=1, pitch_augment=0.0)
         samples = rng.uniform(-0.5, 0.5, 4000)
         cs = codec.train_codebooks([Waveform(samples, 8000)], cfg)
         # no reserved zero codeword for Q = 1
         assert np.any(cs.books[0][0] != 0.0)
 
     def test_determinism(self, rng):
-        cfg = codec.CodecConfig(sample_rate=8000, stride=8, dim=8,
-                                quantizers=3, codebook_size=5, kmeans_iters=6, seed=11)  # augment on: still deterministic
+        cfg = codec.CodecConfig(sample_rate=8000, stride=8, quantizers=3, codebook_size=5,
+                                kmeans_iters=6, seed=11)  # augment on: still deterministic
         samples = rng.uniform(-0.5, 0.5, 4000)
         a = codec.train_codebooks([Waveform(samples, 8000)], cfg)
         b = codec.train_codebooks([Waveform(samples, 8000)], cfg)
         np.testing.assert_array_equal(a.books, b.books)
 
     def test_pads_when_too_few_distinct_frames(self, rng, caplog):
-        cfg = codec.CodecConfig(sample_rate=8000, stride=4, dim=4,
-                                quantizers=1, codebook_size=16, kmeans_iters=3, seed=2,
-                                pitch_augment=0.0)
-        basis = codec.dct_basis(4, 4)
-        frames = np.array([[0.5, 0, 0, 0], [0, 0.25, 0, 0]])[
-            rng.integers(0, 2, size=100)
-        ]
-        samples = (frames @ basis).reshape(-1)
+        cfg = codec.CodecConfig(sample_rate=8000, stride=4, quantizers=1, codebook_size=16,
+                                kmeans_iters=3, seed=2, pitch_augment=0.0)
+        frames = np.array([[0.5, 0, 0, 0], [0, 0.25, 0, 0]])[rng.integers(0, 2, size=100)]
+        samples = frames.reshape(-1)
         with caplog.at_level("WARNING"):
             cs = codec.train_codebooks([Waveform(samples, 8000)], cfg)
         assert "padding" in caplog.text
@@ -390,14 +398,14 @@ class TestTrainCodebooks:
         Stage 2's input has one row above the floor, c's, so it is fitted;
         stage 3's has none, so it gets the zero book and a warning, and adds
         nothing to the reconstruction."""
-        cfg = codec.CodecConfig(sample_rate=8000, stride=4, dim=4, quantizers=3,
-                                codebook_size=2, kmeans_iters=5, seed=4, pitch_augment=0.0)
+        cfg = codec.CodecConfig(sample_rate=8000, stride=4, quantizers=3, codebook_size=2,
+                                kmeans_iters=5, seed=4, pitch_augment=0.0)
         a = np.array([0.5, 0.125, 0.0, -0.25])
         b = np.array([-0.125, 0.25, 0.1875, 0.0625])  # float32-exact, as is a
         frames = np.stack([a] * 600 + [b] * 399 + [b + [0.0, 4e-6, 0.0, 0.0]])
         order = rng.permutation(len(frames))
         c_row = int(np.flatnonzero(order == len(frames) - 1)[0])
-        w = Waveform((frames[order] @ codec.dct_basis(4, 4)).reshape(-1), 8000)
+        w = Waveform(frames[order].reshape(-1), 8000)
         with caplog.at_level("WARNING"):
             cs = codec.train_codebooks([w], cfg)
         x = codec.frame_encode(w, cs)
@@ -414,8 +422,8 @@ class TestTrainCodebooks:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_audio_rejected(self, rng, bad):
-        cfg = codec.CodecConfig(sample_rate=8000, stride=4, dim=4,
-                                quantizers=2, codebook_size=4, kmeans_iters=2)
+        cfg = codec.CodecConfig(sample_rate=8000, stride=4, quantizers=2, codebook_size=4,
+                                kmeans_iters=2)
         samples = rng.uniform(-0.5, 0.5, 400)
         samples[123] = bad
         with pytest.raises(ValidationError, match="non-finite"):
@@ -459,8 +467,8 @@ class TestCodebookIO:
                 np.testing.assert_array_equal(loaded.codes, fitted.codes)
 
     def test_loaded_codec_transforms_bit_for_bit(self, tmp_path, rng):
-        """The frame transform is derived, not stored: a loaded codec's
-        frame_encode, and its exact round trip, equal the in-memory ones."""
+        """A loaded codec frames and unframes a waveform bit for bit as the
+        in-memory one, and its round trip is exact."""
         cs = _random_codebooks(rng, q=3, k=16)
         path = tmp_path / "books.cbk"
         cs.save(path)
@@ -470,7 +478,7 @@ class TestCodebookIO:
         assert np.array_equal(codec.frame_encode(w, back), frames)
         assert np.array_equal(codec.frame_decode(frames, back).samples,
                               codec.frame_decode(frames, cs).samples)
-        assert codec.reconstruction_snr(w, codec.frame_decode(frames, back)) > 250
+        assert np.array_equal(codec.frame_decode(frames, back).samples, w.samples)
 
     def test_load_validates(self, tmp_path, rng):
         """A stage-2 book whose index-0 codeword is not zero is refused."""
@@ -481,8 +489,14 @@ class TestCodebookIO:
         with pytest.raises(ValidationError, match="codebook 2 must reserve index 0"):
             codec.CodebookSet.load(path)
 
-    def test_transform_is_cached_and_contiguous(self, rng):
-        cs = _random_codebooks(rng)
-        assert cs.analysis is cs.analysis
-        assert cs.synthesis.flags["C_CONTIGUOUS"]
-        assert np.array_equal(cs.synthesis, codec.dct_basis(cs.dim, cs.stride).T)
+    def test_load_refuses_the_dct_layout(self, tmp_path, rng):
+        """A file of the older layout, books of DCT coefficients with a
+        `stride` header field, would decode to noise: it is refused, naming
+        the path and its kind."""
+        cs = _random_codebooks(rng, q=3, k=16)
+        path = tmp_path / "old.cbk"
+        formats.write_artifact(path, "codebooks", {"stride": 80, "sample_rate": 8000},
+                               {"books": cs.books})
+        with pytest.raises(ValidationError) as err:
+            codec.CodebookSet.load(path)
+        assert str(err.value) == f"{path}: kind is 'codebooks', expected 'frame_codebooks'"

@@ -25,7 +25,6 @@ ORACLE = {
     },
     "codec": {
         "stride": (int, 80),
-        "dim": (int, 80),
         "quantizers": (int, 8),
         "codebook_size": (int, 256),
         "kmeans_iters": (int, 2),
@@ -70,8 +69,8 @@ NEW_VALUES = {
         "duration_max": 6.5, "sample_rate": 16000, "seed": 7,
     },
     "codec": {
-        "stride": 160, "dim": 120, "quantizers": 4,
-        "codebook_size": 512, "kmeans_iters": 3, "pitch_augment": 0.05, "seed": 7,
+        "stride": 160, "quantizers": 4, "codebook_size": 512, "kmeans_iters": 3,
+        "pitch_augment": 0.05, "seed": 7,
     },
     "model": {
         "layers": 2, "heads": 8, "embed_dim": 64, "ffn_dim": 256, "dropout": 0.2,
@@ -203,7 +202,7 @@ BUILT_CASES = [
     (ContentUnit, dict(symbol_id=3, duration=0.2), "duration", -0.5, "duration -0.5"),
     (ContentSeq, dict(units=(ContentUnit(3, 0.2),)), "units", (), "nonempty"),
     (CorpusConfig, dict(out_dir="c"), "speakers", 11, "grid has 10 points"),
-    (CodecConfig, {}, "dim", 81, "dim cannot exceed"),
+    (CodecConfig, {}, "stride", 0, "stride/quantizers/codebook_size must be positive"),
     (ModelConfig, {}, "heads", 3, "divisible by heads"),
     (SamplingSpec, {}, "top_p", 0.0, "top_p"),
     (TrainConfig, {}, "warmup_steps", 1000, "warmup_steps < total_steps"),

@@ -22,15 +22,14 @@ def test_audio_bad_magic(tmp_path):
 
 
 def test_codebooks_round_trip(tmp_path, rng):
-    """The codebook file stores the books, the stride and the sample rate,
-    not the frame transform."""
+    """The codebook file stores the books and the sample rate; the stride is
+    the books' last axis."""
     books = rng.normal(size=(3, 5, 4))
     books[1:, 0] = 0.0
     path = tmp_path / "books.cbk"
-    codec.CodebookSet(books=books, stride=8, sample_rate=8000).save(path)
-    fields, blocks = formats.read_artifact(path, "codebooks", {"stride": int,
-                                                               "sample_rate": int})
-    assert fields == {"stride": 8, "sample_rate": 8000}
+    codec.CodebookSet(books=books, sample_rate=8000).save(path)
+    fields, blocks = formats.read_artifact(path, "frame_codebooks", {"sample_rate": int})
+    assert fields == {"sample_rate": 8000}
     assert list(blocks) == ["books"]
     np.testing.assert_array_equal(blocks["books"], books.astype(np.float32))
 

@@ -374,7 +374,7 @@ class TestComputeDtype:
         nar = {n: p.astype(dtype) for n, p in nar_model.init_nar_params(cfg, rng).items()}
         phon, ac = [2, 9, 4], [1, 3, 0, 4]
         prompt, target = rng.integers(0, 5, (3, 3)), rng.integers(0, 5, (4, 3))
-        train = dict(train=True, rng=np.random.default_rng(1))
+        train = dict(rng=np.random.default_rng(1))
         dec = ar_model.ArDecoder(ar, cfg, phon, ac[:2])
         dec.push(ac[2])
         outputs = {

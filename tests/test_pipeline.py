@@ -199,7 +199,7 @@ def test_train_nar_skips_utterances_shorter_than_the_prompt(tmp_path, tiny_codec
     corpus.build_corpus(corpus.CorpusConfig(
         out_dir=tmp_path, speakers=3, held_out_speakers=0, utterances_per_speaker=2,
         duration_min=2.0, duration_max=4.5, seed=1))
-    need = int(pipeline.NAR_PROMPT_SECONDS * tiny_codec.frame_rate) + 1
+    need = int(pipeline.PROMPT_SECONDS * tiny_codec.frame_rate) + 1
     frames = {tu.record.utt_id: tu.num_frames for tu in pipeline.tokenize_split(
         corpus.load_corpus(tmp_path), tiny_codec, "train")}
     short = {u for u, n in frames.items() if n < need}
