@@ -150,15 +150,17 @@ class ArDecoder:
 
 
 def ar_generate(params, cfg: ModelConfig, phon_ids, prefix_codes, sampling: SamplingSpec):
-    """Sample first-layer codes until acoustic EOS or max_new_tokens.
+    """Sample first-layer codes until acoustic EOS, max_new_tokens, or the
+    context limit: the most codes that `ar_forward` accepts after the prompt.
 
     Returns the generated codes only (prefix and EOS excluded). Deterministic
     for a fixed sampling seed.
     """
     rng = np.random.default_rng(np.random.SeedSequence([sampling.seed & 0xFFFFFFFF]))
     decoder = ArDecoder(params, cfg, phon_ids, prefix_codes)
+    room = cfg.max_len - decoder.p - decoder.ac_len - 1
     out = []
-    for _ in range(sampling.max_new_tokens):
+    for _ in range(min(sampling.max_new_tokens, room)):
         logits = decoder.next_logits()
         token = lm_core.nucleus_sample(logits, sampling.temperature, sampling.top_p, rng)
         if token == cfg.acoustic_eos:

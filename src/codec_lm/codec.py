@@ -124,8 +124,8 @@ class CodebookSet:
 def initial_codebooks(cfg: CodecConfig, rng: np.random.Generator | None = None) -> CodebookSet:
     """Untrained CodebookSet of small random codewords.
 
-    Useful for shape tests and as the k-means starting structure; stages >= 2
-    already carry the reserved zero codeword.
+    Only tests and `perfbench/tests` use it (`kmeans_fit` seeds by k-means++
+    and never reads it); stages >= 2 already carry the reserved zero codeword.
     """
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 11]))

@@ -85,14 +85,10 @@ class ContentSeq:
         if not self.units:
             raise ValidationError("content.units must be nonempty")
 
-    def text(self) -> str:
-        return "".join(frontend.ID_TO_SYMBOL[u.symbol_id] for u in self.units)
-
 
 @dataclass(frozen=True)
 class Utterance:
     waveform: Waveform
-    text: str
 
 
 def _symbol_traits(sym_id: int):
@@ -141,8 +137,7 @@ def generate_utterance(
         samples[sl] = gain * env * unit_wave
         pos += n
 
-    wav = Waveform(samples=samples, sample_rate=sample_rate)
-    return Utterance(waveform=wav, text=content.text())
+    return Utterance(waveform=Waveform(samples=samples, sample_rate=sample_rate))
 
 
 # -- f0 tracking ---------------------------------------------------------------
@@ -306,14 +301,19 @@ def make_content(cfg: CorpusConfig, rng: np.random.Generator) -> ContentSeq:
     return ContentSeq(units=tuple(units))
 
 
+def _audio_path(root, utt_id) -> Path:
+    """Where a corpus directory keeps an utterance's audio."""
+    return Path(root) / "audio" / f"{utt_id}.clm"
+
+
 def build_corpus(cfg: CorpusConfig):
     """Generate and persist the corpus; returns the manifest path.
 
     Layout (the tables are tab-separated, one row per line):
-    - manifest.tsv: utt_id, speaker_id, split, audio path, text;
+    - manifest.tsv: utt_id, speaker_id, split, then the units as
+      space-separated `symbol:duration` pairs. The transcription is the
+      units' symbols in order;
     - speakers.tsv: speaker_id, f0, harmonic amplitudes joined by ",";
-    - alignments.tsv: utt_id, then its units as space-separated
-      `symbol:duration` pairs;
     - audio/<utt_id>.clm: the rendered waveform.
     Held-out speakers are the last `held_out_speakers` ids and are marked
     split=eval; they appear in no train entry.
@@ -323,7 +323,7 @@ def build_corpus(cfg: CorpusConfig):
     specs = make_speakers(cfg)
     first_eval = cfg.speakers - cfg.held_out_speakers
 
-    manifest_rows, align_lines, speaker_lines = [], [], []
+    manifest_lines, speaker_lines = [], []
     for spec in specs:
         split = "eval" if spec.speaker_id >= first_eval else "train"
         amps = ",".join(repr(a) for a in spec.harmonic_amps)
@@ -335,20 +335,17 @@ def build_corpus(cfg: CorpusConfig):
             content = make_content(cfg, rng)
             utt = generate_utterance(spec, content, cfg.sample_rate, 0)
             utt_id = f"utt_{spec.speaker_id:03d}_{idx:03d}"
-            rel = f"audio/{utt_id}.clm"
-            formats.write_audio(out / rel, utt.waveform.samples, cfg.sample_rate)
-            manifest_rows.append((utt_id, spec.speaker_id, split, rel, utt.text))
+            formats.write_audio(_audio_path(out, utt_id), utt.waveform.samples, cfg.sample_rate)
             pairs = " ".join(f"{frontend.ID_TO_SYMBOL[u.symbol_id]}:{u.duration!r}"
                              for u in content.units)
-            align_lines.append(f"{utt_id}\t{pairs}\n")
+            manifest_lines.append(f"{utt_id}\t{spec.speaker_id}\t{split}\t{pairs}\n")
 
-    formats.write_manifest(out / "manifest.tsv", manifest_rows)
-    formats.write_text(out / "alignments.tsv", "".join(align_lines))
+    formats.write_text(out / "manifest.tsv", "".join(manifest_lines))
     formats.write_text(out / "speakers.tsv", "".join(speaker_lines))
     log.info(
         "corpus written to %s: %d utterances, %d train / %d eval speakers",
         out,
-        len(manifest_rows),
+        len(manifest_lines),
         first_eval,
         cfg.held_out_speakers,
     )
@@ -363,7 +360,6 @@ class UttRecord:
     speaker_id: int
     split: str
     path: Path
-    text: str
     units: tuple  # of ContentUnit
 
 
@@ -387,7 +383,7 @@ def read_waveform(path) -> Waveform:
 
 
 def _parse_units(pairs):
-    """The ContentUnits of an alignments.tsv `sym:duration` list."""
+    """The ContentUnits of a manifest `sym:duration` list."""
     units = []
     for item in pairs.split(" "):
         parts = item.split(":")
@@ -405,23 +401,22 @@ def _parse_speaker(sid, f0, amps):
 
 
 def load_corpus(corpus_dir) -> CorpusData:
-    """Read back what `build_corpus` wrote: the manifest, the unit timings of
-    alignments.tsv and the speaker table of speakers.tsv. A malformed line
-    (such as one of the older layout with vibrato and pitch-offset columns), a
-    row whose ContentUnit or SpeakerSpec refuses its values (a unit duration
-    or a speaker f0 that is not positive), or a manifest entry without its
-    alignment or speaker row, raises ValidationError naming the file."""
+    """Read back what `build_corpus` wrote: the utterances of manifest.tsv,
+    each with its audio path, and the speaker table of speakers.tsv. A
+    malformed line (such as one of an older layout), a row whose ContentUnit
+    or SpeakerSpec refuses its values (a unit duration or a speaker f0 that is
+    not positive), a repeated utt_id or speaker_id, or a manifest entry
+    without its speaker row, raises ValidationError naming the file."""
     root = Path(corpus_dir)
-    entries = formats.read_manifest(root / "manifest.tsv")
-    units = dict(formats.read_tsv(
-        root / "alignments.tsv", 2, lambda utt_id, pairs: (utt_id, _parse_units(pairs))))
-    speakers = dict(formats.read_tsv(root / "speakers.tsv", 3, _parse_speaker))
-    records = []
-    for utt_id, sid, split, rel, text in entries:
-        if utt_id not in units:
-            raise ValidationError(f"{root / 'alignments.tsv'}: no alignment for {utt_id}")
-        if sid not in speakers:
-            raise ValidationError(f"{root / 'speakers.tsv'}: no row for speaker {sid}")
-        records.append(UttRecord(utt_id=utt_id, speaker_id=sid, split=split,
-                                 path=root / rel, text=text, units=units[utt_id]))
+
+    def record(utt_id, sid, split, pairs):
+        return utt_id, UttRecord(utt_id=utt_id, speaker_id=int(sid), split=split,
+                                 path=_audio_path(root, utt_id), units=_parse_units(pairs))
+
+    records = list(formats.read_tsv(root / "manifest.tsv", 4, record).values())
+    speakers = formats.read_tsv(root / "speakers.tsv", 3, _parse_speaker)
+    for rec in records:
+        if rec.speaker_id not in speakers:
+            raise ValidationError(
+                f"{root / 'speakers.tsv'}: no row for speaker {rec.speaker_id}")
     return CorpusData(records=records, speakers=speakers)

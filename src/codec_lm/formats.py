@@ -141,19 +141,15 @@ def read_audio(path):
     return blocks["samples"].astype(np.float64), fields["sample_rate"]
 
 
-# -- manifest / report / loss log ---------------------------------------------
-
-def write_manifest(path, entries) -> None:
-    """Entries: iterable of (utt_id, speaker_id, split, relative_path, text)."""
-    write_text(path, "".join(f"{utt_id}\t{speaker_id}\t{split}\t{relpath}\t{text}\n"
-                             for utt_id, speaker_id, split, relpath, text in entries))
-
+# -- tables: corpus, report, loss log -----------------------------------------
 
 def read_tsv(path, n_fields, parse):
-    """`parse(*fields)` of each nonempty line of the tab-separated file `path`.
-    A line with another field count, or whose fields `parse` rejects with a
-    ValueError, raises ValidationError naming `path:line`."""
-    rows = []
+    """A dict, in file order, of the (key, value) pair `parse(*fields)` gives
+    for each nonempty line of the tab-separated file `path`. A line with
+    another field count, whose fields `parse` rejects with a ValueError, or
+    whose key repeats an earlier line's raises ValidationError naming
+    `path:line`."""
+    rows, first = {}, {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -164,17 +160,14 @@ def read_tsv(path, n_fields, parse):
                 raise ValidationError(
                     f"{path}:{lineno}: expected {n_fields} fields, got {len(fields)}")
             try:
-                rows.append(parse(*fields))
+                key, value = parse(*fields)
             except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+            if key in first:
+                raise ValidationError(
+                    f"{path}:{lineno}: duplicate key {key!r}, first on line {first[key]}")
+            rows[key], first[key] = value, lineno
     return rows
-
-
-def read_manifest(path):
-    """The entries `write_manifest` wrote."""
-    def entry(utt_id, speaker_id, split, relpath, text):
-        return utt_id, int(speaker_id), split, relpath, text
-    return read_tsv(path, 5, entry)
 
 
 def write_report(path, rows) -> None:

@@ -3,8 +3,10 @@ evaluation.
 
 Training and evaluation read the corpus through one data path:
 
-1. load: `corpus.load_corpus` reads the corpus directory into records (audio
-   path, speaker, split, text and unit timings);
+1. load: `corpus.load_corpus` reads the corpus directory's two tables into
+   records (speaker, split and unit timings from one manifest row, and the
+   audio path derived from the utt_id) and the speaker table. A record's
+   transcription is its units' symbols in order;
 2. tokenize once: `tokenize_split` encodes each record of a split with the
    codec and labels every frame with the phoneme its unit timings put there;
 3. items: `sample_ar_item` and `sample_nar_item` crop those tokens. Training
@@ -334,8 +336,8 @@ def synthesize(spec: PromptSpec, ar: ModelBundle, nar: ModelBundle, cs: Codebook
     AR consumes the stage-1 prompt codes as a prefix and samples stage-1
     target codes; NAR then fills stages 2..Q greedily, conditioned on the full
     Q-stage prompt matrix; the codec decodes the target codes alone. When the
-    AR model emits the acoustic EOS first, the waveform is empty and a
-    warning says so.
+    AR model emits the acoustic EOS first, or the prompt leaves no room in
+    max_len, the waveform is empty and a warning says so.
     """
     _check_dims(ar.cfg, cs)
     _check_dims(nar.cfg, cs)
@@ -343,7 +345,8 @@ def synthesize(spec: PromptSpec, ar: ModelBundle, nar: ModelBundle, cs: Codebook
     prompt_cm = codec.encode(spec.enrolled_waveform, cs)
     first = ar_model.ar_generate(ar.params, ar.cfg, phon, prompt_cm.codes[:, 0], sampling)
     if first.size == 0:
-        log.warning("the AR model emitted the acoustic EOS first: the synthesis is empty")
+        log.warning("the AR model generated no code (acoustic EOS first, or the prompt"
+                    " fills max_len): the synthesis is empty")
         return Waveform(samples=np.zeros(0), sample_rate=cs.sample_rate)
     codes = nar_model.nar_generate_all(nar.params, nar.cfg, phon, prompt_cm.codes, first)
     return codec.decode(CodeMatrix(codes=codes, codebook_size=cs.codebook_size), cs)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -169,6 +170,26 @@ class TestGeneration:
             )
             assert len(out) <= 9
             assert cfg.acoustic_eos not in out.tolist()
+
+    def test_generation_ends_at_the_context_limit(self, params, cfg):
+        """Generation stops after as many codes as the context still holds,
+        so ar_forward accepts the prompt plus the output, and the codes are
+        those of a context with room whose max_new_tokens ends at the same
+        place. Every hidden state is ln_f's shift, which scores the acoustic
+        EOS far below every code."""
+        params = {**params, "ln_f.affine": params["ln_f.affine"].copy(),
+                  "acoustic_emb": params["acoustic_emb"].copy()}
+        params["ln_f.affine"][0] = 0.0
+        params["ln_f.affine"][1] = 1.0
+        params["acoustic_emb"][cfg.acoustic_eos] = -10.0
+        small = replace(cfg, max_len=9)
+        phon, prefix = [2, 9, 4], [3, 1]
+        spec = SamplingSpec(temperature=1.0, top_p=1.0, seed=4, max_new_tokens=9)
+        out = ar_model.ar_generate(params, small, phon, prefix, spec)
+        assert len(out) == small.max_len - (len(phon) + 1) - len(prefix) - 1 == 2
+        ar_model.ar_forward(params, small, phon, prefix + out.tolist())
+        roomy = ar_model.ar_generate(params, cfg, phon, prefix, replace(spec, max_new_tokens=2))
+        np.testing.assert_array_equal(out, roomy)
 
     def test_nonpositive_max_new_tokens_rejected(self, params, cfg):
         with pytest.raises(ValidationError):

@@ -5,7 +5,7 @@ import shutil
 
 import pytest
 
-from codec_lm import cli, codec, formats
+from codec_lm import cli, codec, corpus, formats, frontend
 
 SMALL_CORPUS = ["corpus.speakers=4", "corpus.held_out=1", "corpus.duration_min=3.5",
                 "corpus.duration_max=4.5"]
@@ -37,18 +37,17 @@ def run_chain(root, seed=3):
     for kind, out in (("ar", ar), ("nar", nar)):
         _run([f"train-{kind}", "--corpus", corpus_dir, "--codec", cbk, "--out", out,
               *seed_args, *_sets(SMALL_MODEL)])
-    utt_id, _, _, rel, text = next(
-        e for e in formats.read_manifest(corpus_dir / "manifest.tsv") if e[2] == "eval"
-    )
+    rec = corpus.load_corpus(corpus_dir).split_records("eval")[0]
+    text = "".join(frontend.ID_TO_SYMBOL[u.symbol_id] for u in rec.units)
     models = ["--ar", ar, "--nar", nar, "--codec", cbk, *seed_args, *_sets(SMALL_SAMPLING)]
     _run(["synthesize", *models, "--out", root / "standard.clm", "--text", "abdo",
-          "--enrolled-audio", corpus_dir / rel, "--enrolled-text", text])
+          "--enrolled-audio", rec.path, "--enrolled-text", text])
     _run(["synthesize", *models, "--out", root / "continual.clm", "--mode", "continual",
-          "--text", text, "--enrolled-audio", corpus_dir / rel, "--prompt-seconds", "1.5"])
+          "--text", text, "--enrolled-audio", rec.path, "--prompt-seconds", "1.5"])
     _run(["eval", *models, "--corpus", corpus_dir, "--out", root / "report.tsv",
           "--seeds", "1"])
     return {"corpus": corpus_dir, "codec": cbk, "ar": ar, "nar": nar,
-            "audio": corpus_dir / rel, "report": root / "report.tsv"}
+            "audio": rec.path, "report": root / "report.tsv"}
 
 
 @pytest.fixture(scope="module")
@@ -175,27 +174,37 @@ def _old_speakers_layout(text):
     return "".join(f"{sid}\t{f0}\t5.0\t0.0\t{amps}\ttrain\n" for sid, f0, amps in rows)
 
 
-def _old_alignments_layout(text):
+def _old_units_layout(text):
     """Units as they were, `symbol:duration:pitch_offset`."""
+    rows = (line.rsplit("\t", 1) for line in text.splitlines())
+    return "".join(f"{head}\t{units.replace(' ', ':0.0 ')}:0.0\n" for head, units in rows)
+
+
+def _old_manifest_layout(text):
+    """Rows as they were with the audio path and the text, the units kept in
+    alignments.tsv."""
     rows = (line.split("\t") for line in text.splitlines())
-    return "".join(f"{utt}\t{units.replace(' ', ':0.0 ')}:0.0\n" for utt, units in rows)
+    return "".join(f"{utt}\t{sid}\t{split}\taudio/{utt}.clm\t"
+                   + "".join(u.split(":")[0] for u in units.split(" ")) + "\n"
+                   for utt, sid, split, units in rows)
 
 
 @pytest.mark.parametrize("name, corrupt, where", [
     ("speakers.tsv", _drop_last_field, ":1: expected 3 fields, got 2"),
-    ("alignments.tsv", _drop_last_field, ":1: expected 2 fields, got 1"),
+    ("manifest.tsv", _drop_last_field, ":1: expected 4 fields, got 3"),
     ("speakers.tsv", _bad_first_f0, ":1: could not convert string to float: 'fast'"),
-    ("alignments.tsv", _drop_first_line, ": no alignment for utt_000_000"),
     ("speakers.tsv", _drop_first_line, ": no row for speaker 0"),
     ("speakers.tsv", _old_speakers_layout, ":1: expected 3 fields, got 6"),
-    ("alignments.tsv", _old_alignments_layout, ":1: units are symbol:duration pairs, not '"),
-], ids=["short-speakers-line", "short-alignments-line", "bad-number", "missing-alignment",
-        "missing-speaker", "old-speakers-layout", "old-alignments-layout"])
+    ("manifest.tsv", _old_units_layout, ":1: units are symbol:duration pairs, not '"),
+    ("manifest.tsv", _old_manifest_layout, ":1: expected 4 fields, got 5"),
+], ids=["short-speakers-line", "short-manifest-line", "bad-number", "missing-speaker",
+        "old-speakers-layout", "old-units-layout", "old-manifest-layout"])
 def test_malformed_corpus_exits_2(chain, tmp_path, capsys, name, corrupt, where):
-    """A corpus file that does not parse, or lacks the row of a manifest
-    entry, gives a one-line error naming the file and line (or the missing
-    utterance or speaker), not a traceback. A corpus in the layout before
-    the vibrato and pitch-offset columns were dropped is refused alike."""
+    """A corpus file that does not parse, or lacks the speaker row of a
+    manifest entry, gives a one-line error naming the file and line (or the
+    missing speaker), not a traceback. A corpus in an older layout (vibrato
+    and pitch-offset columns, or the manifest's audio-path and text columns
+    with the units in alignments.tsv) is refused alike."""
     corpus_dir = tmp_path / "corpus"
     shutil.copytree(chain["corpus"], corpus_dir)
     path = corpus_dir / name
@@ -214,11 +223,10 @@ def test_non_finite_training_audio_exits_2(chain, tmp_path, capsys):
     not a traceback from inside the k-means++ draw."""
     corpus_dir = tmp_path / "corpus"
     shutil.copytree(chain["corpus"], corpus_dir)
-    rel = next(e[3] for e in formats.read_manifest(corpus_dir / "manifest.tsv")
-               if e[2] == "train")
-    samples, sample_rate = formats.read_audio(corpus_dir / rel)
+    path = corpus.load_corpus(corpus_dir).split_records("train")[0].path
+    samples, sample_rate = formats.read_audio(path)
     samples[100] = float("nan")
-    formats.write_audio(corpus_dir / rel, samples, sample_rate)
+    formats.write_audio(path, samples, sample_rate)
     argv = ["train-codec", "--corpus", corpus_dir, "--out", tmp_path / "c.cbk",
             *_sets(SMALL_CODEC)]
     assert cli.main([str(a) for a in argv]) == 2

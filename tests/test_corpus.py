@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
-from codec_lm import corpus, formats, frontend
+from codec_lm import corpus, frontend
 from codec_lm.errors import ValidationError
 
 
@@ -146,17 +146,29 @@ def test_make_speakers_keeps_the_vibrato_draws(seed):
 
 class TestBuildCorpus:
     def test_split_disjoint(self, tiny_corpus_dir):
-        entries = formats.read_manifest(tiny_corpus_dir / "manifest.tsv")
-        train = {sid for _, sid, split, _, _ in entries if split == "train"}
-        evals = {sid for _, sid, split, _, _ in entries if split == "eval"}
+        records = corpus.load_corpus(tiny_corpus_dir).records
+        train = {r.speaker_id for r in records if r.split == "train"}
+        evals = {r.speaker_id for r in records if r.split == "eval"}
         assert train and evals
         assert train.isdisjoint(evals)
 
     def test_counts(self, tiny_corpus_dir):
-        entries = formats.read_manifest(tiny_corpus_dir / "manifest.tsv")
-        assert len(entries) == 4 * 2
-        evals = [e for e in entries if e[2] == "eval"]
+        records = corpus.load_corpus(tiny_corpus_dir).records
+        assert len(records) == 4 * 2
+        evals = [r for r in records if r.split == "eval"]
         assert len(evals) == 1 * 2
+
+    def test_files_are_two_tables_and_the_audio(self, tiny_corpus_dir):
+        """A corpus is manifest.tsv, speakers.tsv and one audio/<utt_id>.clm
+        per manifest row, and nothing else."""
+        utt_ids = [line.split("\t")[0] for line in
+                   (tiny_corpus_dir / "manifest.tsv").read_text().splitlines()]
+        files = sorted(p.relative_to(tiny_corpus_dir).as_posix()
+                       for p in tiny_corpus_dir.rglob("*") if p.is_file())
+        assert files == sorted(["manifest.tsv", "speakers.tsv",
+                                *(f"audio/{u}.clm" for u in utt_ids)])
+        assert [r.path for r in corpus.load_corpus(tiny_corpus_dir).records] == [
+            tiny_corpus_dir / "audio" / f"{u}.clm" for u in utt_ids]
 
     def test_zero_utterances_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="utterances_per_speaker"):
@@ -188,14 +200,31 @@ class TestBuildCorpus:
         assert h1 == h2
 
     def test_text_matches_alignment_and_frontend(self, tiny_corpus_dir):
+        """A transcription, the units' symbols in order, reads back through the
+        frontend as the units' deduplicated symbol ids."""
         records = corpus.load_corpus(tiny_corpus_dir).records
         assert len(records) == 4 * 2
         for rec in records:
-            ids = frontend.text_to_phonemes(rec.text).ids
+            text = "".join(frontend.ID_TO_SYMBOL[u.symbol_id] for u in rec.units)
+            ids = frontend.text_to_phonemes(text).ids
             aligned = tuple(
                 frontend.dedup_consecutive([u.symbol_id for u in rec.units])
             )
             assert ids == aligned
+
+    def test_manifest_round_trip(self, tiny_corpus_dir):
+        """The manifest reads back each utterance's id, speaker, split and the
+        units `make_content` drew for it, durations exact."""
+        cfg = corpus.CorpusConfig(out_dir="unused", speakers=4, held_out_speakers=1,
+                                  duration_min=3.5, duration_max=4.5, seed=7)
+        expected = [
+            (f"utt_{sid:03d}_{idx:03d}", sid, "eval" if sid == 3 else "train",
+             corpus.make_content(cfg, np.random.default_rng(
+                 np.random.SeedSequence([cfg.seed, 7, sid, idx]))).units)
+            for sid in range(4) for idx in range(2)
+        ]
+        records = corpus.load_corpus(tiny_corpus_dir).records
+        assert [(r.utt_id, r.speaker_id, r.split, r.units) for r in records] == expected
 
     def test_speakers_file_round_trip(self, tiny_corpus_dir):
         """speakers.tsv reads back the roster of the tiny corpus's config (4
@@ -209,17 +238,21 @@ class TestBuildCorpus:
         ("speakers.tsv", 1, 1, "0.0", "speaker.f0 must be positive"),
         ("speakers.tsv", 1, 1, "-150.0", "speaker.f0 must be positive"),
         ("speakers.tsv", 2, 2, "-1.0,0.5", "speaker.harmonic_amps must be nonnegative"),
-        ("alignments.tsv", 3, 1, "a:-0.5", "content unit duration -0.5 must be positive"),
-        ("alignments.tsv", 3, 1, "a:0.2 e:0.0", "content unit duration 0.0 must"),
-        ("alignments.tsv", 3, 1, "a:0.2 e:0.3:0.0",
+        ("manifest.tsv", 3, 3, "a:-0.5", "content unit duration -0.5 must be positive"),
+        ("manifest.tsv", 3, 3, "a:0.2 e:0.0", "content unit duration 0.0 must"),
+        ("manifest.tsv", 3, 3, "a:0.2 e:0.3:0.0",
          "units are symbol:duration pairs, not 'e:0.3:0.0'"),
         ("speakers.tsv", 2, 2, "5.0\t0.0\t1.0,0.5\ttrain", "expected 3 fields, got 6"),
+        ("manifest.tsv", 3, 3, "audio/utt_001_000.clm\tabd", "expected 4 fields, got 5"),
+        ("manifest.tsv", 2, 0, "utt_000_000", "duplicate key 'utt_000_000', first on line 1"),
+        ("speakers.tsv", 2, 0, "0", "duplicate key 0, first on line 1"),
     ])
     def test_load_refuses_invalid_rows(self, tiny_corpus_dir, tmp_path, table, lineno,
                                        column, value, message):
-        """A table row whose record refuses its values, or a row or unit of the
-        older layout (vibrato and split columns, pitch offsets), is an error
-        naming `path:line`."""
+        """A table row whose record refuses its values, a row or unit of an
+        older layout (vibrato and split columns, pitch offsets, the manifest's
+        audio-path and text columns), or a row whose key repeats an earlier
+        row's, is an error naming `path:line`."""
         root = tmp_path / "corpus"
         shutil.copytree(tiny_corpus_dir, root)
         path = root / table

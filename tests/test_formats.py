@@ -124,7 +124,7 @@ class _FailingFile:
 @pytest.mark.parametrize("write", [
     lambda p: formats.write_audio(p, np.ones(50), 8000),
     lambda p: formats.write_artifact(p, "ar", {"layers": 1}, {"w": np.ones((4, 4))}),
-    lambda p: formats.write_manifest(p, [("u", 0, "train", "audio/u.clm", "abc")]),
+    lambda p: formats.write_text(p, "utt_000_000\t0\ttrain\ta:0.2 e:0.1\n"),
     lambda p: formats.write_report(p, [("metric", "eval", 1.0)]),
     lambda p: formats.write_loss_log(p, [(1, 2.0, 1e-3)]),
 ], ids=["audio", "artifact", "manifest", "report", "loss-log"])
@@ -140,16 +140,6 @@ def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch, write):
         write(path)
     assert path.read_bytes() == b"old contents"
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
-
-
-def test_manifest_round_trip(tmp_path):
-    entries = [
-        ("utt_000_000", 0, "train", "audio/utt_000_000.clm", "aeiou"),
-        ("utt_003_001", 3, "eval", "audio/utt_003_001.clm", "bdg"),
-    ]
-    path = tmp_path / "manifest.tsv"
-    formats.write_manifest(path, entries)
-    assert formats.read_manifest(path) == entries
 
 
 def read_report(path):

@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -239,12 +240,33 @@ def test_empty_synthesis_is_logged(tiny_corpus_dir, tiny_codec, caplog):
     ar.params["ln_f.affine"][1] = 1.0
     ar.params["acoustic_emb"][cfg.acoustic_eos] = 10.0
     rec = corpus.load_corpus(tiny_corpus_dir).split_records("eval")[0]
+    text = "".join(frontend.ID_TO_SYMBOL[u.symbol_id] for u in rec.units)
     spec = pipeline.PromptSpec(mode="standard", enrolled_waveform=corpus.read_waveform(rec.path),
-                               enrolled_text=rec.text, target_text="abdo")
+                               enrolled_text=text, target_text="abdo")
     with caplog.at_level(logging.WARNING, logger="codec_lm.pipeline"):
         wav = pipeline.synthesize(spec, ar, nar, tiny_codec, SamplingSpec(temperature=0.0))
     assert "acoustic EOS first" in caplog.text
     assert wav.samples.size == 0 and wav.sample_rate == tiny_codec.sample_rate
+
+
+def test_synthesis_of_a_prompt_that_fills_max_len_is_logged(tiny_corpus_dir, tiny_codec,
+                                                             caplog):
+    """A prompt that leaves the AR context no room for a code gives an empty
+    waveform, and the warning says so."""
+    rec = corpus.load_corpus(tiny_corpus_dir).split_records("eval")[0]
+    wav = corpus.read_waveform(rec.path)
+    frames = 50
+    spec = pipeline.PromptSpec(
+        mode="standard", enrolled_text="abd", target_text="abdo",
+        enrolled_waveform=corpus.Waveform(wav.samples[: frames * tiny_codec.stride],
+                                          wav.sample_rate))
+    n_phon = len(pipeline.build_phoneme_prompt(spec)) + 1
+    cfg = replace(_small_cfg(tiny_codec), max_len=n_phon + frames + 1)
+    ar, nar = _bundles(cfg)
+    with caplog.at_level(logging.WARNING, logger="codec_lm.pipeline"):
+        out = pipeline.synthesize(spec, ar, nar, tiny_codec, SamplingSpec(seed=1))
+    assert "the prompt fills max_len" in caplog.text
+    assert out.samples.size == 0
 
 
 def _ramp(n, sample_rate=8000):
