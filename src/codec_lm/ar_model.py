@@ -118,9 +118,10 @@ class ArDecoder:
     The prefill and every step run the same causal `lm_core.lm_forward` pass
     as ar_forward: the prefill over the prompt, each step over the one new
     token against every cached key and value. So cached decoding performs the
-    same per-position computation as the one-shot pass. The cache is a
-    `lm_core.KVCache`, which the trunk fills in place. `next_logits` returns
-    the logits of the last pass, the same array until the next push.
+    same per-position computation as the one-shot pass. Each pass reads only
+    its last row, the one row the trunk's last layer then computes. The cache
+    is a `lm_core.KVCache`, which the trunk fills in place. `next_logits`
+    returns the logits of the last pass, the same array until the next push.
     """
 
     def __init__(self, params, cfg: ModelConfig, phon_ids, prefix_codes):
@@ -130,7 +131,8 @@ class ArDecoder:
         self.p = len(phon_part)
         self.ac_len = len(prefix_codes)
         self.kv = lm_core.KVCache()
-        self._logits, _ = _pass(params, cfg, phon_part, prefix_codes, -1, kv=self.kv)
+        logits, _ = _pass(params, cfg, phon_part, prefix_codes, slice(-1, None), kv=self.kv)
+        self._logits = logits[0]
 
     def next_logits(self) -> np.ndarray:
         return self._logits
@@ -142,10 +144,11 @@ class ArDecoder:
             raise ValidationError(
                 f"acoustic token {token} out of range [0, {self.cfg.codebook_size})")
         _check_length(self.p, self.ac_len + 1, self.cfg)
-        self._logits, _ = lm_core.lm_forward(
+        logits, _ = lm_core.lm_forward(
             self.params, self.cfg, [("acoustic_emb", [token], 0)], [(1, self.ac_len)],
-            "acoustic_emb", -1, causal=True, kv=self.kv,
+            "acoustic_emb", slice(-1, None), causal=True, kv=self.kv,
         )
+        self._logits = logits[0]
         self.ac_len += 1
 
 
@@ -159,12 +162,14 @@ def ar_generate(params, cfg: ModelConfig, phon_ids, prefix_codes, sampling: Samp
     rng = np.random.default_rng(np.random.SeedSequence([sampling.seed & 0xFFFFFFFF]))
     decoder = ArDecoder(params, cfg, phon_ids, prefix_codes)
     room = cfg.max_len - decoder.p - decoder.ac_len - 1
+    limit = min(sampling.max_new_tokens, room)
     out = []
-    for _ in range(min(sampling.max_new_tokens, room)):
+    for _ in range(limit):
         logits = decoder.next_logits()
         token = lm_core.nucleus_sample(logits, sampling.temperature, sampling.top_p, rng)
         if token == cfg.acoustic_eos:
             break
         out.append(token)
-        decoder.push(token)
+        if len(out) < limit:  # the last code's logits would go unread
+            decoder.push(token)
     return np.asarray(out, dtype=np.int64)

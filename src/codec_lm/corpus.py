@@ -316,14 +316,17 @@ def build_corpus(cfg: CorpusConfig):
     - speakers.tsv: speaker_id, f0, harmonic amplitudes joined by ",";
     - audio/<utt_id>.clm: the rendered waveform.
     Held-out speakers are the last `held_out_speakers` ids and are marked
-    split=eval; they appear in no train entry.
+    split=eval; they appear in no train entry. Over an existing corpus, the
+    audio files the new manifest does not name and an older layout's
+    alignments.tsv are removed, so the directory is what a fresh build
+    writes; no other file is touched.
     """
     out = Path(cfg.out_dir)
     (out / "audio").mkdir(parents=True, exist_ok=True)
     specs = make_speakers(cfg)
     first_eval = cfg.speakers - cfg.held_out_speakers
 
-    manifest_lines, speaker_lines = [], []
+    manifest_lines, speaker_lines, audio = [], [], set()
     for spec in specs:
         split = "eval" if spec.speaker_id >= first_eval else "train"
         amps = ",".join(repr(a) for a in spec.harmonic_amps)
@@ -335,6 +338,7 @@ def build_corpus(cfg: CorpusConfig):
             content = make_content(cfg, rng)
             utt = generate_utterance(spec, content, cfg.sample_rate, 0)
             utt_id = f"utt_{spec.speaker_id:03d}_{idx:03d}"
+            audio.add(_audio_path(out, utt_id))
             formats.write_audio(_audio_path(out, utt_id), utt.waveform.samples, cfg.sample_rate)
             pairs = " ".join(f"{frontend.ID_TO_SYMBOL[u.symbol_id]}:{u.duration!r}"
                              for u in content.units)
@@ -342,6 +346,9 @@ def build_corpus(cfg: CorpusConfig):
 
     formats.write_text(out / "manifest.tsv", "".join(manifest_lines))
     formats.write_text(out / "speakers.tsv", "".join(speaker_lines))
+    for stale in set((out / "audio").glob("*.clm")) - audio:
+        stale.unlink()
+    (out / "alignments.tsv").unlink(missing_ok=True)
     log.info(
         "corpus written to %s: %d utterances, %d train / %d eval speakers",
         out,

@@ -13,6 +13,14 @@ table. A model only states which tables feed which rows, which table and rows
 form the head, whether attention is causal, and its AdaLN stage. The models
 also share `check_ids`, `batch_loss` and the optimizer here.
 
+The head's rows are a slice that the trunk itself takes: its last layer
+computes keys and values for every row (the read rows attend to all of them)
+but the rest of the layer only for the read rows, in training, the AR
+prefill and decode steps and the NAR fill alike. An AR prefill reads 1 row
+and a NAR pass its target rows, so most of that layer's work is saved there.
+Dropout masks are still drawn at full shape, so a seeded dropout stream does
+not depend on the rows read.
+
 Parameters live in a flat dict of name -> ndarray, float32 as initialized,
 trained and stored. The parameters' dtype is the compute dtype: every
 activation, gradient and optimizer moment follows it, so float64 parameters
@@ -195,11 +203,14 @@ def stack_layout(cfg: ModelConfig, adaln: bool) -> dict:
 
 # -- transformer stack ----------------------------------------------------------------
 
-def _dropout(x, rate, rng):
-    """Inverted dropout, on exactly when a dropout `rng` is given."""
+def _dropout(x, rate, rng, t, rows):
+    """Inverted dropout, on exactly when a dropout `rng` is given. `x` holds
+    the `rows` of a (t, d) activation: the mask is drawn at (t, d) and its
+    `rows` applied, so the draws and each row's mask do not depend on which
+    rows are computed."""
     if rng is None or rate <= 0.0:
         return x, None
-    mask = (rng.random(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
+    mask = ((rng.random((t, x.shape[1])) >= rate).astype(x.dtype) / (1.0 - rate))[rows]
     return x * mask, mask
 
 
@@ -215,8 +226,8 @@ class KVCache:
     length: int = 0
 
 
-def stack_forward(params, cfg: ModelConfig, x, causal: bool, *, stage_vec=None, rng=None,
-                  kv: KVCache | None = None):
+def stack_forward(params, cfg: ModelConfig, x, causal: bool, *, rows: slice = slice(None),
+                  stage_vec=None, rng=None, kv: KVCache | None = None):
     """Run the transformer trunk. x: (T, d) summed embeddings (+ positions).
 
     `causal` lets each position attend only to itself and earlier ones;
@@ -225,9 +236,19 @@ def stack_forward(params, cfg: ModelConfig, x, causal: bool, *, stage_vec=None, 
     NAR), the stage vector's projection through its `proj` block. With `kv`,
     for incremental decoding, each layer attends to the cached positions
     followed by the T new ones, and the new keys and values are appended to
-    the cache. Returns (output (T, d), cache); the cache's per-layer kh/vh
-    hold every key and value the layer attended to. Backward needs a cache
-    made without kv.
+    the cache.
+
+    `rows`, a slice of the T rows, are the rows returned. Every layer but the
+    last computes all T rows, since the next layer's keys and values read
+    them. The last layer still projects keys and values for all T rows (the
+    returned rows attend to them, and `kv` stores them), but computes the
+    queries, attention, output projection, residual adds, FFN and final norm
+    for `rows` only. Its dropout masks are drawn at (T, d) and their `rows`
+    applied, so the dropout stream is that of an all-rows pass.
+
+    Returns (output (len(rows), d), cache); the cache's per-layer kh/vh hold
+    every key and value the layer attended to. Backward needs a cache made
+    without kv.
     """
     cache = {"stage_vec": stage_vec, "layers": []}
     h, t = cfg.heads, x.shape[0]
@@ -241,7 +262,7 @@ def stack_forward(params, cfg: ModelConfig, x, causal: bool, *, stage_vec=None, 
         kv.values = [np.empty((h, cfg.max_len, hd), x.dtype) for _ in range(cfg.layers)]
     # new row i (position start + i) may not see a later key; one row sees all
     blocked = np.triu(np.ones((t, end), bool), start + 1) if causal and t > 1 else None
-    x, cache["emb_drop"] = _dropout(x, cfg.dropout, rng)
+    x, cache["emb_drop"] = _dropout(x, cfg.dropout, rng, t, slice(None))
 
     def norm_fwd(name, h):
         ab = params[f"{name}.affine"]
@@ -252,26 +273,28 @@ def stack_forward(params, cfg: ModelConfig, x, causal: bool, *, stage_vec=None, 
 
     for i in range(cfg.layers):
         p = f"layers.{i}"
-        lc = {}
+        sel = rows if i == cfg.layers - 1 else slice(None)
+        lc = {"rows": sel}
         n1, lc["ln1"] = norm_fwd(f"{p}.ln1", x)
-        qkv = n1 @ params[f"{p}.attn.wqkv"] + params[f"{p}.attn.bqkv"][:, None]
-        qh, kh, vh = qkv.reshape(3, t, h, hd).transpose(0, 2, 1, 3)
+        w, b = params[f"{p}.attn.wqkv"], params[f"{p}.attn.bqkv"]
+        kh, vh = (n1 @ w[1:] + b[1:, None]).reshape(2, t, h, hd).transpose(0, 2, 1, 3)
+        qh = (n1[sel] @ w[0] + b[0]).reshape(-1, h, hd).transpose(1, 0, 2)
         if kv is not None:
             kv.keys[i][:, start:end] = kh
             kv.values[i][:, start:end] = vh
             kh, vh = kv.keys[i][:, :end], kv.values[i][:, :end]
-        ctx, probs = _attention_forward(qh, kh, vh, blocked)
-        ctx_flat = ctx.transpose(1, 0, 2).reshape(t, cfg.embed_dim)
+        ctx, probs = _attention_forward(qh, kh, vh, None if blocked is None else blocked[sel])
+        ctx_flat = ctx.transpose(1, 0, 2).reshape(-1, cfg.embed_dim)
         attn_out = ctx_flat @ params[f"{p}.attn.wo"] + params[f"{p}.attn.bo"]
-        attn_out, lc["drop1"] = _dropout(attn_out, cfg.dropout, rng)
+        attn_out, lc["drop1"] = _dropout(attn_out, cfg.dropout, rng, t, sel)
         lc.update(n1=n1, qh=qh, kh=kh, vh=vh, probs=probs, ctx_flat=ctx_flat)
-        x = x + attn_out
+        x = x[sel] + attn_out
 
         n2, lc["ln2"] = norm_fwd(f"{p}.ln2", x)
         h1 = n2 @ params[f"{p}.ffn.w1"] + params[f"{p}.ffn.b1"]
         r = np.maximum(h1, 0.0)
         f_out = r @ params[f"{p}.ffn.w2"] + params[f"{p}.ffn.b2"]
-        f_out, lc["drop2"] = _dropout(f_out, cfg.dropout, rng)
+        f_out, lc["drop2"] = _dropout(f_out, cfg.dropout, rng, t, sel)
         lc.update(n2=n2, relu=r)
         x = x + f_out
         cache["layers"].append(lc)
@@ -283,7 +306,11 @@ def stack_forward(params, cfg: ModelConfig, x, causal: bool, *, stage_vec=None, 
 
 
 def stack_backward(params, cfg: ModelConfig, cache, dout):
-    """Backward through stack_forward. Returns (dx, grads, dstage_vec)."""
+    """Backward through stack_forward, given d(loss)/d(output) for the rows it
+    returned. The last layer's query gradient is zero on the rows it did not
+    compute, and its input gradient gets the residual gradient on its `rows`
+    only; the other layers run over all rows. Returns (dx (T, d), grads,
+    dstage_vec)."""
     stage_vec = cache["stage_vec"]
     grads = {}
     dstage = None if stage_vec is None else np.zeros_like(stage_vec)
@@ -304,7 +331,7 @@ def stack_backward(params, cfg: ModelConfig, cache, dout):
     for i in reversed(range(cfg.layers)):
         p = f"layers.{i}"
         lc = cache["layers"][i]
-        t = lc["n1"].shape[0]
+        sel, t = lc["rows"], lc["n1"].shape[0]
 
         # feed-forward branch
         df = dx if lc["drop2"] is None else dx * lc["drop2"]
@@ -322,13 +349,19 @@ def stack_backward(params, cfg: ModelConfig, cache, dout):
         grads[f"{p}.attn.wo"] = lc["ctx_flat"].T @ da
         grads[f"{p}.attn.bo"] = da.sum(axis=0)
         dctx_flat = da @ params[f"{p}.attn.wo"].T
-        dctx = dctx_flat.reshape(t, h, hd).transpose(1, 0, 2)
-        dqkvh = _attention_backward(dctx, lc["qh"], lc["kh"], lc["vh"], lc["probs"])
-        dqkv = np.stack([g.transpose(1, 0, 2) for g in dqkvh]).reshape(3, t, d)
+        dctx = dctx_flat.reshape(-1, h, hd).transpose(1, 0, 2)
+        dqh, dkh, dvh = _attention_backward(dctx, lc["qh"], lc["kh"], lc["vh"], lc["probs"])
+        dqkv = np.zeros((3, t, h, hd), dx.dtype)
+        dqkv[0, sel] = dqh.transpose(1, 0, 2)
+        dqkv[1] = dkh.transpose(1, 0, 2)
+        dqkv[2] = dvh.transpose(1, 0, 2)
+        dqkv = dqkv.reshape(3, t, d)
         grads[f"{p}.attn.wqkv"] = lc["n1"].T @ dqkv
         grads[f"{p}.attn.bqkv"] = dqkv.sum(axis=1)
         dn1 = np.add.reduce(dqkv @ params[f"{p}.attn.wqkv"].transpose(0, 2, 1))
-        dx = dx + norm_bwd(f"{p}.ln1", dn1, lc["ln1"])
+        dx_in = norm_bwd(f"{p}.ln1", dn1, lc["ln1"])
+        dx_in[sel] += dx
+        dx = dx_in
 
     if cache["emb_drop"] is not None:
         dx = dx * cache["emb_drop"]
@@ -337,17 +370,18 @@ def stack_backward(params, cfg: ModelConfig, cache, dout):
 
 # -- the language-model pass -------------------------------------------------------------
 
-def lm_forward(params, cfg: ModelConfig, lookups, segments, head: str, rows, *, causal: bool,
-               stage: int | None = None, rng=None, kv: KVCache | None = None):
+def lm_forward(params, cfg: ModelConfig, lookups, segments, head: str, rows: slice, *,
+               causal: bool, stage: int | None = None, rng=None, kv: KVCache | None = None):
     """One pass of either model: embed, run the trunk, apply a tied head.
 
     An input row is the sum, in lookup order, of the `lookups` (table, ids,
     first row) that cover it, plus the sinusoid position of its segment:
     `segments` are (length, start) in row order. `stage` picks the `stage_emb`
     row that feeds AdaLN (None: plain LayerNorm). The logits are the output
-    `rows` (a slice or an index) against the head table `params[head]`.
-    Dropout is on exactly when a dropout `rng` is given.
-    Returns (logits, cache for lm_backward)."""
+    `rows`, a slice, against the head table `params[head]`; the trunk's last
+    layer computes only those rows (see `stack_forward`), and its output is
+    the head's input as it stands. Dropout is on exactly when a dropout `rng`
+    is given. Returns (logits (len(rows), V), cache for lm_backward)."""
     n = sum(length for length, _ in segments)
     x = np.zeros((n, cfg.embed_dim), params[head].dtype)
     for table, ids, first in lookups:
@@ -360,10 +394,10 @@ def lm_forward(params, cfg: ModelConfig, lookups, segments, head: str, rows, *, 
         x[row : row + length] += positions[start : start + length]
         row += length
     stage_vec = None if stage is None else params["stage_emb"][stage]
-    out, trunk = stack_forward(params, cfg, x, causal, stage_vec=stage_vec, rng=rng, kv=kv)
-    hidden = out[rows]
+    hidden, trunk = stack_forward(params, cfg, x, causal, rows=rows, stage_vec=stage_vec, rng=rng,
+                                  kv=kv)
     return hidden @ params[head].T, {"trunk": trunk, "lookups": lookups, "head": head,
-                                     "rows": rows, "hidden": hidden, "stage": stage, "n": n}
+                                     "hidden": hidden, "stage": stage}
 
 
 def lm_backward(params, cfg: ModelConfig, cache, dlogits) -> dict:
@@ -372,9 +406,7 @@ def lm_backward(params, cfg: ModelConfig, cache, dlogits) -> dict:
     rows of the input gradient, scattered in lookup order."""
     head, hidden = cache["head"], cache["hidden"]
     grads = {head: dlogits.T @ hidden}
-    dout = np.zeros((cache["n"], cfg.embed_dim), hidden.dtype)
-    dout[cache["rows"]] = dlogits @ params[head]
-    dx, trunk_grads, dstage = stack_backward(params, cfg, cache["trunk"], dout)
+    dx, trunk_grads, dstage = stack_backward(params, cfg, cache["trunk"], dlogits @ params[head])
     grads.update(trunk_grads)
     if cache["stage"] is not None:
         grads["stage_emb"] = np.zeros_like(params["stage_emb"])

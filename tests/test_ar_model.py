@@ -191,6 +191,27 @@ class TestGeneration:
         roomy = ar_model.ar_generate(params, cfg, phon, prefix, replace(spec, max_new_tokens=2))
         np.testing.assert_array_equal(out, roomy)
 
+    @pytest.mark.parametrize("draws, max_len, codes, pushes", [
+        ([3, 5, 1, 2, 0, 4, 4, 6, 7, 9], 4096, 9, 8),
+        ([3, 5, 1, 17, 2], 4096, 3, 3),
+        ([3, 5, 1, 2], 9, 2, 1),
+    ], ids=["max_new_tokens", "eos", "context_limit"])
+    def test_pushes_only_codes_whose_logits_are_read(self, params, cfg, monkeypatch, draws,
+                                                     max_len, codes, pushes):
+        """A code is pushed only when another token will be drawn: a stop at
+        max_new_tokens (9) or at the context limit pushes one code fewer than
+        it returns, and an EOS stop (17 = K) pushes every code. Each push is
+        the code just drawn, in order."""
+        script, pushed = iter(draws), []
+        monkeypatch.setattr(lm_core, "nucleus_sample", lambda *a: next(script))
+        push = ar_model.ArDecoder.push
+        monkeypatch.setattr(ar_model.ArDecoder, "push",
+                            lambda dec, tok: (pushed.append(tok), push(dec, tok)))
+        out = ar_model.ar_generate(params, replace(cfg, max_len=max_len), [2, 9, 4], [3, 1],
+                                   SamplingSpec(max_new_tokens=9))
+        assert out.tolist() == draws[:codes]
+        assert pushed == draws[:pushes]
+
     def test_nonpositive_max_new_tokens_rejected(self, params, cfg):
         with pytest.raises(ValidationError):
             ar_model.ar_generate(params, cfg, [1], [], SamplingSpec(max_new_tokens=0))

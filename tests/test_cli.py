@@ -103,6 +103,34 @@ def test_existing_output_needs_force(chain, capsys):
     assert chain["codec"].read_bytes() == before
 
 
+def _tree(root):
+    """Every file under `root`: relative path -> contents."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_gen_corpus_force_leaves_what_a_fresh_build_writes(tmp_path):
+    """Regenerating a corpus with 3 utterances per speaker as one with 2
+    removes the audio the new manifest does not name and an older layout's
+    alignments.tsv; a file of no corpus layout is left alone."""
+    small = ["corpus.speakers=2", "corpus.held_out=1", "corpus.duration_min=2.0",
+             "corpus.duration_max=2.5"]
+    old, fresh = tmp_path / "old", tmp_path / "fresh"
+
+    def gen(out, utterances, *flags):
+        _run(["gen-corpus", "--out", out, "--seed", 1, *flags,
+              *_sets([*small, f"corpus.utterances_per_speaker={utterances}"])])
+
+    gen(old, 3)
+    (old / "alignments.tsv").write_text("utt_000_000\t0\n")
+    (old / "notes.txt").write_text("kept\n")
+    gen(old, 2, "--force")
+    gen(fresh, 2)
+    got, want = _tree(old), _tree(fresh)
+    assert got.pop("notes.txt") == b"kept\n"
+    assert sorted(got) == sorted(want)
+    assert got == want
+
+
 def test_unknown_set_key_exits_2(chain, tmp_path, capsys):
     argv = ["train-codec", "--corpus", chain["corpus"], "--out", tmp_path / "c.cbk",
             "--set", "codec.bogus=1"]

@@ -359,6 +359,212 @@ class TestPastKV:
             lm_core.stack_forward(params, cfg, rng.normal(size=(7, 8)), False)
 
 
+def _ref_dropout(x, rate, rng):
+    if rng is None or rate <= 0.0:
+        return x, None
+    mask = (rng.random(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
+    return x * mask, mask
+
+
+def reference_trunk(params, cfg, x, causal, *, rows=slice(None), stage_vec=None, rng=None,
+                    kv=None):
+    """The trunk before it took `rows`, kept as an oracle: every layer computes
+    every row and the rows are taken from the output. A drop-in
+    `lm_core.stack_forward` for passes without a key/value cache."""
+    assert kv is None
+    cache = {"stage_vec": stage_vec, "layers": [], "rows": rows}
+    h, t, hd = cfg.heads, x.shape[0], cfg.head_dim
+    blocked = np.triu(np.ones((t, t), bool), 1) if causal else None
+    x, cache["emb_drop"] = _ref_dropout(x, cfg.dropout, rng)
+
+    def norm_fwd(name, v):
+        ab = params[f"{name}.affine"]
+        if stage_vec is not None:
+            ab = stage_vec @ params[f"{name}.proj"] + ab
+        xhat, inv = lm_core._ln_core_forward(v)
+        return ab[0] * xhat + ab[1], {"xhat": xhat, "inv": inv, "ab": ab}
+
+    for i in range(cfg.layers):
+        p, lc = f"layers.{i}", {}
+        n1, lc["ln1"] = norm_fwd(f"{p}.ln1", x)
+        qkv = n1 @ params[f"{p}.attn.wqkv"] + params[f"{p}.attn.bqkv"][:, None]
+        qh, kh, vh = qkv.reshape(3, t, h, hd).transpose(0, 2, 1, 3)
+        ctx, probs = lm_core._attention_forward(qh, kh, vh, blocked)
+        ctx_flat = ctx.transpose(1, 0, 2).reshape(t, cfg.embed_dim)
+        attn_out = ctx_flat @ params[f"{p}.attn.wo"] + params[f"{p}.attn.bo"]
+        attn_out, lc["drop1"] = _ref_dropout(attn_out, cfg.dropout, rng)
+        lc.update(n1=n1, qh=qh, kh=kh, vh=vh, probs=probs, ctx_flat=ctx_flat)
+        x = x + attn_out
+        n2, lc["ln2"] = norm_fwd(f"{p}.ln2", x)
+        r = np.maximum(n2 @ params[f"{p}.ffn.w1"] + params[f"{p}.ffn.b1"], 0.0)
+        f_out = r @ params[f"{p}.ffn.w2"] + params[f"{p}.ffn.b2"]
+        f_out, lc["drop2"] = _ref_dropout(f_out, cfg.dropout, rng)
+        lc.update(n2=n2, relu=r)
+        x = x + f_out
+        cache["layers"].append(lc)
+    out, cache["ln_f"] = norm_fwd("ln_f", x)
+    return out[rows], cache
+
+
+def reference_trunk_backward(params, cfg, cache, dout):
+    """Backward of `reference_trunk`: `dout` scattered into zero rows, then
+    every layer over every row. A drop-in `lm_core.stack_backward`."""
+    stage_vec, grads = cache["stage_vec"], {}
+    dstage = None if stage_vec is None else np.zeros_like(stage_vec)
+    full = np.zeros((cache["layers"][0]["n1"].shape[0], cfg.embed_dim), dout.dtype)
+    full[cache["rows"]] = dout
+
+    def norm_bwd(name, dy, nc):
+        dab = np.stack(((dy * nc["xhat"]).sum(axis=0), dy.sum(axis=0)))
+        grads[f"{name}.affine"] = dab
+        if stage_vec is not None:
+            grads[f"{name}.proj"] = stage_vec[:, None] * dab[:, None]
+            proj = params[f"{name}.proj"]
+            dstage[...] += proj[0] @ dab[0] + proj[1] @ dab[1]
+        return lm_core._ln_core_backward(dy * nc["ab"][0], nc["xhat"], nc["inv"])
+
+    h, hd, d = cfg.heads, cfg.head_dim, cfg.embed_dim
+    dx = norm_bwd("ln_f", full, cache["ln_f"])
+    for i in reversed(range(cfg.layers)):
+        p, lc = f"layers.{i}", cache["layers"][i]
+        t = lc["n1"].shape[0]
+        df = dx if lc["drop2"] is None else dx * lc["drop2"]
+        grads[f"{p}.ffn.w2"] = lc["relu"].T @ df
+        grads[f"{p}.ffn.b2"] = df.sum(axis=0)
+        dh1 = (df @ params[f"{p}.ffn.w2"].T) * (lc["relu"] > 0.0)
+        grads[f"{p}.ffn.w1"] = lc["n2"].T @ dh1
+        grads[f"{p}.ffn.b1"] = dh1.sum(axis=0)
+        dx = dx + norm_bwd(f"{p}.ln2", dh1 @ params[f"{p}.ffn.w1"].T, lc["ln2"])
+        da = dx if lc["drop1"] is None else dx * lc["drop1"]
+        grads[f"{p}.attn.wo"] = lc["ctx_flat"].T @ da
+        grads[f"{p}.attn.bo"] = da.sum(axis=0)
+        dctx = (da @ params[f"{p}.attn.wo"].T).reshape(t, h, hd).transpose(1, 0, 2)
+        dqkvh = lm_core._attention_backward(dctx, lc["qh"], lc["kh"], lc["vh"], lc["probs"])
+        dqkv = np.stack([g.transpose(1, 0, 2) for g in dqkvh]).reshape(3, t, d)
+        grads[f"{p}.attn.wqkv"] = lc["n1"].T @ dqkv
+        grads[f"{p}.attn.bqkv"] = dqkv.sum(axis=1)
+        dn1 = np.add.reduce(dqkv @ params[f"{p}.attn.wqkv"].transpose(0, 2, 1))
+        dx = dx + norm_bwd(f"{p}.ln1", dn1, lc["ln1"])
+    if cache["emb_drop"] is not None:
+        dx = dx * cache["emb_drop"]
+    return dx, grads, dstage
+
+
+ROW_TOL = {np.float32: 1e-5, np.float64: 1e-12}
+
+
+def _close(got, want, dtype, what=""):
+    """Agreement to ROW_TOL relative to the largest entry of `want`."""
+    assert got.shape == want.shape and got.dtype == want.dtype, what
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=ROW_TOL[dtype] * float(np.abs(want).max()), err_msg=what)
+
+
+def _close_grads(got, want, dtype):
+    assert sorted(got) == sorted(want)
+    for name in want:
+        _close(got[name], want[name], dtype, name)
+
+
+class TestRowSlice:
+    """The trunk's last layer computes only the rows its caller reads; each
+    slice agrees with the all-rows reference followed by [rows]."""
+
+    CFG = ModelConfig(layers=2, heads=2, embed_dim=8, ffn_dim=16, dropout=0.3,
+                      codebook_size=5, quantizers=4)
+    T, P = 9, 4  # trunk rows; phoneme rows (with their EOS) of an AR pass
+    SLICES = {"first": slice(0, 1), "last": slice(-1, None),
+              "ar_rows": slice(P - 1, T - 1),  # drops the first P-1 rows and the EOS input
+              "all": slice(None)}
+
+    def _params(self, adaln, dtype, rng):
+        """Every block random, constants included, so no bias or affine is a
+        no-op."""
+        layout = lm_core.stack_layout(self.CFG, adaln)
+        return {name: (0.3 * rng.standard_normal(shape)).astype(dtype)
+                for name, (shape, _, _) in layout.items()}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("adaln", [False, True], ids=["ln", "adaln"])
+    @pytest.mark.parametrize("causal", [True, False], ids=["causal", "full"])
+    @pytest.mark.parametrize("rows", list(SLICES))
+    def test_output_and_gradients_match_all_rows(self, rows, causal, adaln, dtype):
+        """With dropout on: the same seeded masks, the same output rows, and
+        the same input, block and stage-vector gradients."""
+        rng = np.random.default_rng(3)
+        cfg, params = self.CFG, self._params(adaln, dtype, rng)
+        x = rng.normal(size=(self.T, 8)).astype(dtype)
+        kw = dict(rows=self.SLICES[rows],
+                  stage_vec=rng.normal(size=8).astype(dtype) if adaln else None)
+        got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
+        got, cache = lm_core.stack_forward(params, cfg, x, causal, rng=got_rng, **kw)
+        want, ref_cache = reference_trunk(params, cfg, x, causal, rng=want_rng, **kw)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        _close(got, want, dtype, "output")
+        dout = rng.normal(size=got.shape).astype(dtype)
+        dx, grads, dstage = lm_core.stack_backward(params, cfg, cache, dout)
+        rdx, rgrads, rdstage = reference_trunk_backward(params, cfg, ref_cache, dout)
+        _close(dx, rdx, dtype, "dx")
+        _close_grads(grads, rgrads, dtype)
+        if adaln:
+            _close(dstage, rdstage, dtype, "dstage")
+        else:
+            assert dstage is None and rdstage is None
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cached_prefill_then_pushes(self, dtype):
+        """The decoder's calls: a causal prefill of 5 rows that returns its
+        last, then one-row pushes against the cache; each output is that row
+        of one all-rows pass."""
+        rng = np.random.default_rng(4)
+        cfg, params = self.CFG, self._params(False, dtype, rng)
+        x = rng.normal(size=(self.T, 8)).astype(dtype)
+        want, _ = reference_trunk(params, cfg, x, True)
+        kv, last = lm_core.KVCache(), slice(-1, None)
+        got = [lm_core.stack_forward(params, cfg, x[:5], True, rows=last, kv=kv)[0]]
+        got += [lm_core.stack_forward(params, cfg, x[i : i + 1], True, rows=last, kv=kv)[0]
+                for i in range(5, self.T)]
+        assert kv.length == self.T
+        _close(np.concatenate(got), want[4:], dtype)
+
+    def _model(self, kind, dtype):
+        """(params, logits(params), loss(params, rng)) of a small AR or NAR
+        model on a fixed 2-item batch (NAR at stage 3)."""
+        cfg, rng = self.CFG, np.random.default_rng(5)
+        if kind == "ar":
+            params = ar_model.init_ar_params(cfg, rng)
+            batch = [([2, 9, 4], [1, 3, 0, 4]), ([5, 1], [2, 2])]
+            return ({n: p.astype(dtype) for n, p in params.items()},
+                    lambda p: ar_model.ar_forward(p, cfg, *batch[0]),
+                    lambda p, r: ar_model.ar_loss(p, cfg, batch, rng=r))
+        params = nar_model.init_nar_params(cfg, rng)
+        k, q = cfg.codebook_size, cfg.quantizers
+        batch = [([2, 9, 4], rng.integers(0, k, (3, q)), rng.integers(0, k, (4, q))),
+                 ([5, 1], rng.integers(0, k, (2, q)), rng.integers(0, k, (3, q)))]
+        phon, prompt, target = batch[0]
+        return ({n: p.astype(dtype) for n, p in params.items()},
+                lambda p: nar_model.nar_forward(p, cfg, phon, prompt, target[:, :2], 3),
+                lambda p, r: nar_model.nar_loss(p, cfg, batch, 3, rng=r))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["ar", "nar"])
+    def test_models_match_the_all_rows_path(self, kind, dtype, monkeypatch):
+        """ar_forward/nar_forward logits and ar_loss/nar_loss with a dropout
+        rng agree with the same models run on the reference trunk, and leave
+        that rng in the state the reference leaves it."""
+        params, logits, loss = self._model(kind, dtype)
+        got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
+        got = (logits(params), *loss(params, got_rng))
+        monkeypatch.setattr(lm_core, "stack_forward", reference_trunk)
+        monkeypatch.setattr(lm_core, "stack_backward", reference_trunk_backward)
+        want = (logits(params), *loss(params, want_rng))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        _close(got[0], want[0], dtype, "logits")
+        assert got[1] == pytest.approx(want[1], rel=ROW_TOL[dtype])
+        _close_grads(got[2], want[2], dtype)
+        assert got[3] == want[3]
+
+
 class TestComputeDtype:
     """The parameters' dtype is the compute dtype: nothing upcasts float32
     parameters, and float64 parameters stay float64."""
