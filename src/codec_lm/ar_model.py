@@ -79,13 +79,14 @@ def ar_forward(params, cfg: ModelConfig, phon_ids, acoustic_ids, *, rng=None, re
 
     Returns next-token logits of shape (A, K+1) where A = len(acoustic_ids)+1:
     row j is the prediction of the j-th acoustic token (the final row predicts
-    the acoustic EOS).
+    the acoustic EOS). With `return_cache`, returns (logits, cache), the cache
+    for one `ar_backward`; without, the pass keeps no activations.
     """
     phon_part, acoustic_ids = _check_prompt(phon_ids, acoustic_ids, cfg)
     ac_part = np.concatenate([acoustic_ids, [cfg.acoustic_eos]])
     p = len(phon_part)
     logits, cache = _pass(params, cfg, phon_part, ac_part, slice(p - 1, p + len(acoustic_ids)),
-                          rng=rng)
+                          rng=rng, return_cache=return_cache)
     return (logits, cache) if return_cache else logits
 
 

@@ -98,6 +98,13 @@ class CodebookSet:
     def frame_rate(self) -> float:
         return self.sample_rate / self.stride
 
+    @property
+    def live_stages(self) -> tuple:
+        """The stages j in 1..Q whose book is not all zero. A zero book (a
+        stage past the residual floor, see `train_codebooks`) codes every
+        frame 0, so its codes carry nothing to predict."""
+        return tuple(j + 1 for j in range(self.quantizers) if self.books[j].any())
+
     def __post_init__(self):
         self.validate()
 

@@ -21,6 +21,13 @@ and a NAR pass its target rows, so most of that layer's work is saved there.
 Dropout masks are still drawn at full shape, so a seeded dropout stream does
 not depend on the rows read.
 
+A pass keeps activations only for a backward that will run: the cache is
+built only on request (`return_cache`, as the training losses ask), so an
+inference or kv pass frees each layer's (H, T, T) attention probabilities
+before the next layer runs. A cache is single use: the backward pops each
+layer as it goes, and `batch_loss` frees an item's cache before the next
+item's forward.
+
 Parameters live in a flat dict of name -> ndarray, float32 as initialized,
 trained and stored. The parameters' dtype is the compute dtype: every
 activation, gradient and optimizer moment follows it, so float64 parameters
@@ -116,11 +123,14 @@ def _attention_forward(q, k, v, blocked):
 
 def _attention_backward(dctx, q, k, v, probs):
     """Backward of _attention_forward (mask handled implicitly: masked
-    probabilities are exactly zero)."""
+    probabilities are exactly zero). d(scores) = probs * (dprobs - rowsum(dprobs
+    * probs)) * scale is formed in place in the `dctx @ vᵀ` array, with the row
+    sums taken one head at a time, so no further (..., Tq, Tk) array is made."""
     scale = 1.0 / math.sqrt(q.shape[-1])
-    dprobs = dctx @ np.swapaxes(v, -1, -2)
     dv = np.swapaxes(probs, -1, -2) @ dctx
-    dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
+    dscores = dctx @ np.swapaxes(v, -1, -2)
+    dscores -= np.stack([(ds * pr).sum(axis=-1, keepdims=True) for ds, pr in zip(dscores, probs)])
+    dscores *= probs
     dscores *= scale
     dq = dscores @ k
     dk = np.swapaxes(dscores, -1, -2) @ q
@@ -220,14 +230,16 @@ class KVCache:
     (H, max_len, hd) key and value buffers whose first `length` positions are
     filled. `stack_forward` allocates them on first use, in its compute
     dtype, and writes each call's keys and values in place after the filled
-    part."""
+    part. It is the only state a kv pass keeps: the decoder asks for no
+    backward cache."""
     keys: list = field(default_factory=list)
     values: list = field(default_factory=list)
     length: int = 0
 
 
 def stack_forward(params, cfg: ModelConfig, x, causal: bool, *, rows: slice = slice(None),
-                  stage_vec=None, rng=None, kv: KVCache | None = None):
+                  stage_vec=None, rng=None, kv: KVCache | None = None,
+                  return_cache: bool = False):
     """Run the transformer trunk. x: (T, d) summed embeddings (+ positions).
 
     `causal` lets each position attend only to itself and earlier ones;
@@ -246,11 +258,14 @@ def stack_forward(params, cfg: ModelConfig, x, causal: bool, *, rows: slice = sl
     for `rows` only. Its dropout masks are drawn at (T, d) and their `rows`
     applied, so the dropout stream is that of an all-rows pass.
 
-    Returns (output (len(rows), d), cache); the cache's per-layer kh/vh hold
-    every key and value the layer attended to. Backward needs a cache made
-    without kv.
+    Returns (output (len(rows), d), cache). The cache, the activations
+    `stack_backward` reads, is built only with `return_cache`; otherwise it
+    is None, and each layer's activations, its (H, T, T) attention
+    probabilities among them, are freed before the next layer runs. A cache
+    serves one backward, which consumes it, and only if made without kv;
+    one made with kv holds, per layer, every key and value attended to.
     """
-    cache = {"stage_vec": stage_vec, "layers": []}
+    cache = {"stage_vec": stage_vec, "layers": []} if return_cache else None
     h, t = cfg.heads, x.shape[0]
     hd = cfg.head_dim
     start = 0 if kv is None else kv.length
@@ -262,7 +277,7 @@ def stack_forward(params, cfg: ModelConfig, x, causal: bool, *, rows: slice = sl
         kv.values = [np.empty((h, cfg.max_len, hd), x.dtype) for _ in range(cfg.layers)]
     # new row i (position start + i) may not see a later key; one row sees all
     blocked = np.triu(np.ones((t, end), bool), start + 1) if causal and t > 1 else None
-    x, cache["emb_drop"] = _dropout(x, cfg.dropout, rng, t, slice(None))
+    x, emb_drop = _dropout(x, cfg.dropout, rng, t, slice(None))
 
     def norm_fwd(name, h):
         ab = params[f"{name}.affine"]
@@ -271,23 +286,31 @@ def stack_forward(params, cfg: ModelConfig, x, causal: bool, *, rows: slice = sl
         xhat, inv = _ln_core_forward(h)
         return ab[0] * xhat + ab[1], {"xhat": xhat, "inv": inv, "ab": ab}
 
-    for i in range(cfg.layers):
-        p = f"layers.{i}"
-        sel = rows if i == cfg.layers - 1 else slice(None)
-        lc = {"rows": sel}
+    def layer(i, x, sel):
+        """Layer i over the T rows of x, computing its `sel` rows; returns
+        those output rows. Its activations outlive the call only in the
+        cache."""
+        p, lc = f"layers.{i}", {"rows": sel}
         n1, lc["ln1"] = norm_fwd(f"{p}.ln1", x)
         w, b = params[f"{p}.attn.wqkv"], params[f"{p}.attn.bqkv"]
-        kh, vh = (n1 @ w[1:] + b[1:, None]).reshape(2, t, h, hd).transpose(0, 2, 1, 3)
-        qh = (n1[sel] @ w[0] + b[0]).reshape(-1, h, hd).transpose(1, 0, 2)
+        # one stacked q/k/v GEMM, unless the queries are needed for a strict
+        # subset of the rows only
+        q0 = 0 if range(t)[sel] == range(t) else 1
+        qkv = (n1 @ w[q0:] + b[q0:, None]).reshape(3 - q0, t, h, hd).transpose(0, 2, 1, 3)
+        qh = qkv[0] if q0 == 0 else (n1[sel] @ w[0] + b[0]).reshape(-1, h, hd).transpose(1, 0, 2)
+        kh, vh = qkv[-2:]
         if kv is not None:
             kv.keys[i][:, start:end] = kh
             kv.values[i][:, start:end] = vh
             kh, vh = kv.keys[i][:, :end], kv.values[i][:, :end]
         ctx, probs = _attention_forward(qh, kh, vh, None if blocked is None else blocked[sel])
+        if cache is not None:
+            lc["probs"] = probs
+        del probs  # without a cache, the (H, T, T) array is freed before the FFN runs
         ctx_flat = ctx.transpose(1, 0, 2).reshape(-1, cfg.embed_dim)
         attn_out = ctx_flat @ params[f"{p}.attn.wo"] + params[f"{p}.attn.bo"]
         attn_out, lc["drop1"] = _dropout(attn_out, cfg.dropout, rng, t, sel)
-        lc.update(n1=n1, qh=qh, kh=kh, vh=vh, probs=probs, ctx_flat=ctx_flat)
+        lc.update(n1=n1, qh=qh, kh=kh, vh=vh, ctx_flat=ctx_flat)
         x = x[sel] + attn_out
 
         n2, lc["ln2"] = norm_fwd(f"{p}.ln2", x)
@@ -296,12 +319,18 @@ def stack_forward(params, cfg: ModelConfig, x, causal: bool, *, rows: slice = sl
         f_out = r @ params[f"{p}.ffn.w2"] + params[f"{p}.ffn.b2"]
         f_out, lc["drop2"] = _dropout(f_out, cfg.dropout, rng, t, sel)
         lc.update(n2=n2, relu=r)
-        x = x + f_out
-        cache["layers"].append(lc)
+        if cache is not None:
+            cache["layers"].append(lc)
+        return x + f_out
+
+    for i in range(cfg.layers):
+        x = layer(i, x, rows if i == cfg.layers - 1 else slice(None))
 
     if kv is not None:
         kv.length = end
-    out, cache["ln_f"] = norm_fwd("ln_f", x)
+    out, ln_f = norm_fwd("ln_f", x)
+    if cache is not None:
+        cache.update(emb_drop=emb_drop, ln_f=ln_f)
     return out, cache
 
 
@@ -310,7 +339,14 @@ def stack_backward(params, cfg: ModelConfig, cache, dout):
     returned. The last layer's query gradient is zero on the rows it did not
     compute, and its input gradient gets the residual gradient on its `rows`
     only; the other layers run over all rows. Returns (dx (T, d), grads,
-    dstage_vec)."""
+    dstage_vec).
+
+    The backward consumes the cache: each layer's activations are dropped as
+    soon as its gradients are formed, and a second backward on the same cache
+    is refused."""
+    layers = cache.pop("layers", None)
+    if layers is None:
+        raise ValidationError("stack_backward: this cache was consumed by an earlier backward")
     stage_vec = cache["stage_vec"]
     grads = {}
     dstage = None if stage_vec is None else np.zeros_like(stage_vec)
@@ -330,7 +366,7 @@ def stack_backward(params, cfg: ModelConfig, cache, dout):
 
     for i in reversed(range(cfg.layers)):
         p = f"layers.{i}"
-        lc = cache["layers"][i]
+        lc = layers.pop()
         sel, t = lc["rows"], lc["n1"].shape[0]
 
         # feed-forward branch
@@ -371,7 +407,8 @@ def stack_backward(params, cfg: ModelConfig, cache, dout):
 # -- the language-model pass -------------------------------------------------------------
 
 def lm_forward(params, cfg: ModelConfig, lookups, segments, head: str, rows: slice, *,
-               causal: bool, stage: int | None = None, rng=None, kv: KVCache | None = None):
+               causal: bool, stage: int | None = None, rng=None, kv: KVCache | None = None,
+               return_cache: bool = False):
     """One pass of either model: embed, run the trunk, apply a tied head.
 
     An input row is the sum, in lookup order, of the `lookups` (table, ids,
@@ -381,7 +418,9 @@ def lm_forward(params, cfg: ModelConfig, lookups, segments, head: str, rows: sli
     `rows`, a slice, against the head table `params[head]`; the trunk's last
     layer computes only those rows (see `stack_forward`), and its output is
     the head's input as it stands. Dropout is on exactly when a dropout `rng`
-    is given. Returns (logits (len(rows), V), cache for lm_backward)."""
+    is given. Returns (logits (len(rows), V), cache): the cache is for one
+    lm_backward, which consumes it, and is built only with `return_cache`
+    (else None; see `stack_forward`)."""
     n = sum(length for length, _ in segments)
     x = np.zeros((n, cfg.embed_dim), params[head].dtype)
     for table, ids, first in lookups:
@@ -395,9 +434,12 @@ def lm_forward(params, cfg: ModelConfig, lookups, segments, head: str, rows: sli
         row += length
     stage_vec = None if stage is None else params["stage_emb"][stage]
     hidden, trunk = stack_forward(params, cfg, x, causal, rows=rows, stage_vec=stage_vec, rng=rng,
-                                  kv=kv)
-    return hidden @ params[head].T, {"trunk": trunk, "lookups": lookups, "head": head,
-                                     "hidden": hidden, "stage": stage}
+                                  kv=kv, return_cache=return_cache)
+    logits = hidden @ params[head].T
+    if not return_cache:
+        return logits, None
+    return logits, {"trunk": trunk, "lookups": lookups, "head": head, "hidden": hidden,
+                    "stage": stage}
 
 
 def lm_backward(params, cfg: ModelConfig, cache, dlogits) -> dict:
@@ -448,9 +490,10 @@ def batch_loss(batch, example):
     """Cross-entropy averaged over every target token of `batch`.
 
     `example(item) -> (logits, targets, backward)` runs one item's forward
-    pass, and `backward(dlogits)` returns its gradients. Per-item gradients,
-    weighted by token count, are summed in batch order, then divided by the
-    total count. Returns (loss, grads, token_count)."""
+    pass, and `backward(dlogits)`, called once, returns its gradients; both
+    are dropped before the next item's forward. Per-item gradients, weighted
+    by token count, are summed in batch order, then divided by the total
+    count. Returns (loss, grads, token_count)."""
     if not batch:
         raise ValidationError("batch is empty")
     total_nll = 0.0
@@ -467,6 +510,8 @@ def batch_loss(batch, example):
                 acc[name] += g
             else:
                 acc[name] = g
+        # the closure holds the item's cache: free it before the next forward
+        del logits, dlogits, backward
     grads = {name: g / total_count for name, g in acc.items()}
     return total_nll / total_count, grads, total_count
 

@@ -56,7 +56,9 @@ def _check_codes(codes, cfg: ModelConfig, columns: int, what: str) -> np.ndarray
 def nar_forward(params, cfg: ModelConfig, phon_ids, acoustic_prompt, partial_target,
                 stage: int, *, rng=None, return_cache=False):
     """Logits (T, K) for the target frames at the given stage in [2, Q], from
-    the Q-stage prompt and the target's known stages 1..stage-1."""
+    the Q-stage prompt and the target's known stages 1..stage-1. With
+    `return_cache`, returns (logits, cache), the cache for one `nar_backward`;
+    without, the pass keeps no activations."""
     if not 2 <= stage <= cfg.quantizers:
         raise ValidationError(f"stage must lie in [2, {cfg.quantizers}], got {stage}")
     phon_ids = lm_core.check_ids(phon_ids, cfg.phoneme_vocab, "phoneme")
@@ -73,7 +75,7 @@ def nar_forward(params, cfg: ModelConfig, phon_ids, acoustic_prompt, partial_tar
     # neighborhood unambiguously under full attention
     logits, cache = lm_core.lm_forward(
         params, cfg, lookups, [(p, 0), (tp + tt, 0)], f"acoustic_emb.{stage - 1}",
-        slice(p + tp, None), causal=False, stage=stage - 2, rng=rng,
+        slice(p + tp, None), causal=False, stage=stage - 2, rng=rng, return_cache=return_cache,
     )
     return (logits, cache) if return_cache else logits
 

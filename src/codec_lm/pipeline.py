@@ -367,10 +367,15 @@ def _teacher_forced_ar_accuracy(items, ar: ModelBundle, cs, crop, rng):
 
 
 def _nar_stage_accuracy(items, nar: ModelBundle, cs, crop, rng):
-    per_stage = {j: [0, 0] for j in range(2, nar.cfg.quantizers + 1)}
+    """Greedy NAR accuracy of each live stage in 2..Q; zero-book stages are logged."""
+    live = cs.live_stages
+    dead = [j for j in range(2, cs.quantizers + 1) if j not in live]
+    if dead:
+        log.info("no NAR accuracy for stages %s: their codebooks are all zero", dead)
+    per_stage = {j: [0, 0] for j in live if j >= 2}
     for tu in items:
         phon, prompt, target = sample_nar_item(tu, crop, cs.frame_rate, rng)
-        for stage in range(2, nar.cfg.quantizers + 1):
+        for stage in per_stage:
             logits = nar_model.nar_forward(
                 nar.params, nar.cfg, phon, prompt, target[:, : stage - 1], stage
             )
@@ -452,8 +457,9 @@ def evaluate(corpus_dir, cs: CodebookSet, ar: ModelBundle, nar: ModelBundle, *,
              split="eval", seeds=range(10), sampling: SamplingSpec | None = None,
              crop_min=1.0, crop_max=3.0, with_synthesis=True):
     """Metric rows: teacher-forced AR accuracy and NAR per-stage accuracy
-    (with ground-truth lower stages) on crops of `crop_min`..`crop_max`
-    seconds, codec SNR by stage count, and the zero-shot speaker-f0 proxy.
+    (with ground-truth lower stages; no row for a stage with a zero book) on
+    crops of `crop_min`..`crop_max` seconds, codec SNR by stage count, and the
+    zero-shot speaker-f0 proxy.
     The split is tokenized once, and every row but the proxy reads those
     tokens. Returns a list of (metric, split, value) rows."""
     seeds = list(seeds)

@@ -413,6 +413,7 @@ class TestTrainCodebooks:
         resid = x - cs.books[0][_kernels.nearest_codeword(x, cs.books[0])]
         assert np.flatnonzero((resid**2).sum(axis=1) > floor).tolist() == [c_row]
         assert cs.books[1].any() and not cs.books[2].any()
+        assert cs.live_stages == (1, 2)
         assert "stage 3: no residual above the rounding floor" in caplog.text
         assert "stage 2" not in caplog.text
         cm = codec.encode(w, cs)

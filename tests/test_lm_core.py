@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -141,7 +143,8 @@ class TestAttention:
             kv = lm_core.KVCache()
             if start:
                 lm_core.stack_forward(params, cfg, rng.normal(size=(start, 8)), True, kv=kv)
-            _, cache = lm_core.stack_forward(params, cfg, rng.normal(size=(t, 8)), True, kv=kv)
+            _, cache = lm_core.stack_forward(params, cfg, rng.normal(size=(t, 8)), True, kv=kv,
+                                             return_cache=True)
             probs = cache["layers"][0]["probs"]
             rows = np.arange(t)
             assert probs.shape == (2, t, start + t)
@@ -168,6 +171,28 @@ class TestAttention:
         b, pb = lm_core._attention_forward(q, k, v, np.zeros((4, 4), dtype=bool))
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(pa, pb)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
+    @pytest.mark.parametrize("rows", [slice(None), slice(150, None)], ids=["all", "row_slice"])
+    def test_backward_is_the_allocating_formula(self, dtype, causal, rows):
+        """The in-place backward equals, bit for bit, the formula that makes a
+        new array at each step, kept here as the oracle. T = 200 rows sum over
+        more than one pairwise-summation block."""
+        rng = np.random.default_rng(6)
+        h, t, hd = 4, 200, 8
+        q, k, v = (rng.normal(size=(h, t, hd)).astype(dtype) for _ in range(3))
+        q = q[:, rows]
+        ctx, probs = lm_core._attention_forward(q, k, v, _causal(t)[rows] if causal else None)
+        dctx = rng.normal(size=ctx.shape).astype(dtype)
+        scale = 1.0 / math.sqrt(hd)
+        dprobs = dctx @ np.swapaxes(v, -1, -2)
+        dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True)) * scale
+        want = (dscores @ k, np.swapaxes(dscores, -1, -2) @ q, np.swapaxes(probs, -1, -2) @ dctx)
+        got = lm_core._attention_backward(dctx, q, k, v, probs)
+        for name, g, w in zip(("dq", "dk", "dv"), got, want):
+            assert g.dtype == w.dtype == dtype, name
+            np.testing.assert_array_equal(g, w, err_msg=name)
 
     def test_softmax_rows_sum_to_one(self, rng):
         q = rng.normal(size=(5, 6))
@@ -339,7 +364,7 @@ class TestPastKV:
         assert kv.length == 3
         assert all(b.shape == (2, cfg.max_len, 4) and b.dtype == np.float64 for b in buffers)
         one, _ = lm_core.stack_forward(params, cfg, x[3:4], True, kv=kv)
-        tail, cache = lm_core.stack_forward(params, cfg, x[4:], True, kv=kv)
+        tail, cache = lm_core.stack_forward(params, cfg, x[4:], True, kv=kv, return_cache=True)
         np.testing.assert_allclose(np.concatenate([head, one, tail]), full, atol=1e-12)
         assert kv.length == 6
         assert all(a is b for a, b in zip([*kv.keys, *kv.values], buffers))
@@ -367,10 +392,11 @@ def _ref_dropout(x, rate, rng):
 
 
 def reference_trunk(params, cfg, x, causal, *, rows=slice(None), stage_vec=None, rng=None,
-                    kv=None):
+                    kv=None, return_cache=False):
     """The trunk before it took `rows`, kept as an oracle: every layer computes
     every row and the rows are taken from the output. A drop-in
-    `lm_core.stack_forward` for passes without a key/value cache."""
+    `lm_core.stack_forward` for passes without a key/value cache; it returns
+    its cache only with `return_cache`, as the trunk does."""
     assert kv is None
     cache = {"stage_vec": stage_vec, "layers": [], "rows": rows}
     h, t, hd = cfg.heads, x.shape[0], cfg.head_dim
@@ -403,7 +429,7 @@ def reference_trunk(params, cfg, x, causal, *, rows=slice(None), stage_vec=None,
         x = x + f_out
         cache["layers"].append(lc)
     out, cache["ln_f"] = norm_fwd("ln_f", x)
-    return out[rows], cache
+    return out[rows], cache if return_cache else None
 
 
 def reference_trunk_backward(params, cfg, cache, dout):
@@ -494,7 +520,7 @@ class TestRowSlice:
         rng = np.random.default_rng(3)
         cfg, params = self.CFG, self._params(adaln, dtype, rng)
         x = rng.normal(size=(self.T, 8)).astype(dtype)
-        kw = dict(rows=self.SLICES[rows],
+        kw = dict(rows=self.SLICES[rows], return_cache=True,
                   stage_vec=rng.normal(size=8).astype(dtype) if adaln else None)
         got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
         got, cache = lm_core.stack_forward(params, cfg, x, causal, rng=got_rng, **kw)
@@ -563,6 +589,89 @@ class TestRowSlice:
         assert got[1] == pytest.approx(want[1], rel=ROW_TOL[dtype])
         _close_grads(got[2], want[2], dtype)
         assert got[3] == want[3]
+
+
+class TestActivationLifetime:
+    """A pass keeps activations only for a backward that will run, and the
+    backward and the batch loss free them as they go."""
+
+    CFG = ModelConfig(layers=2, heads=2, embed_dim=8, ffn_dim=16, dropout=0.0,
+                      codebook_size=5, quantizers=4)
+
+    def test_inference_pass_holds_one_layer_of_attention(self):
+        """A default-size NAR pass over T = 630 rows (30 phonemes, a 300-frame
+        prompt, 300 target frames) without a cache peaks at about 1.4 times
+        one layer's (H, T, T) float32 probabilities: that array plus the
+        layer's smaller activations. Keeping the cache reads about 6.2 times;
+        keeping the previous layer's probabilities into the next layer's
+        attention, about 2.4 times."""
+        cfg = ModelConfig()
+        rng = np.random.default_rng(0)
+        params = nar_model.init_nar_params(cfg, rng)
+        phon = rng.integers(0, cfg.phoneme_vocab, 30)
+        prompt, target = rng.integers(0, 256, (300, 8)), rng.integers(0, 256, (300, 1))
+        nar_model.nar_forward(params, cfg, phon, prompt, target, 2)  # fills the position table
+        tracemalloc.start()
+        try:
+            nar_model.nar_forward(params, cfg, phon, prompt, target, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        one_layer = cfg.heads * 630 * 630 * 4
+        assert peak < 2 * one_layer, f"peak {peak / one_layer:.2f} x one layer's probabilities"
+
+    @pytest.mark.parametrize("kind", ["ar", "nar"])
+    def test_batch_loss_frees_each_item_before_the_next(self, kind, monkeypatch):
+        """By the time item k+1's forward runs, item k's logits and cache are
+        gone: nothing in `batch_loss` or the model's closure still holds them."""
+        params, _, loss = TestRowSlice()._model(kind, np.float64)
+        refs = []
+        forward = lm_core.lm_forward
+
+        def tracked(*args, **kwargs):
+            assert all(r() is None for r in refs), "an earlier item's activations are alive"
+            logits, cache = forward(*args, **kwargs)
+            refs.extend([weakref.ref(logits), weakref.ref(cache["hidden"])])
+            return logits, cache
+
+        monkeypatch.setattr(lm_core, "lm_forward", tracked)
+        loss(params, None)
+        assert len(refs) == 4
+
+    @pytest.mark.parametrize("kind", ["ar", "nar"])
+    def test_a_cache_serves_one_backward(self, kind):
+        """The backward consumes its cache; a second one is refused instead
+        of running on what is left."""
+        rng = np.random.default_rng(0)
+        cfg = self.CFG
+        if kind == "ar":
+            params = ar_model.init_ar_params(cfg, rng)
+            logits, cache = ar_model.ar_forward(params, cfg, [2, 9, 4], [1, 3, 0, 4],
+                                                return_cache=True)
+            backward = ar_model.ar_backward
+        else:
+            params = nar_model.init_nar_params(cfg, rng)
+            logits, cache = nar_model.nar_forward(params, cfg, [2, 9], rng.integers(0, 5, (3, 4)),
+                                                  rng.integers(0, 5, (4, 1)), 2, return_cache=True)
+            backward = nar_model.nar_backward
+        dlogits = rng.normal(size=logits.shape).astype(np.float32)
+        assert sorted(backward(params, cfg, cache, dlogits)) == sorted(params)
+        with pytest.raises(ValidationError, match="consumed"):
+            backward(params, cfg, cache, dlogits)
+        with pytest.raises(ValidationError, match="consumed"):
+            lm_core.stack_backward(params, cfg, cache["trunk"],
+                                   np.zeros((len(logits), cfg.embed_dim), np.float32))
+
+    def test_inference_passes_return_no_cache(self):
+        """lm_forward and the trunk build a cache only when asked."""
+        cfg = self.CFG
+        params = ar_model.init_ar_params(cfg, np.random.default_rng(0))
+        lookups = [("phoneme_emb", np.array([2, 9, 4]), 0)]
+        assert lm_core.lm_forward(params, cfg, lookups, [(3, 0)], "acoustic_emb", slice(None),
+                                  causal=True)[1] is None
+        x = np.random.default_rng(1).normal(size=(3, 8))
+        assert lm_core.stack_forward(params, cfg, x, True)[1] is None
+        assert lm_core.stack_forward(params, cfg, x, True, kv=lm_core.KVCache())[1] is None
 
 
 class TestComputeDtype:

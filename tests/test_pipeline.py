@@ -173,20 +173,50 @@ def test_evaluate_encodes_each_record_once(tiny_corpus_dir, tiny_codec, monkeypa
 
 
 def test_evaluate_rows_without_synthesis(tiny_corpus_dir, tiny_codec):
-    """The rows are AR accuracy, NAR accuracy per stage 2..Q and codec SNR
-    per stage count 1..Q, in that order, all on the split and all finite; a
-    later stage never lowers the SNR."""
+    """The rows are AR accuracy, NAR accuracy per live stage in 2..Q (the
+    tiny codec's last stage has a zero book) and codec SNR per stage count
+    1..Q, in that order, all on the split and all finite; a later stage never
+    lowers the SNR."""
     ar, nar = _bundles(_small_cfg(tiny_codec))
     rows = pipeline.evaluate(tiny_corpus_dir, tiny_codec, ar, nar, with_synthesis=False)
     q = tiny_codec.quantizers
+    assert tiny_codec.live_stages == tuple(range(1, q))
     assert [name for name, _, _ in rows] == (
         ["ar_teacher_forced_accuracy"]
-        + [f"nar_stage{j}_accuracy" for j in range(2, q + 1)]
+        + [f"nar_stage{j}_accuracy" for j in range(2, q)]
         + [f"codec_snr_stages_{j}" for j in range(1, q + 1)])
     assert {split for _, split, _ in rows} == {"eval"}
     assert all(np.isfinite(value) for _, _, value in rows)
     snr = [value for _, _, value in rows[-q:]]
     assert all(later >= earlier for earlier, later in zip(snr, snr[1:]))
+
+
+def test_evaluate_skips_zero_book_stages(tiny_corpus_dir, tiny_codec, caplog, monkeypatch):
+    """A stage whose book is all zero codes every frame 0: evaluation runs no
+    NAR pass for it, gives it no accuracy row and logs that it skipped it.
+    Stage 3 is forced dead here; the tiny codec's last stage is dead as fitted."""
+    q = tiny_codec.quantizers
+    books = tiny_codec.books.copy()
+    books[2] = 0.0
+    cs = replace(tiny_codec, books=books)
+    dead = [j for j in range(1, q + 1) if not books[j - 1].any()]
+    assert dead == [3, q]
+    assert cs.live_stages == tuple(j for j in range(1, q + 1) if j not in dead)
+    stages = []
+    forward = nar_model.nar_forward
+
+    def counting_forward(*args, **kwargs):
+        stages.append(args[5])
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(nar_model, "nar_forward", counting_forward)
+    ar, nar = _bundles(_small_cfg(cs))
+    with caplog.at_level(logging.INFO, logger="codec_lm.pipeline"):
+        rows = pipeline.evaluate(tiny_corpus_dir, cs, ar, nar, with_synthesis=False)
+    assert sorted(set(stages)) == list(cs.live_stages[1:])
+    nar_rows = [name for name, _, _ in rows if name.startswith("nar_stage")]
+    assert nar_rows == [f"nar_stage{j}_accuracy" for j in cs.live_stages[1:]]
+    assert f"no NAR accuracy for stages [3, {q}]: their codebooks are all zero" in caplog.text
 
 
 def _nar_train_cfg():
