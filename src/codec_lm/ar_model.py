@@ -54,16 +54,10 @@ def _check_prompt(phon_ids, acoustic_ids, cfg: ModelConfig):
         raise ValidationError("phoneme sequence is empty")
     acoustic_ids = lm_core.check_ids(acoustic_ids, cfg.codebook_size, "acoustic")
     phon_part = np.concatenate([phon_ids, [cfg.phoneme_eos]])
-    _check_length(len(phon_part), len(acoustic_ids), cfg)
-    return phon_part, acoustic_ids
-
-
-def _check_length(p, ac_len, cfg: ModelConfig):
-    """`p` phoneme positions, `ac_len` acoustic codes and the acoustic EOS (or
-    the next token) must fit in max_len."""
-    n = p + ac_len + 1
+    n = len(phon_part) + len(acoustic_ids) + 1
     if n > cfg.max_len:
         raise ValidationError(f"sequence length {n} exceeds max_len {cfg.max_len}")
+    return phon_part, acoustic_ids
 
 
 def _pass(params, cfg: ModelConfig, phon_part, ac_part, rows, **kw):
@@ -123,6 +117,9 @@ class ArDecoder:
     its last row, the one row the trunk's last layer then computes. The cache
     is a `lm_core.KVCache`, which the trunk fills in place. `next_logits`
     returns the logits of the last pass, the same array until the next push.
+    `kv.length` is the one length kept: `ac_len` (the codes after the `p`
+    phoneme positions) and `room` (the codes that still fit, one position
+    kept for the acoustic EOS as in `ar_forward`) derive from it.
     """
 
     def __init__(self, params, cfg: ModelConfig, phon_ids, prefix_codes):
@@ -130,10 +127,17 @@ class ArDecoder:
         self.params = params
         self.cfg = cfg
         self.p = len(phon_part)
-        self.ac_len = len(prefix_codes)
         self.kv = lm_core.KVCache()
         logits, _ = _pass(params, cfg, phon_part, prefix_codes, slice(-1, None), kv=self.kv)
         self._logits = logits[0]
+
+    @property
+    def ac_len(self) -> int:
+        return self.kv.length - self.p
+
+    @property
+    def room(self) -> int:
+        return self.cfg.max_len - self.kv.length - 1
 
     def next_logits(self) -> np.ndarray:
         return self._logits
@@ -144,26 +148,27 @@ class ArDecoder:
         if not 0 <= token < self.cfg.codebook_size:
             raise ValidationError(
                 f"acoustic token {token} out of range [0, {self.cfg.codebook_size})")
-        _check_length(self.p, self.ac_len + 1, self.cfg)
+        if self.room < 1:
+            raise ValidationError(
+                f"sequence length {self.kv.length + 2} exceeds max_len {self.cfg.max_len}")
         logits, _ = lm_core.lm_forward(
             self.params, self.cfg, [("acoustic_emb", [token], 0)], [(1, self.ac_len)],
             "acoustic_emb", slice(-1, None), causal=True, kv=self.kv,
         )
         self._logits = logits[0]
-        self.ac_len += 1
 
 
 def ar_generate(params, cfg: ModelConfig, phon_ids, prefix_codes, sampling: SamplingSpec):
     """Sample first-layer codes until acoustic EOS, max_new_tokens, or the
-    context limit: the most codes that `ar_forward` accepts after the prompt.
+    context limit: the decoder's `room`, the most codes that `ar_forward`
+    accepts after the prompt.
 
     Returns the generated codes only (prefix and EOS excluded). Deterministic
     for a fixed sampling seed.
     """
     rng = np.random.default_rng(np.random.SeedSequence([sampling.seed & 0xFFFFFFFF]))
     decoder = ArDecoder(params, cfg, phon_ids, prefix_codes)
-    room = cfg.max_len - decoder.p - decoder.ac_len - 1
-    limit = min(sampling.max_new_tokens, room)
+    limit = min(sampling.max_new_tokens, decoder.room)
     out = []
     for _ in range(limit):
         logits = decoder.next_logits()

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import codec, config, corpus, formats, pipeline
-from .errors import ConfigError, UsageError, ValidationError
+from .errors import ConfigError, OptimizerError, UsageError, ValidationError
 
 log = logging.getLogger("codec_lm.cli")
 
@@ -129,6 +129,8 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.seeds < 0:
+        raise UsageError("--seeds must be >= 0")
     run = _load_run_config(args)
     out = _guard_out(args.out, args.force)
     cs = codec.CodebookSet.load(args.codec)
@@ -140,9 +142,7 @@ def cmd_eval(args) -> int:
         split=args.split,
         seeds=range(args.seeds),
         sampling=run.build("sampling"),
-        crop_min=train_cfg.crop_min,
-        crop_max=train_cfg.crop_max,
-        with_synthesis=not args.no_synthesis,
+        crop=(train_cfg.crop_min, train_cfg.crop_max),
     )
     formats.write_report(out, rows)
     for metric, split, value in rows:
@@ -199,9 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ar", required=True)
     p.add_argument("--nar", required=True)
     p.add_argument("--split", default="eval")
-    p.add_argument("--seeds", type=int, default=10, help="synthesis seeds per speaker")
-    p.add_argument("--no-synthesis", action="store_true",
-                   help="skip the zero-shot synthesis proxy")
+    p.add_argument("--seeds", type=int, default=10,
+                   help="synthesis seeds per speaker (0: no synthesis proxy)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("inspect", help="dump any audio, codebook or checkpoint file")
@@ -227,7 +226,7 @@ def main(argv=None) -> int:
     except (UsageError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, OptimizerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

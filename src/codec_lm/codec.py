@@ -48,6 +48,8 @@ class CodecConfig:
             raise ValidationError("codec.kmeans_iters must be >= 1")
         if not 0 <= self.pitch_augment < 1:
             raise ValidationError("codec.pitch_augment must lie in [0, 1)")
+        if self.seed < 0:
+            raise ValidationError("codec.seed must be >= 0")
 
     @property
     def frame_rate(self) -> float:

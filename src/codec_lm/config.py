@@ -20,14 +20,15 @@ default. The 33 file keys:
 
 The one alias is `corpus.held_out` for `held_out_speakers`. A file cannot
 set `corpus.out_dir` (the `--out` directory), `codec.sample_rate` (the
-training audio's rate), `model.phoneme_vocab` (the frontend's inventory) or
-`model.codebook_size`/`quantizers` (the trained codec's K and Q); the
-commands fill these in.
+training audio's rate) or `model.codebook_size`/`quantizers` (the trained
+codec's K and Q); the commands fill these in. The phoneme inventory is the
+frontend's, which `ModelConfig.phoneme_vocab` reads.
 
 Values are checked when `RunConfig.build` makes a section's dataclass, whose
 `__post_init__` refuses an invalid one, so a command refuses every section it
 builds: `eval`, which builds `[train]` for its crop lengths, refuses an
-invalid `[train]` section too.
+invalid `[train]` section too. The corpus, codec and train seeds must be
+>= 0; the sampling seed may be any int (generation masks it to 32 bits).
 """
 
 import math
@@ -44,7 +45,7 @@ from .pipeline import TrainConfig
 SECTIONS = {
     "corpus": (CorpusConfig, {"held_out": "held_out_speakers"}, ("out_dir",)),
     "codec": (CodecConfig, {}, ("sample_rate",)),
-    "model": (ModelConfig, {}, ("phoneme_vocab", "codebook_size", "quantizers")),
+    "model": (ModelConfig, {}, ("codebook_size", "quantizers")),
     "train": (TrainConfig, {}, ()),
     "sampling": (SamplingSpec, {}, ()),
 }

@@ -78,15 +78,6 @@ class ContentUnit:
 
 
 @dataclass(frozen=True)
-class ContentSeq:
-    units: tuple  # of ContentUnit
-
-    def __post_init__(self):
-        if not self.units:
-            raise ValidationError("content.units must be nonempty")
-
-
-@dataclass(frozen=True)
 class Utterance:
     waveform: Waveform
 
@@ -100,17 +91,19 @@ def _symbol_traits(sym_id: int):
 
 
 def generate_utterance(
-    spec: SpeakerSpec, content: ContentSeq, sample_rate: int, seed: int
+    spec: SpeakerSpec, units: tuple, sample_rate: int, seed: int
 ) -> Utterance:
-    """Render harmonic audio for one (speaker, content) pair: a steady f0
-    with the speaker's harmonics below 0.49 of the sample rate, each unit
-    shaped by its symbol's gain and tilt. Deterministic; `seed` is unused and
-    stays for callers that still pass one.
+    """Render harmonic audio for one speaker saying `units`, a nonempty
+    sequence of `ContentUnit`: a steady f0 with the speaker's harmonics below
+    0.49 of the sample rate, each unit shaped by its symbol's gain and tilt.
+    Deterministic; `seed` is unused and stays for callers that still pass one.
     """
     if sample_rate < 8000:
         raise ValidationError("sample_rate must be at least 8000 Hz")
+    if not units:
+        raise ValidationError("content units must be nonempty")
 
-    unit_samples = [max(1, int(round(u.duration * sample_rate))) for u in content.units]
+    unit_samples = [max(1, int(round(u.duration * sample_rate))) for u in units]
     total = sum(unit_samples)
     phase = 2.0 * np.pi * np.cumsum(np.full(total, spec.f0)) / sample_rate
 
@@ -121,7 +114,7 @@ def generate_utterance(
     ramp = EDGE_RAMP_SECONDS
     pos = 0
     nyquist = 0.49 * sample_rate
-    for u, n in zip(content.units, unit_samples):
+    for u, n in zip(units, unit_samples):
         gain, tilt = _symbol_traits(u.symbol_id)
         sl = slice(pos, pos + n)
         unit_wave = np.zeros(n)
@@ -246,6 +239,8 @@ class CorpusConfig:
             problems.append("corpus duration range must satisfy 0 < min <= max")
         if self.sample_rate < 8000:
             problems.append("corpus.sample_rate must be >= 8000")
+        if self.seed < 0:
+            problems.append("corpus.seed must be >= 0")
         if problems:
             raise ValidationError("; ".join(problems))
 
@@ -282,9 +277,9 @@ def make_speakers(cfg: CorpusConfig):
     return specs
 
 
-def make_content(cfg: CorpusConfig, rng: np.random.Generator) -> ContentSeq:
-    """Random symbol sequence with no immediate repeats, filling a random
-    target duration."""
+def make_content(cfg: CorpusConfig, rng: np.random.Generator) -> tuple:
+    """Random `ContentUnit`s with no immediate symbol repeats, filling a
+    random target duration."""
     target = rng.uniform(cfg.duration_min, cfg.duration_max)
     units = []
     total = 0.0
@@ -298,7 +293,7 @@ def make_content(cfg: CorpusConfig, rng: np.random.Generator) -> ContentSeq:
         units.append(ContentUnit(frontend.symbol_id(ch), dur))
         total += dur
         prev = ch
-    return ContentSeq(units=tuple(units))
+    return tuple(units)
 
 
 def _audio_path(root, utt_id) -> Path:
@@ -335,13 +330,13 @@ def build_corpus(cfg: CorpusConfig):
             rng = np.random.default_rng(
                 np.random.SeedSequence([cfg.seed, 7, spec.speaker_id, idx])
             )
-            content = make_content(cfg, rng)
-            utt = generate_utterance(spec, content, cfg.sample_rate, 0)
+            units = make_content(cfg, rng)
+            utt = generate_utterance(spec, units, cfg.sample_rate, 0)
             utt_id = f"utt_{spec.speaker_id:03d}_{idx:03d}"
             audio.add(_audio_path(out, utt_id))
             formats.write_audio(_audio_path(out, utt_id), utt.waveform.samples, cfg.sample_rate)
             pairs = " ".join(f"{frontend.ID_TO_SYMBOL[u.symbol_id]}:{u.duration!r}"
-                             for u in content.units)
+                             for u in units)
             manifest_lines.append(f"{utt_id}\t{spec.speaker_id}\t{split}\t{pairs}\n")
 
     formats.write_text(out / "manifest.tsv", "".join(manifest_lines))

@@ -6,8 +6,6 @@ The phoneme-EOS id used by the language models is VOCAB_SIZE itself (one past
 the vocabulary, see lm_core).
 """
 
-from dataclasses import dataclass
-
 from .errors import ValidationError
 
 VOCAB_SIZE = 64
@@ -26,11 +24,6 @@ ID_TO_SYMBOL = {i: s for s, i in SYMBOL_TO_ID.items()}
 def vocab_table() -> str:
     """Serializable description of the symbol inventory (for checkpoints)."""
     return ",".join(_SYMBOLS)
-
-
-@dataclass(frozen=True)
-class PhonemeSeq:
-    ids: tuple
 
 
 def dedup_consecutive(ids):
@@ -52,8 +45,9 @@ def symbol_id(symbol: str) -> int:
         raise ValidationError(f"unknown frontend symbol {symbol!r}") from None
 
 
-def text_to_phonemes(text: str) -> PhonemeSeq:
-    """Lowercase, map characters/digraphs to ids, drop unknowns, dedup runs."""
+def text_to_phonemes(text: str) -> tuple:
+    """The phoneme ids of `text`: lowercase, map characters/digraphs to ids,
+    drop unknowns, dedup runs."""
     if not text or not text.strip():
         raise ValidationError("text is empty after trimming whitespace")
     lowered = text.strip().lower()
@@ -72,4 +66,4 @@ def text_to_phonemes(text: str) -> PhonemeSeq:
     ids = dedup_consecutive(ids)
     if not ids:
         raise ValidationError(f"text {text!r} maps to an empty phoneme sequence")
-    return PhonemeSeq(ids=tuple(ids))
+    return tuple(ids)

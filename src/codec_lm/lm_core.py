@@ -55,24 +55,31 @@ class ModelConfig:
     embed_dim: int = 128
     ffn_dim: int = 512
     dropout: float = 0.1
-    phoneme_vocab: int = frontend.VOCAB_SIZE  # ids 0..V_p-1; phoneme-EOS = V_p
     codebook_size: int = 256  # acoustic ids 0..K-1; acoustic-EOS = K (AR only)
     quantizers: int = 8
     max_len: int = 4096
 
     def __post_init__(self):
-        if self.embed_dim % self.heads != 0:
-            raise ValidationError("embed_dim must be divisible by heads")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValidationError("dropout must lie in [0, 1)")
         if min(self.layers, self.heads, self.embed_dim, self.ffn_dim) < 1:
             raise ValidationError("layers/heads/embed_dim/ffn_dim must be positive")
+        if self.embed_dim % self.heads != 0:
+            raise ValidationError("embed_dim must be divisible by heads")
+        if self.embed_dim % 2 != 0:
+            raise ValidationError("model.embed_dim must be even (sin/cos position pairs)")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValidationError("dropout must lie in [0, 1)")
         if self.quantizers < 1 or self.codebook_size < 1:
             raise ValidationError("quantizers and codebook_size must be positive")
+        if self.max_len < 1:
+            raise ValidationError("model.max_len must be >= 1")
 
     @property
     def head_dim(self) -> int:
         return self.embed_dim // self.heads
+
+    @property
+    def phoneme_vocab(self) -> int:  # ids 0..V_p-1; a checkpoint's phoneme_table pins them
+        return frontend.VOCAB_SIZE
 
     @property
     def phoneme_eos(self) -> int:

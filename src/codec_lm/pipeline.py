@@ -74,6 +74,8 @@ class TrainConfig:
             raise ValidationError("train.log_every must be >= 1")
         if self.checkpoint_every < 0:
             raise ValidationError("train.checkpoint_every must be >= 0 (0: no step checkpoints)")
+        if self.seed < 0:
+            raise ValidationError("train.seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -322,10 +324,9 @@ def continual_prompt(full_waveform: Waveform, text: str, seconds: float) -> Prom
 def build_phoneme_prompt(spec: PromptSpec):
     """standard: concat(dedup'd enrolled phonemes, dedup'd target phonemes);
     continual: the target phonemes exactly once."""
-    target = frontend.text_to_phonemes(spec.target_text).ids
+    target = frontend.text_to_phonemes(spec.target_text)
     if spec.mode == "standard":
-        enrolled = frontend.text_to_phonemes(spec.enrolled_text).ids
-        return list(enrolled) + list(target)
+        return list(frontend.text_to_phonemes(spec.enrolled_text) + target)
     return list(target)
 
 
@@ -411,15 +412,12 @@ def _enrolled_from_prefix(record: UttRecord):
     return Waveform(samples=wav.samples[:n], sample_rate=wav.sample_rate), text
 
 
-def speaker_f0_match(
-    corpus: CorpusData, cs, ar: ModelBundle, nar: ModelBundle, *,
-    split="eval", seeds=range(10), sampling: SamplingSpec | None = None,
-):
+def speaker_f0_match(corpus: CorpusData, cs, ar: ModelBundle, nar: ModelBundle, *,
+                     split: str, seeds, sampling: SamplingSpec):
     """Zero-shot speaker proxy: fraction of voiced frames of the synthesized
     audio whose autocorrelation f0 is within F0_TOLERANCE of the prompt
-    speaker's true f0, averaged over seeds, per speaker of `split`."""
-    if sampling is None:
-        sampling = SamplingSpec()
+    speaker's true f0, averaged over `seeds` (each replacing `sampling`'s
+    seed), per speaker of `split`."""
     by_speaker = {}
     records = corpus.split_records(split)
     speakers = sorted({r.speaker_id for r in records})
@@ -454,23 +452,20 @@ def speaker_f0_match(
 
 
 def evaluate(corpus_dir, cs: CodebookSet, ar: ModelBundle, nar: ModelBundle, *,
-             split="eval", seeds=range(10), sampling: SamplingSpec | None = None,
-             crop_min=1.0, crop_max=3.0, with_synthesis=True):
-    """Metric rows: teacher-forced AR accuracy and NAR per-stage accuracy
-    (with ground-truth lower stages; no row for a stage with a zero book) on
-    crops of `crop_min`..`crop_max` seconds, codec SNR by stage count, and the
-    zero-shot speaker-f0 proxy.
+             split: str, seeds, sampling: SamplingSpec, crop):
+    """Metric rows on `split`: teacher-forced AR accuracy and NAR per-stage
+    accuracy (with ground-truth lower stages; no row for a stage with a zero
+    book) on crops of (min, max) = `crop` seconds, codec SNR by stage count,
+    and the zero-shot speaker-f0 proxy over `seeds` with `sampling`; no seeds,
+    no proxy rows.
     The split is tokenized once, and every row but the proxy reads those
     tokens. Returns a list of (metric, split, value) rows."""
     seeds = list(seeds)
-    if with_synthesis and not seeds:
-        raise ValidationError("the speaker-f0 proxy needs at least one synthesis seed")
     corpus = load_corpus(corpus_dir)
     items = tokenize_split(corpus, cs, split)
     if not items:
         raise ValidationError(f"split {split!r} is empty")
     nar_items = _nar_usable(items, cs.frame_rate)
-    crop = (crop_min, crop_max)
     rng = np.random.default_rng(np.random.SeedSequence([EVAL_SEED, 61]))
     rows = [
         ("ar_teacher_forced_accuracy", split,
@@ -480,7 +475,7 @@ def evaluate(corpus_dir, cs: CodebookSet, ar: ModelBundle, nar: ModelBundle, *,
         rows.append((f"nar_stage{stage}_accuracy", split, acc))
     for j, snr in _codec_snr_by_stages(items, cs).items():
         rows.append((f"codec_snr_stages_{j}", split, snr))
-    if with_synthesis:
+    if seeds:
         by_speaker = speaker_f0_match(
             corpus, cs, ar, nar, split=split, seeds=seeds, sampling=sampling,
         )

@@ -259,11 +259,12 @@ class TestGeneration:
         while dec.p + dec.ac_len + 1 < small.max_len:
             dec.push(5)
             codes.append(5)
-        assert dec.p + dec.ac_len == small.max_len - 1
+        assert dec.p + dec.ac_len == dec.kv.length == small.max_len - 1
+        assert dec.room == 0
         held, logits = dec.ac_len, dec.next_logits()
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="sequence length 10 exceeds max_len 9"):
             dec.push(5)
-        assert dec.ac_len == held
+        assert dec.ac_len == held and dec.room == 0
         np.testing.assert_array_equal(dec.next_logits(), logits)
         ar_model.ar_forward(params, small, phon, codes)
         with pytest.raises(ValidationError):

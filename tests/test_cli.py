@@ -3,9 +3,10 @@ model, in process."""
 
 import shutil
 
+import numpy as np
 import pytest
 
-from codec_lm import cli, codec, corpus, formats, frontend
+from codec_lm import cli, codec, corpus, formats, frontend, pipeline
 
 SMALL_CORPUS = ["corpus.speakers=4", "corpus.held_out=1", "corpus.duration_min=3.5",
                 "corpus.duration_max=4.5"]
@@ -159,7 +160,7 @@ def test_eval_refuses_swapped_checkpoints(chain, tmp_path, capsys):
     """Each checkpoint must be of the kind its flag names: swapped, eval
     exits 2 with a one-line error and writes no report."""
     argv = ["eval", "--ar", chain["nar"], "--nar", chain["ar"], "--codec", chain["codec"],
-            "--corpus", chain["corpus"], "--out", tmp_path / "report.tsv", "--no-synthesis"]
+            "--corpus", chain["corpus"], "--out", tmp_path / "report.tsv", "--seeds", 0]
     assert cli.main([str(a) for a in argv]) == 2
     err = capsys.readouterr().err
     assert "kind is 'nar', expected 'ar'" in err
@@ -272,7 +273,7 @@ def test_eval_without_a_nar_usable_utterance_exits_2(chain, tmp_path, capsys):
         ["corpus.speakers=2", "corpus.held_out=1", "corpus.utterances_per_speaker=2",
          "corpus.duration_min=1.0", "corpus.duration_max=2.0"])])
     argv = ["eval", "--ar", chain["ar"], "--nar", chain["nar"], "--codec", chain["codec"],
-            "--corpus", short, "--out", tmp_path / "report.tsv", "--no-synthesis"]
+            "--corpus", short, "--out", tmp_path / "report.tsv", "--seeds", 0]
     capsys.readouterr()
     assert cli.main([str(a) for a in argv]) == 2
     err = capsys.readouterr().err
@@ -310,12 +311,12 @@ def test_bad_train_interval_exits_2(chain, tmp_path, capsys, setting, message):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["eval", "--seeds", "0"], "the speaker-f0 proxy needs at least one synthesis seed"),
+    (["eval", "--seeds", "-1"], "--seeds must be >= 0"),
     (["train-codec", "--set", "codec.pitch_augment=-0.5"],
      "codec.pitch_augment must lie in [0, 1)"),
     (["train-codec", "--set", "codec.pitch_augment=1.0"],
      "codec.pitch_augment must lie in [0, 1)"),
-], ids=["eval-seeds-0", "negative-pitch-augment", "pitch-augment-1"])
+], ids=["eval-negative-seeds", "negative-pitch-augment", "pitch-augment-1"])
 def test_bad_setting_exits_2(chain, tmp_path, capsys, argv, message):
     """Settings that would give nan rows, or silently no augmentation, or a
     failure that does not name its key, are refused up front."""
@@ -327,3 +328,77 @@ def test_bad_setting_exits_2(chain, tmp_path, capsys, argv, message):
     assert code == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_eval_seeds_0_writes_no_proxy_rows(chain, tmp_path):
+    """`--seeds 0` writes the chain's report (whose eval ran one seed) less
+    its speaker-f0 proxy rows."""
+    out = tmp_path / "report.tsv"
+    _run(["eval", "--ar", chain["ar"], "--nar", chain["nar"], "--codec", chain["codec"],
+          "--corpus", chain["corpus"], "--out", out, "--seeds", 0])
+    rows = chain["report"].read_text().splitlines()
+    proxy = [row for row in rows if row.startswith("speaker_f0_match")]
+    assert proxy
+    assert out.read_text().splitlines() == [row for row in rows if row not in proxy]
+
+
+def _error_lines(err):
+    return [line for line in err.splitlines() if line.startswith("error:")]
+
+
+@pytest.mark.parametrize("command, key", [
+    ("gen-corpus", "corpus.seed"), ("train-codec", "codec.seed"),
+    ("train-ar", "train.seed"), ("train-nar", "train.seed"),
+])
+def test_negative_seed_exits_2(chain, tmp_path, capsys, command, key):
+    """A seed below 0 would reach np.random.SeedSequence, which raises: each
+    command refuses it with one line naming the key, and writes nothing."""
+    inputs = {"gen-corpus": _sets(SMALL_CORPUS),
+              "train-codec": ["--corpus", chain["corpus"], *_sets(SMALL_CODEC)],
+              "train-ar": ["--corpus", chain["corpus"], "--codec", chain["codec"],
+                           *_sets(SMALL_MODEL)]}
+    inputs["train-nar"] = inputs["train-ar"]
+    argv = [command, *inputs[command], "--seed", -1, "--out", tmp_path / "out"]
+    assert cli.main([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert _error_lines(err) == [f"error: {key} must be >= 0"]
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("settings, message", [
+    (["model.embed_dim=7", "model.heads=7"], "model.embed_dim must be even"),
+    (["model.max_len=0"], "model.max_len must be >= 1"),
+], ids=["odd-embed-dim", "max-len-0"])
+def test_bad_model_setting_exits_2_before_the_corpus_is_read(chain, tmp_path, capsys,
+                                                             monkeypatch, settings, message):
+    """A model setting that the first forward pass would refuse, without
+    naming its key, is refused when the config is built: the corpus is not
+    read and nothing is written."""
+    def no_corpus(*args):
+        raise AssertionError("the corpus was read")
+
+    monkeypatch.setattr(pipeline, "load_corpus", no_corpus)
+    argv = ["train-ar", "--corpus", chain["corpus"], "--codec", chain["codec"],
+            "--out", tmp_path / "ar.ckp", *_sets([*SMALL_MODEL, *settings])]
+    assert cli.main([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    errors = _error_lines(err)
+    assert len(errors) == 1 and errors[0].startswith(f"error: {message}")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_diverging_run_exits_1(chain, tmp_path, capsys):
+    """A non-finite gradient ends training with one error line, not a
+    traceback, and no checkpoint or loss log is written. The overflow that
+    leads to it is the point here, so numpy's warnings about it are off."""
+    argv = ["train-ar", "--corpus", chain["corpus"], "--codec", chain["codec"],
+            "--out", tmp_path / "ar.ckp", *_sets([*SMALL_MODEL, "train.peak_lr=1e30"])]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main([str(a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert _error_lines(err) == [
+        "error: non-finite gradient in parameter block 'acoustic_emb'"]
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []

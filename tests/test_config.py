@@ -6,7 +6,7 @@ import pytest
 from codec_lm import config
 from codec_lm.ar_model import SamplingSpec
 from codec_lm.codec import CodecConfig
-from codec_lm.corpus import ContentSeq, ContentUnit, CorpusConfig, SpeakerSpec, Waveform
+from codec_lm.corpus import ContentUnit, CorpusConfig, SpeakerSpec, Waveform
 from codec_lm.errors import ConfigError, ValidationError
 from codec_lm.lm_core import ModelConfig
 from codec_lm.pipeline import PromptSpec, TrainConfig
@@ -200,7 +200,6 @@ BUILT_CASES = [
     (SpeakerSpec, dict(speaker_id=0, f0=220.0, harmonic_amps=(1.0, 0.5)), "f0", -150.0,
      "f0 must be positive"),
     (ContentUnit, dict(symbol_id=3, duration=0.2), "duration", -0.5, "duration -0.5"),
-    (ContentSeq, dict(units=(ContentUnit(3, 0.2),)), "units", (), "nonempty"),
     (CorpusConfig, dict(out_dir="c"), "speakers", 11, "grid has 10 points"),
     (CodecConfig, {}, "stride", 0, "stride/quantizers/codebook_size must be positive"),
     (ModelConfig, {}, "heads", 3, "divisible by heads"),
@@ -208,11 +207,28 @@ BUILT_CASES = [
     (TrainConfig, {}, "warmup_steps", 1000, "warmup_steps < total_steps"),
     (PromptSpec, dict(mode="continual", enrolled_waveform=Waveform(np.zeros(4), 8000),
                       enrolled_text=None, target_text="abc"), "mode", "whisper", "prompt mode"),
+    # a negative seed would reach np.random.SeedSequence, which raises
+    (CorpusConfig, dict(out_dir="c"), "seed", -1, "corpus.seed must be >= 0"),
+    (CodecConfig, {}, "seed", -1, "codec.seed must be >= 0"),
+    (TrainConfig, {}, "seed", -1, "train.seed must be >= 0"),
+    # these would fail only at the first forward pass, without naming the key
+    (ModelConfig, dict(heads=1), "embed_dim", 7, "model.embed_dim must be even"),
+    (ModelConfig, {}, "max_len", 0, "model.max_len must be >= 1"),
+    (ModelConfig, {}, "heads", 0, "must be positive"),
 ]
 
 
-@pytest.mark.parametrize("cls, valid, field, bad, match", BUILT_CASES,
-                         ids=[case[0].__name__ for case in BUILT_CASES])
+def _case_ids(cases):
+    """The class name; a later case of the same class adds its field."""
+    seen = set()
+    ids = []
+    for cls, _, field, _, _ in cases:
+        ids.append(f"{cls.__name__}-{field}" if cls in seen else cls.__name__)
+        seen.add(cls)
+    return ids
+
+
+@pytest.mark.parametrize("cls, valid, field, bad, match", BUILT_CASES, ids=_case_ids(BUILT_CASES))
 def test_values_are_checked_when_built(cls, valid, field, bad, match):
     """Each value type refuses an invalid field when it is built, also by
     `dataclasses.replace`, and is frozen, so a built value stays valid."""
@@ -221,6 +237,12 @@ def test_values_are_checked_when_built(cls, valid, field, bad, match):
         dataclasses.replace(value, **{field: bad})
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(value, field, bad)
+
+
+def test_sampling_seed_may_be_negative():
+    """Generation masks the sampling seed to 32 bits, so any int is one."""
+    run = config.apply_overrides(config.RunConfig.defaults(), ["sampling.seed=-1"])
+    assert run.build("sampling").seed == -1
 
 
 def test_file_and_overrides_set_values(tmp_path):

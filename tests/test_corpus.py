@@ -16,14 +16,12 @@ def _spec(**kw):
 
 
 def _content(*units):
-    return corpus.ContentSeq(
-        units=tuple(corpus.ContentUnit(*u) for u in units)
-    )
+    return tuple(corpus.ContentUnit(*u) for u in units)
 
 
 def test_empty_content_rejected():
-    with pytest.raises(ValidationError):
-        corpus.generate_utterance(_spec(), corpus.ContentSeq(units=()), 8000, 0)
+    with pytest.raises(ValidationError, match="content units must be nonempty"):
+        corpus.generate_utterance(_spec(), (), 8000, 0)
 
 
 def test_invalid_speaker_fields_named():
@@ -65,7 +63,7 @@ def test_duration_matches_unit_sum():
     c = _content((3, 0.5), (5, 0.25))
     utt = corpus.generate_utterance(_spec(), c, 8000, 0)
     frame_period = 1.0 / 8000
-    assert abs(utt.waveform.duration - 0.75) < frame_period * len(c.units) + 1e-9
+    assert abs(utt.waveform.duration - 0.75) < frame_period * len(c) + 1e-9
 
 
 def test_peak_amplitude_below_one(rng):
@@ -206,7 +204,7 @@ class TestBuildCorpus:
         assert len(records) == 4 * 2
         for rec in records:
             text = "".join(frontend.ID_TO_SYMBOL[u.symbol_id] for u in rec.units)
-            ids = frontend.text_to_phonemes(text).ids
+            ids = frontend.text_to_phonemes(text)
             aligned = tuple(
                 frontend.dedup_consecutive([u.symbol_id for u in rec.units])
             )
@@ -220,7 +218,7 @@ class TestBuildCorpus:
         expected = [
             (f"utt_{sid:03d}_{idx:03d}", sid, "eval" if sid == 3 else "train",
              corpus.make_content(cfg, np.random.default_rng(
-                 np.random.SeedSequence([cfg.seed, 7, sid, idx]))).units)
+                 np.random.SeedSequence([cfg.seed, 7, sid, idx]))))
             for sid in range(4) for idx in range(2)
         ]
         records = corpus.load_corpus(tiny_corpus_dir).records

@@ -8,7 +8,7 @@ from codec_lm.errors import ValidationError
 
 def test_consecutive_repetition_removed():
     seq = frontend.text_to_phonemes("aa")
-    assert seq.ids == (frontend.symbol_id("a"),)
+    assert seq == (frontend.symbol_id("a"),)
 
 
 def test_empty_text_rejected():
@@ -25,19 +25,19 @@ def test_unmappable_text_rejected():
 
 def test_aba_keeps_three_ids():
     seq = frontend.text_to_phonemes("aba")
-    assert len(seq.ids) == 3
-    assert seq.ids[0] == seq.ids[2] != seq.ids[1]
+    assert len(seq) == 3
+    assert seq[0] == seq[2] != seq[1]
 
 
 def test_case_and_unknowns_normalized():
-    assert frontend.text_to_phonemes("A!b").ids == frontend.text_to_phonemes("ab").ids
+    assert frontend.text_to_phonemes("A!b") == frontend.text_to_phonemes("ab")
 
 
 def test_digraphs_map_to_single_ids():
     seq = frontend.text_to_phonemes("chat")
     # 'ch' collapses to one id, then 'a', 't'
-    assert len(seq.ids) == 3
-    assert seq.ids[0] == frontend.symbol_id("ch")
+    assert len(seq) == 3
+    assert seq[0] == frontend.symbol_id("ch")
 
 
 def test_dedup_examples():
@@ -73,7 +73,7 @@ def test_dedup_no_adjacent_equal(ids):
 def test_vocabulary_closure():
     text = "the quick brown fox jumps over 12 lazy dogs"
     seq = frontend.text_to_phonemes(text)
-    assert all(0 < i < frontend.VOCAB_SIZE for i in seq.ids)
+    assert all(0 < i < frontend.VOCAB_SIZE for i in seq)
 
 
 def test_vocab_table_lists_all_symbols():

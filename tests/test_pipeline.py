@@ -15,6 +15,10 @@ def _small_cfg(cs):
                        codebook_size=cs.codebook_size, quantizers=cs.quantizers)
 
 
+# evaluate's settings as `eval --seeds 0` passes them at the default [train] crop
+NO_PROXY = dict(split="eval", seeds=range(0), sampling=SamplingSpec(), crop=(1.0, 3.0))
+
+
 def _bundles(cfg, seed=0):
     rng = np.random.default_rng(seed)
     return (pipeline.ModelBundle(ar_model.init_ar_params(cfg, rng), cfg),
@@ -153,6 +157,64 @@ def test_loaded_checkpoint_is_the_trained_model(tmp_path, tiny_corpus_dir, tiny_
         assert np.array_equal(loaded.params[name], trained), name
 
 
+# -- what training records ----------------------------------------------------------
+
+def _record_cfg(**kw):
+    return pipeline.TrainConfig(**{"total_steps": 4, "warmup_steps": 1, "batch_tokens": 64,
+                                   "log_every": 1, **kw})
+
+
+def _same_params(a, b):
+    return a.keys() == b.keys() and all(np.array_equal(a[name], b[name]) for name in a)
+
+
+@pytest.mark.parametrize("train", [pipeline.train_ar, pipeline.train_nar], ids=["ar", "nar"])
+def test_training_is_a_function_of_its_seed(train, tiny_corpus_dir, tiny_codec):
+    """The same TrainConfig.seed gives bitwise the same params, loss rows and
+    NAR stage draws (dropout on, so its stream counts too); another seed
+    changes each of them."""
+    model_cfg = replace(_small_cfg(tiny_codec), dropout=0.1)
+    a, b, other = (train(tiny_corpus_dir, tiny_codec, model_cfg, _record_cfg(seed=seed))
+                   for seed in (5, 5, 6))
+    assert _same_params(a["params"], b["params"])
+    assert a["rows"] == b["rows"]
+    assert a.get("stage_draws") == b.get("stage_draws")
+    assert not _same_params(a["params"], other["params"])
+    assert a["rows"] != other["rows"]
+    if train is pipeline.train_nar:
+        assert a["stage_draws"] != other["stage_draws"]
+
+
+def test_loss_rows_are_every_log_every_steps_and_the_last(tmp_path, tiny_corpus_dir,
+                                                           tiny_codec):
+    """7 steps logged every 5 keep rows for steps 5 and 7 only, in the
+    summary and in the loss log."""
+    summary = pipeline.train_ar(tiny_corpus_dir, tiny_codec, _small_cfg(tiny_codec),
+                                _record_cfg(total_steps=7, log_every=5),
+                                log_path=tmp_path / "ar.log")
+    assert [step for step, _, _ in summary["rows"]] == [5, 7]
+    steps = [line.split("\t")[0] for line in (tmp_path / "ar.log").read_text().splitlines()]
+    assert steps == ["5", "7"]
+
+
+@pytest.mark.parametrize("train", [pipeline.train_ar, pipeline.train_nar], ids=["ar", "nar"])
+def test_first_and_final_loss_are_the_first_and_last_rows(train, tiny_corpus_dir, tiny_codec):
+    summary = train(tiny_corpus_dir, tiny_codec, _small_cfg(tiny_codec), _record_cfg())
+    rows = summary["rows"]
+    assert [step for step, _, _ in rows] == [1, 2, 3, 4]
+    assert summary["first_loss"] == rows[0][1]
+    assert summary["final_loss"] == rows[-1][1]
+    assert rows[0][1] != rows[-1][1]
+
+
+def test_stage_draws_are_one_per_step_in_2_to_q(tiny_corpus_dir, tiny_codec):
+    summary = pipeline.train_nar(tiny_corpus_dir, tiny_codec, _small_cfg(tiny_codec),
+                                 _record_cfg(total_steps=12))
+    draws = summary["stage_draws"]
+    assert len(draws) == 12
+    assert all(2 <= stage <= tiny_codec.quantizers for stage in draws)
+
+
 def test_evaluate_encodes_each_record_once(tiny_corpus_dir, tiny_codec, monkeypatch):
     """The split is tokenized once, and the codec SNR rows decode those
     tokens instead of encoding the audio again."""
@@ -165,7 +227,7 @@ def test_evaluate_encodes_each_record_once(tiny_corpus_dir, tiny_codec, monkeypa
 
     monkeypatch.setattr(codec, "encode", counting_encode)
     ar, nar = _bundles(_small_cfg(tiny_codec))
-    rows = pipeline.evaluate(tiny_corpus_dir, tiny_codec, ar, nar, with_synthesis=False)
+    rows = pipeline.evaluate(tiny_corpus_dir, tiny_codec, ar, nar, **NO_PROXY)
     records = corpus.load_corpus(tiny_corpus_dir).split_records("eval")
     assert len(encoded) == len(records) == 2
     q = tiny_codec.quantizers
@@ -178,7 +240,7 @@ def test_evaluate_rows_without_synthesis(tiny_corpus_dir, tiny_codec):
     1..Q, in that order, all on the split and all finite; a later stage never
     lowers the SNR."""
     ar, nar = _bundles(_small_cfg(tiny_codec))
-    rows = pipeline.evaluate(tiny_corpus_dir, tiny_codec, ar, nar, with_synthesis=False)
+    rows = pipeline.evaluate(tiny_corpus_dir, tiny_codec, ar, nar, **NO_PROXY)
     q = tiny_codec.quantizers
     assert tiny_codec.live_stages == tuple(range(1, q))
     assert [name for name, _, _ in rows] == (
@@ -212,7 +274,7 @@ def test_evaluate_skips_zero_book_stages(tiny_corpus_dir, tiny_codec, caplog, mo
     monkeypatch.setattr(nar_model, "nar_forward", counting_forward)
     ar, nar = _bundles(_small_cfg(cs))
     with caplog.at_level(logging.INFO, logger="codec_lm.pipeline"):
-        rows = pipeline.evaluate(tiny_corpus_dir, cs, ar, nar, with_synthesis=False)
+        rows = pipeline.evaluate(tiny_corpus_dir, cs, ar, nar, **NO_PROXY)
     assert sorted(set(stages)) == list(cs.live_stages[1:])
     nar_rows = [name for name, _, _ in rows if name.startswith("nar_stage")]
     assert nar_rows == [f"nar_stage{j}_accuracy" for j in cs.live_stages[1:]]
