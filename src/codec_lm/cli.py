@@ -4,12 +4,15 @@ Every command is a thin wrapper over one pipeline/module operation. Logs go
 to stderr; artifacts and reports go to files (inspect prints its dump to
 stdout, the dump being the artifact). Existing outputs are never overwritten
 without --force. A --seed flag routes one seed into every stochastic
-component of the command.
+component of the command; `eval --seed` changes no row (its crops use
+`pipeline.EVAL_SEED`, its syntheses seeds 0..--seeds-1). Each rule is checked
+once: argparse refuses a missing flag, the built values refuse the rest.
 """
 
 import argparse
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import codec, config, corpus, formats, pipeline
@@ -65,14 +68,15 @@ def cmd_gen_corpus(args) -> int:
 def cmd_train_codec(args) -> int:
     run = _load_run_config(args)
     out = _guard_out(args.out, args.force)
+    cfg = run.build("codec")  # refused here, before the corpus is read
     waves = _load_train_split_waveforms(args.corpus)
-    cs = codec.train_codebooks(waves, run.build("codec", sample_rate=waves[0].sample_rate))
+    cs = codec.train_codebooks(waves, replace(cfg, sample_rate=waves[0].sample_rate))
     cs.save(out)
     log.info("codebooks written to %s", out)
     return 0
 
 
-def _train_lm(args, kind: str) -> int:
+def _train_lm(args) -> int:
     run = _load_run_config(args)
     out = _guard_out(args.out, args.force)
     log_path = Path(args.log) if args.log else Path(str(out) + ".log")
@@ -81,39 +85,19 @@ def _train_lm(args, kind: str) -> int:
     cs = codec.CodebookSet.load(args.codec)
     model_cfg = run.build("model", codebook_size=cs.codebook_size, quantizers=cs.quantizers)
     train_cfg = run.build("train")
-    trainer = pipeline.train_ar if kind == "ar" else pipeline.train_nar
+    trainer = pipeline.train_ar if args.kind == "ar" else pipeline.train_nar
     summary = trainer(args.corpus, cs, model_cfg, train_cfg, out_path=out, log_path=log_path)
-    log.info("%s training done: loss %.4f -> %.4f", kind,
+    log.info("%s training done: loss %.4f -> %.4f", args.kind,
              summary["first_loss"], summary["final_loss"])
     return 0
-
-
-def cmd_train_ar(args) -> int:
-    return _train_lm(args, "ar")
-
-
-def cmd_train_nar(args) -> int:
-    return _train_lm(args, "nar")
-
-
-def _require(args, flag: str, reason: str):
-    name = flag.lstrip("-").replace("-", "_")
-    if getattr(args, name) is None:
-        raise UsageError(f"{flag} is required {reason}")
 
 
 def cmd_synthesize(args) -> int:
     run = _load_run_config(args)
     out = _guard_out(args.out, args.force)
-    _require(args, "--enrolled-audio", f"in {args.mode} mode")
-    if args.mode == "standard":
-        _require(args, "--enrolled-text", "in standard mode")
-    cs = codec.CodebookSet.load(args.codec)
-    ar = pipeline.ModelBundle.load(args.ar, "ar")
-    nar = pipeline.ModelBundle.load(args.nar, "nar")
     enrolled = corpus.read_waveform(args.enrolled_audio)
     if args.mode == "continual":
-        spec = pipeline.continual_prompt(enrolled, args.text, args.prompt_seconds)
+        spec = pipeline.continual_prompt(enrolled, args.text)
     else:
         spec = pipeline.PromptSpec(
             mode="standard",
@@ -121,6 +105,9 @@ def cmd_synthesize(args) -> int:
             enrolled_text=args.enrolled_text,
             target_text=args.text,
         )
+    cs = codec.CodebookSet.load(args.codec)
+    ar = pipeline.ModelBundle.load(args.ar, "ar")
+    nar = pipeline.ModelBundle.load(args.nar, "nar")
     sampling = run.build("sampling")
     wav = pipeline.synthesize(spec, ar, nar, cs, sampling)
     formats.write_audio(out, wav.samples, cs.sample_rate)
@@ -136,13 +123,11 @@ def cmd_eval(args) -> int:
     cs = codec.CodebookSet.load(args.codec)
     ar = pipeline.ModelBundle.load(args.ar, "ar")
     nar = pipeline.ModelBundle.load(args.nar, "nar")
-    train_cfg = run.build("train")
     rows = pipeline.evaluate(
         args.corpus, cs, ar, nar,
         split=args.split,
         seeds=range(args.seeds),
         sampling=run.build("sampling"),
-        crop=(train_cfg.crop_min, train_cfg.crop_max),
     )
     formats.write_report(out, rows)
     for metric, split, value in rows:
@@ -171,13 +156,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True, help="corpus directory")
     p.set_defaults(func=cmd_train_codec)
 
-    for kind, fn in (("train-ar", cmd_train_ar), ("train-nar", cmd_train_nar)):
-        p = sub.add_parser(kind, help=f"train the {kind.split('-')[1].upper()} model")
+    for kind in ("ar", "nar"):
+        p = sub.add_parser(f"train-{kind}", help=f"train the {kind.upper()} model")
         _add_common(p)
         p.add_argument("--corpus", required=True)
         p.add_argument("--codec", required=True, help="codebook file (train-codec output)")
         p.add_argument("--log", help="loss log path (default: <out>.log)")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=_train_lm, kind=kind)
 
     p = sub.add_parser("synthesize", help="text + enrolled audio -> waveform")
     _add_common(p)
@@ -186,10 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--codec", required=True)
     p.add_argument("--text", required=True, help="target text")
     p.add_argument("--mode", choices=("standard", "continual"), default="standard")
-    p.add_argument("--enrolled-audio", help="audio file with the enrolled recording")
-    p.add_argument("--enrolled-text", help="transcription of the enrolled recording")
-    p.add_argument("--prompt-seconds", type=float, default=pipeline.PROMPT_SECONDS,
-                   help="continual mode: seconds of the utterance used as prompt")
+    p.add_argument("--enrolled-audio", required=True,
+                   help="the enrolled recording (continual mode: the whole utterance)")
+    p.add_argument("--enrolled-text", help="its transcription (standard mode)")
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("eval", help="write the evaluation report")
@@ -223,7 +207,7 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)
         return 2
-    except (UsageError, ValidationError) as exc:
+    except ValidationError as exc:  # UsageError is one too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, OptimizerError) as exc:

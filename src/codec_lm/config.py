@@ -6,7 +6,7 @@ and every offending key is reported at once.
 
 The config dataclasses are the only definition of the fields: `SCHEMA` is
 derived from `dataclasses.fields`, so every file key has its field's type and
-default. The 33 file keys:
+default. The 31 file keys:
 
 - corpus: speakers, held_out, utterances_per_speaker, duration_min,
   duration_max, sample_rate, seed (the generator's shape is fixed in
@@ -14,8 +14,8 @@ default. The 33 file keys:
 - codec: stride (samples per frame), quantizers, codebook_size,
   kmeans_iters, seed, pitch_augment;
 - model: layers, heads, embed_dim, ffn_dim, dropout, max_len;
-- train: crop_min, crop_max, batch_tokens, total_steps, warmup_steps,
-  peak_lr, weight_decay, seed, log_every, checkpoint_every;
+- train: batch_tokens, total_steps, warmup_steps, peak_lr, weight_decay,
+  seed, log_every, checkpoint_every (the crop is `pipeline.CROP_SECONDS`);
 - sampling: temperature, top_p, seed, max_new_tokens.
 
 The one alias is `corpus.held_out` for `held_out_speakers`. A file cannot
@@ -26,9 +26,8 @@ frontend's, which `ModelConfig.phoneme_vocab` reads.
 
 Values are checked when `RunConfig.build` makes a section's dataclass, whose
 `__post_init__` refuses an invalid one, so a command refuses every section it
-builds: `eval`, which builds `[train]` for its crop lengths, refuses an
-invalid `[train]` section too. The corpus, codec and train seeds must be
->= 0; the sampling seed may be any int (generation masks it to 32 bits).
+builds and no other (`eval` builds only `[sampling]`). The corpus, codec and
+train seeds must be >= 0; the sampling seed may be any int (masked to 32 bits).
 """
 
 import math
@@ -78,9 +77,10 @@ class RunConfig:
         )
 
     def set_seed(self, seed: int):
-        """Route one seed to every stochastic component."""
-        for sec in ("corpus", "codec", "train", "sampling"):
-            self.sections[sec]["seed"] = seed
+        """Route one seed to every stochastic component: each `seed` key."""
+        for keys in self.sections.values():
+            if "seed" in keys:
+                keys["seed"] = seed
 
     def build(self, section, **fixed):
         """The section's dataclass from the file keys plus the fields the

@@ -13,16 +13,16 @@ Training and evaluation read the corpus through one data path:
    draws its batches of crops with `_draw_batch`; evaluation scores the same
    kind of crops, and its codec SNR rows decode the same tokens.
 
-A crop has a random duration inside the configured range; the synthetic
-corpus carries exact unit timings, so the phoneme sequence for any crop is
-known without forced alignment. A NAR item additionally carries a 3-second
-acoustic prompt segment from the same utterance (disjoint from the target crop
-whenever the utterance is long enough).
+A crop has a random duration in `CROP_SECONDS`; the synthetic corpus
+carries exact unit timings, so the phoneme sequence for any crop is known
+without forced alignment. A NAR item additionally carries a 3-second acoustic
+prompt segment from the same utterance (disjoint from the target crop whenever
+the utterance is long enough).
 
 Inference implements the two prompting modes: `standard` prepends the
 enrolled transcription's phonemes to the target phonemes and uses the
 enrolled stage-1 codes as the AR prefix, while `continual` uses the target
-transcription once and the first seconds of the same utterance as the prompt.
+transcription once and the utterance's first `PROMPT_SECONDS` as the prompt.
 In both modes the NAR stage prompt is the full Q-stage code matrix of the
 enrolled audio; only the AR prefix is restricted to stage 1.
 """
@@ -42,6 +42,9 @@ from .lm_core import ModelConfig
 log = logging.getLogger("codec_lm.pipeline")
 
 PROMPT_SECONDS = 3.0  # the paper's enrolled recording: NAR prompts, the f0 proxy, the CLI
+# (min, max) seconds of a training or evaluation crop: 4-6 s corpus utterances
+# less the 3 s NAR prompt leave a NAR target 1-3 s of room
+CROP_SECONDS = (1.0, 3.0)
 EVAL_SEED = 1234
 AR_CROPS_PER_UTT = 3  # teacher-forced crops scored per utterance
 N_TARGET_SYMBOLS = 8  # units of the speaker's other utterance that the proxy synthesizes
@@ -50,8 +53,6 @@ F0_TOLERANCE = 0.05  # relative f0 error that counts as a match
 
 @dataclass(frozen=True)
 class TrainConfig:
-    crop_min: float = 1.0
-    crop_max: float = 3.0
     batch_tokens: int = 512
     total_steps: int = 1000
     warmup_steps: int = 100
@@ -62,8 +63,6 @@ class TrainConfig:
     checkpoint_every: int = 0
 
     def __post_init__(self):
-        if not 0 < self.crop_min <= self.crop_max:
-            raise ValidationError("train crop range must satisfy 0 < min <= max")
         if not 1 <= self.warmup_steps < self.total_steps:
             raise ValidationError("need 1 <= warmup_steps < total_steps")
         if self.batch_tokens < 1:
@@ -141,10 +140,9 @@ def crop_phonemes(tu: TokenizedUtterance, start: int, n: int):
     return frontend.dedup_consecutive(tu.frame_symbols[start : start + n].tolist())
 
 
-def sample_ar_item(tu, crop, frame_rate, rng):
-    """A random crop of (min, max) = `crop` seconds: its phonemes and its
-    stage-1 codes."""
-    n = int(rng.uniform(*crop) * frame_rate)
+def sample_ar_item(tu, frame_rate, rng):
+    """A random crop of `CROP_SECONDS`: its phonemes and its stage-1 codes."""
+    n = int(rng.uniform(*CROP_SECONDS) * frame_rate)
     n = max(1, min(n, tu.num_frames))
     start = int(rng.integers(0, tu.num_frames - n + 1))
     return crop_phonemes(tu, start, n), tu.codes[start : start + n, 0]
@@ -168,9 +166,9 @@ def _nar_usable(items, frame_rate):
     return usable
 
 
-def sample_nar_item(tu, crop, frame_rate, rng):
-    """Target crop of (min, max) = `crop` seconds plus a 3-second prompt
-    segment from the same utterance.
+def sample_nar_item(tu, frame_rate, rng):
+    """Target crop of `CROP_SECONDS` plus a `PROMPT_SECONDS` prompt segment
+    from the same utterance.
 
     The prompt is drawn disjoint from the target whenever the utterance has
     room for it; utterances shorter than prompt + 1 frame are rejected.
@@ -183,7 +181,7 @@ def sample_nar_item(tu, crop, frame_rate, rng):
             f"({prompt_len + 1})"
         )
     max_target = t - prompt_len  # leave room for a disjoint prompt when possible
-    n = int(rng.uniform(*crop) * frame_rate)
+    n = int(rng.uniform(*CROP_SECONDS) * frame_rate)
     n = max(1, min(n, max_target))
     start = int(rng.integers(0, t - n + 1))
     left = max(0, start - prompt_len + 1)
@@ -209,9 +207,9 @@ def _train_common(corpus_dir, cs, model_cfg, train_cfg, out_path):
     if train_cfg.checkpoint_every and out_path is None:
         raise ValidationError("checkpoint_every needs an output path to name the step checkpoints")
     _check_dims(model_cfg, cs)
-    if int(train_cfg.crop_min * cs.frame_rate) < 1:
+    if int(CROP_SECONDS[0] * cs.frame_rate) < 1:
         raise ValidationError(
-            f"crop_min {train_cfg.crop_min}s is below one frame at {cs.frame_rate:g} Hz"
+            f"the {CROP_SECONDS[0]}s crop minimum is below one frame at {cs.frame_rate:g} Hz"
         )
     corpus = load_corpus(corpus_dir)
     items = tokenize_split(corpus, cs, "train")
@@ -224,11 +222,10 @@ def _draw_batch(items, sample, tokens_of, train_cfg, frame_rate, rng):
     """Items made by `sample` from utterances drawn uniformly from `items`,
     until they hold `train_cfg.batch_tokens` tokens as `tokens_of(*item)`
     counts them."""
-    crop = (train_cfg.crop_min, train_cfg.crop_max)
     batch, tokens = [], 0
     while tokens < train_cfg.batch_tokens:
         tu = items[int(rng.integers(len(items)))]
-        batch.append(sample(tu, crop, frame_rate, rng))
+        batch.append(sample(tu, frame_rate, rng))
         tokens += tokens_of(*batch[-1])
     return batch
 
@@ -237,21 +234,23 @@ def _fit(kind, params, model_cfg, train_cfg, out_path, log_path, step_fn):
     """AdamW over `step_fn() -> (loss, grads, note)`, one call per step; `note`
     goes into the log line. Logs and keeps a (step, loss, lr) row every
     `log_every` steps and at the last, writes the step checkpoints, then the
-    final checkpoint and the loss log."""
+    final checkpoint and the loss log; each checkpoint records its step."""
     state = lm_core.AdamWState()
     rows = []
     first_loss = None
     loss = float("nan")
-    for step in range(1, train_cfg.total_steps + 1):
-        loss, grads, note = step_fn()
-        lr = lm_core.adamw_step(params, grads, state, step, train_cfg)
-        if first_loss is None:
-            first_loss = loss
-        if step % train_cfg.log_every == 0 or step == train_cfg.total_steps:
-            rows.append((step, loss, lr))
-            log.info("%s step %d%s loss %.4f lr %.3g", kind, step, note, loss, lr)
-        if train_cfg.checkpoint_every and step % train_cfg.checkpoint_every == 0:
-            lm_core.save_model(f"{out_path}.step{step}", kind, model_cfg, params)
+    with np.errstate(over="ignore", invalid="ignore"):  # adamw_step reports a divergence
+        for step in range(1, train_cfg.total_steps + 1):
+            loss, grads, note = step_fn()
+            lr = lm_core.adamw_step(params, grads, state, step, train_cfg)
+            if first_loss is None:
+                first_loss = loss
+            if step % train_cfg.log_every == 0 or step == train_cfg.total_steps:
+                rows.append((step, loss, lr))
+                log.info("%s step %d%s loss %.4f lr %.3g", kind, step, note, loss, lr)
+            if train_cfg.checkpoint_every and step % train_cfg.checkpoint_every == 0:
+                lm_core.save_model(f"{out_path}.step{step}", kind, model_cfg, params,
+                                   {"trained_steps": step})
     if out_path is not None:
         lm_core.save_model(out_path, kind, model_cfg, params,
                            {"trained_steps": train_cfg.total_steps})
@@ -305,12 +304,10 @@ def train_nar(corpus_dir, cs: CodebookSet, model_cfg: ModelConfig, train_cfg: Tr
 
 # -- inference -------------------------------------------------------------------
 
-def continual_prompt(full_waveform: Waveform, text: str, seconds: float) -> PromptSpec:
-    """Continual-mode prompt: the first `seconds` of the utterance whose
-    transcription is `text`."""
-    n = int(seconds * full_waveform.sample_rate)
-    if n < 1:
-        raise ValidationError("continual prompt is shorter than one sample")
+def continual_prompt(full_waveform: Waveform, text: str) -> PromptSpec:
+    """Continual-mode prompt: the first `PROMPT_SECONDS` of the utterance
+    whose transcription is `text`, which must be longer than that."""
+    n = int(PROMPT_SECONDS * full_waveform.sample_rate)
     if n >= full_waveform.samples.size:
         raise ValidationError("continual prompt covers the full utterance")
     return PromptSpec(
@@ -355,11 +352,11 @@ def synthesize(spec: PromptSpec, ar: ModelBundle, nar: ModelBundle, cs: Codebook
 
 # -- evaluation ------------------------------------------------------------------
 
-def _teacher_forced_ar_accuracy(items, ar: ModelBundle, cs, crop, rng):
+def _teacher_forced_ar_accuracy(items, ar: ModelBundle, cs, rng):
     hits = total = 0
     for tu in items:
         for _ in range(AR_CROPS_PER_UTT):
-            phon, ac = sample_ar_item(tu, crop, cs.frame_rate, rng)
+            phon, ac = sample_ar_item(tu, cs.frame_rate, rng)
             logits = ar_model.ar_forward(ar.params, ar.cfg, phon, ac)
             targets = np.concatenate([ac, [ar.cfg.acoustic_eos]])
             hits += int((np.argmax(logits, axis=-1) == targets).sum())
@@ -367,7 +364,7 @@ def _teacher_forced_ar_accuracy(items, ar: ModelBundle, cs, crop, rng):
     return hits / total if total else float("nan")
 
 
-def _nar_stage_accuracy(items, nar: ModelBundle, cs, crop, rng):
+def _nar_stage_accuracy(items, nar: ModelBundle, cs, rng):
     """Greedy NAR accuracy of each live stage in 2..Q; zero-book stages are logged."""
     live = cs.live_stages
     dead = [j for j in range(2, cs.quantizers + 1) if j not in live]
@@ -375,7 +372,7 @@ def _nar_stage_accuracy(items, nar: ModelBundle, cs, crop, rng):
         log.info("no NAR accuracy for stages %s: their codebooks are all zero", dead)
     per_stage = {j: [0, 0] for j in live if j >= 2}
     for tu in items:
-        phon, prompt, target = sample_nar_item(tu, crop, cs.frame_rate, rng)
+        phon, prompt, target = sample_nar_item(tu, cs.frame_rate, rng)
         for stage in per_stage:
             logits = nar_model.nar_forward(
                 nar.params, nar.cfg, phon, prompt, target[:, : stage - 1], stage
@@ -452,12 +449,12 @@ def speaker_f0_match(corpus: CorpusData, cs, ar: ModelBundle, nar: ModelBundle, 
 
 
 def evaluate(corpus_dir, cs: CodebookSet, ar: ModelBundle, nar: ModelBundle, *,
-             split: str, seeds, sampling: SamplingSpec, crop):
+             split: str, seeds, sampling: SamplingSpec):
     """Metric rows on `split`: teacher-forced AR accuracy and NAR per-stage
     accuracy (with ground-truth lower stages; no row for a stage with a zero
-    book) on crops of (min, max) = `crop` seconds, codec SNR by stage count,
-    and the zero-shot speaker-f0 proxy over `seeds` with `sampling`; no seeds,
-    no proxy rows.
+    book) on crops of `CROP_SECONDS` drawn from `EVAL_SEED`, codec SNR by
+    stage count, and the zero-shot speaker-f0 proxy over `seeds` with
+    `sampling`; no seeds, no proxy rows.
     The split is tokenized once, and every row but the proxy reads those
     tokens. Returns a list of (metric, split, value) rows."""
     seeds = list(seeds)
@@ -469,9 +466,9 @@ def evaluate(corpus_dir, cs: CodebookSet, ar: ModelBundle, nar: ModelBundle, *,
     rng = np.random.default_rng(np.random.SeedSequence([EVAL_SEED, 61]))
     rows = [
         ("ar_teacher_forced_accuracy", split,
-         _teacher_forced_ar_accuracy(items, ar, cs, crop, rng)),
+         _teacher_forced_ar_accuracy(items, ar, cs, rng)),
     ]
-    for stage, acc in _nar_stage_accuracy(nar_items, nar, cs, crop, rng).items():
+    for stage, acc in _nar_stage_accuracy(nar_items, nar, cs, rng).items():
         rows.append((f"nar_stage{stage}_accuracy", split, acc))
     for j, snr in _codec_snr_by_stages(items, cs).items():
         rows.append((f"codec_snr_stages_{j}", split, snr))

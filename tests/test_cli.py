@@ -3,7 +3,6 @@ model, in process."""
 
 import shutil
 
-import numpy as np
 import pytest
 
 from codec_lm import cli, codec, corpus, formats, frontend, pipeline
@@ -44,7 +43,7 @@ def run_chain(root, seed=3):
     _run(["synthesize", *models, "--out", root / "standard.clm", "--text", "abdo",
           "--enrolled-audio", rec.path, "--enrolled-text", text])
     _run(["synthesize", *models, "--out", root / "continual.clm", "--mode", "continual",
-          "--text", text, "--enrolled-audio", rec.path, "--prompt-seconds", "1.5"])
+          "--text", text, "--enrolled-audio", rec.path])
     _run(["eval", *models, "--corpus", corpus_dir, "--out", root / "report.tsv",
           "--seeds", "1"])
     return {"corpus": corpus_dir, "codec": cbk, "ar": ar, "nar": nar,
@@ -310,6 +309,14 @@ def test_bad_train_interval_exits_2(chain, tmp_path, capsys, setting, message):
     assert list(tmp_path.iterdir()) == []
 
 
+def _forbid_corpus_reads(monkeypatch):
+    def no_corpus(*args):
+        raise AssertionError("the corpus was read")
+
+    monkeypatch.setattr(corpus, "load_corpus", no_corpus)
+    monkeypatch.setattr(pipeline, "load_corpus", no_corpus)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["eval", "--seeds", "-1"], "--seeds must be >= 0"),
     (["train-codec", "--set", "codec.pitch_augment=-0.5"],
@@ -317,9 +324,11 @@ def test_bad_train_interval_exits_2(chain, tmp_path, capsys, setting, message):
     (["train-codec", "--set", "codec.pitch_augment=1.0"],
      "codec.pitch_augment must lie in [0, 1)"),
 ], ids=["eval-negative-seeds", "negative-pitch-augment", "pitch-augment-1"])
-def test_bad_setting_exits_2(chain, tmp_path, capsys, argv, message):
+def test_bad_setting_exits_2(chain, tmp_path, capsys, monkeypatch, argv, message):
     """Settings that would give nan rows, or silently no augmentation, or a
-    failure that does not name its key, are refused up front."""
+    failure that does not name its key, are refused up front: before the
+    corpus is read."""
+    _forbid_corpus_reads(monkeypatch)
     models = {"eval": ["--ar", chain["ar"], "--nar", chain["nar"], "--codec", chain["codec"]],
               "train-codec": [*_sets(SMALL_CODEC)]}[argv[0]]
     out = tmp_path / "out"
@@ -332,10 +341,11 @@ def test_bad_setting_exits_2(chain, tmp_path, capsys, argv, message):
 
 def test_eval_seeds_0_writes_no_proxy_rows(chain, tmp_path):
     """`--seeds 0` writes the chain's report (whose eval ran one seed) less
-    its speaker-f0 proxy rows."""
+    its speaker-f0 proxy rows. `--seed` changes no row: the chain's eval ran
+    at --seed 3, and -1 is accepted here, as the sampling seed may be any int."""
     out = tmp_path / "report.tsv"
     _run(["eval", "--ar", chain["ar"], "--nar", chain["nar"], "--codec", chain["codec"],
-          "--corpus", chain["corpus"], "--out", out, "--seeds", 0])
+          "--corpus", chain["corpus"], "--out", out, "--seeds", 0, "--seed", -1])
     rows = chain["report"].read_text().splitlines()
     proxy = [row for row in rows if row.startswith("speaker_f0_match")]
     assert proxy
@@ -350,14 +360,16 @@ def _error_lines(err):
     ("gen-corpus", "corpus.seed"), ("train-codec", "codec.seed"),
     ("train-ar", "train.seed"), ("train-nar", "train.seed"),
 ])
-def test_negative_seed_exits_2(chain, tmp_path, capsys, command, key):
+def test_negative_seed_exits_2(chain, tmp_path, capsys, monkeypatch, command, key):
     """A seed below 0 would reach np.random.SeedSequence, which raises: each
-    command refuses it with one line naming the key, and writes nothing."""
+    command refuses it with one line naming the key, before it reads the
+    corpus, and writes nothing."""
     inputs = {"gen-corpus": _sets(SMALL_CORPUS),
               "train-codec": ["--corpus", chain["corpus"], *_sets(SMALL_CODEC)],
               "train-ar": ["--corpus", chain["corpus"], "--codec", chain["codec"],
                            *_sets(SMALL_MODEL)]}
     inputs["train-nar"] = inputs["train-ar"]
+    _forbid_corpus_reads(monkeypatch)
     argv = [command, *inputs[command], "--seed", -1, "--out", tmp_path / "out"]
     assert cli.main([str(a) for a in argv]) == 2
     err = capsys.readouterr().err
@@ -375,10 +387,7 @@ def test_bad_model_setting_exits_2_before_the_corpus_is_read(chain, tmp_path, ca
     """A model setting that the first forward pass would refuse, without
     naming its key, is refused when the config is built: the corpus is not
     read and nothing is written."""
-    def no_corpus(*args):
-        raise AssertionError("the corpus was read")
-
-    monkeypatch.setattr(pipeline, "load_corpus", no_corpus)
+    _forbid_corpus_reads(monkeypatch)
     argv = ["train-ar", "--corpus", chain["corpus"], "--codec", chain["codec"],
             "--out", tmp_path / "ar.ckp", *_sets([*SMALL_MODEL, *settings])]
     assert cli.main([str(a) for a in argv]) == 2
@@ -391,14 +400,47 @@ def test_bad_model_setting_exits_2_before_the_corpus_is_read(chain, tmp_path, ca
 
 def test_diverging_run_exits_1(chain, tmp_path, capsys):
     """A non-finite gradient ends training with one error line, not a
-    traceback, and no checkpoint or loss log is written. The overflow that
-    leads to it is the point here, so numpy's warnings about it are off."""
+    traceback or numpy's warnings about the overflow that leads to it, and
+    no checkpoint or loss log is written."""
     argv = ["train-ar", "--corpus", chain["corpus"], "--codec", chain["codec"],
             "--out", tmp_path / "ar.ckp", *_sets([*SMALL_MODEL, "train.peak_lr=1e30"])]
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert cli.main([str(a) for a in argv]) == 1
+    assert cli.main([str(a) for a in argv]) == 1
     err = capsys.readouterr().err
     assert _error_lines(err) == [
         "error: non-finite gradient in parameter block 'acoustic_emb'"]
+    assert "RuntimeWarning" not in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _synthesize_argv(chain, out, *flags):
+    return [str(a) for a in ["synthesize", "--ar", chain["ar"], "--nar", chain["nar"],
+                             "--codec", chain["codec"], "--out", out, "--text", "abdo", *flags]]
+
+
+@pytest.mark.parametrize("mode", ["standard", "continual"])
+def test_synthesize_without_enrolled_audio_exits_2(chain, tmp_path, capsys, mode):
+    """--enrolled-audio is required in either mode; argparse refuses its
+    absence and nothing is written."""
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(_synthesize_argv(chain, tmp_path / "out.clm", "--mode", mode,
+                                  "--enrolled-text", "abd"))
+    assert exit_.value.code == 2
+    assert "the following arguments are required: --enrolled-audio" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_standard_synthesis_without_enrolled_text_exits_2(chain, tmp_path, capsys,
+                                                           monkeypatch):
+    """Standard mode needs the enrolled transcription: one error line, given
+    before any checkpoint is read, and nothing written."""
+    def no_checkpoint(*args):
+        raise AssertionError("a checkpoint was read")
+
+    monkeypatch.setattr(pipeline.ModelBundle, "load", no_checkpoint)
+    argv = _synthesize_argv(chain, tmp_path / "out.clm", "--enrolled-audio", chain["audio"])
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert _error_lines(err) == ["error: standard mode requires enrolled_text"]
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []

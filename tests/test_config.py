@@ -40,8 +40,6 @@ ORACLE = {
         "max_len": (int, 4096),
     },
     "train": {
-        "crop_min": (float, 1.0),
-        "crop_max": (float, 3.0),
         "batch_tokens": (int, 512),
         "total_steps": (int, 1000),
         "warmup_steps": (int, 100),
@@ -77,9 +75,8 @@ NEW_VALUES = {
         "max_len": 2048,
     },
     "train": {
-        "crop_min": 0.5, "crop_max": 2.0, "batch_tokens": 256, "total_steps": 400,
-        "warmup_steps": 40, "peak_lr": 2e-3, "weight_decay": 0.05, "seed": 7,
-        "log_every": 10, "checkpoint_every": 20,
+        "batch_tokens": 256, "total_steps": 400, "warmup_steps": 40, "peak_lr": 2e-3,
+        "weight_decay": 0.05, "seed": 7, "log_every": 10, "checkpoint_every": 20,
     },
     "sampling": {"temperature": 0.7, "top_p": 0.5, "max_new_tokens": 300, "seed": 7},
 }

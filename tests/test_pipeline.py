@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from codec_lm import ar_model, codec, corpus, frontend, lm_core, nar_model, pipeline
+from codec_lm import ar_model, codec, corpus, formats, frontend, lm_core, nar_model, pipeline
 from codec_lm.ar_model import SamplingSpec
 from codec_lm.errors import ValidationError
 from codec_lm.lm_core import ModelConfig
@@ -15,8 +15,8 @@ def _small_cfg(cs):
                        codebook_size=cs.codebook_size, quantizers=cs.quantizers)
 
 
-# evaluate's settings as `eval --seeds 0` passes them at the default [train] crop
-NO_PROXY = dict(split="eval", seeds=range(0), sampling=SamplingSpec(), crop=(1.0, 3.0))
+# evaluate's settings as `eval --seeds 0` passes them
+NO_PROXY = dict(split="eval", seeds=range(0), sampling=SamplingSpec())
 
 
 def _bundles(cfg, seed=0):
@@ -141,6 +141,25 @@ def test_layout_is_what_init_draws(init, layout):
         assert params[name].shape == shape and params[name].dtype == np.float32
         if how == "fill":
             assert (params[name] == value).all()
+
+
+def test_step_checkpoints_record_their_step(tmp_path, tiny_corpus_dir, tiny_codec):
+    """4 steps at checkpoint_every=2 write .step2 and .step4 next to the
+    final checkpoint. Each header holds its step, and .step4 holds the final
+    checkpoint's blocks."""
+    out = tmp_path / "ar.ckp"
+    train_cfg = pipeline.TrainConfig(total_steps=4, warmup_steps=1, batch_tokens=64,
+                                     checkpoint_every=2)
+    pipeline.train_ar(tiny_corpus_dir, tiny_codec, _small_cfg(tiny_codec), train_cfg,
+                      out_path=out)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ar.ckp", "ar.ckp.step2",
+                                                          "ar.ckp.step4"]
+    read = {p.name: formats.read_artifact(p, "ar", {"trained_steps": int})
+            for p in tmp_path.iterdir()}
+    steps = {name: header["trained_steps"] for name, (header, _) in read.items()}
+    assert steps == {"ar.ckp": 4, "ar.ckp.step2": 2, "ar.ckp.step4": 4}
+    assert _same_params(read["ar.ckp.step4"][1], read["ar.ckp"][1])
+    assert not _same_params(read["ar.ckp.step2"][1], read["ar.ckp"][1])
 
 
 def test_loaded_checkpoint_is_the_trained_model(tmp_path, tiny_corpus_dir, tiny_codec):
@@ -361,31 +380,32 @@ def test_synthesis_of_a_prompt_that_fills_max_len_is_logged(tiny_corpus_dir, tin
     assert out.samples.size == 0
 
 
-def _ramp(n, sample_rate=8000):
+def _ramp(n, sample_rate=100):
     return corpus.Waveform(samples=np.linspace(-0.5, 0.5, n), sample_rate=sample_rate)
 
 
 def test_continual_prompt_is_the_first_n_samples():
-    """The enrolled audio is the first int(seconds * rate) samples, bit for
-    bit, and the whole transcription is the target."""
+    """The enrolled audio is the first int(PROMPT_SECONDS * rate) samples,
+    bit for bit, and the whole transcription is the target."""
     full = _ramp(800)
-    spec = pipeline.continual_prompt(full, "abdo", 0.03)
+    spec = pipeline.continual_prompt(full, "abdo")
+    assert pipeline.PROMPT_SECONDS == 3.0
     assert spec.mode == "continual" and spec.enrolled_text is None
     assert spec.target_text == "abdo"
-    assert spec.enrolled_waveform.sample_rate == 8000
-    np.testing.assert_array_equal(spec.enrolled_waveform.samples, full.samples[:240])
+    assert spec.enrolled_waveform.sample_rate == 100
+    np.testing.assert_array_equal(spec.enrolled_waveform.samples, full.samples[:300])
 
 
 @pytest.mark.parametrize("seconds, message", [
-    (0.0, "shorter than one sample"),
-    (1e-5, "shorter than one sample"),
     (0.1, "covers the full utterance"),
     (0.2, "covers the full utterance"),
+    (3.0, "covers the full utterance"),
 ])
 def test_continual_prompt_refuses_an_empty_or_whole_prompt(seconds, message):
-    """n < 1 and n >= the utterance's length (800 samples) are refused."""
+    """An utterance of `seconds`, no longer than the 3 s prompt, leaves no
+    target and is refused."""
     with pytest.raises(ValidationError, match=message):
-        pipeline.continual_prompt(_ramp(800), "abdo", seconds)
+        pipeline.continual_prompt(_ramp(int(seconds * 100)), "abdo")
 
 
 def test_standard_phoneme_prompt_is_enrolled_then_target():
@@ -399,5 +419,5 @@ def test_standard_phoneme_prompt_is_enrolled_then_target():
 
 def test_continual_phoneme_prompt_is_the_target_once():
     a, b, d = (frontend.symbol_id(c) for c in "abd")
-    spec = pipeline.continual_prompt(_ramp(800), "aabbda", 0.03)
+    spec = pipeline.continual_prompt(_ramp(800), "aabbda")
     assert pipeline.build_phoneme_prompt(spec) == [a, b, d, a]
