@@ -1,10 +1,10 @@
 """Causal decoder-only language model over first-quantizer codes.
 
-Input is the phoneme sequence and the stage-1 acoustic code sequence, each
-terminated by its own EOS token, with positions restarting for each, under
-causal attention. Only acoustic positions contribute to the loss. The model
-is one `lm_core.lm_forward` pass whose head is the acoustic embedding table
-itself, so the tying is structural.
+Input is the phoneme sequence, its EOS token and the stage-1 acoustic codes,
+with positions restarting for the codes, under causal attention. The last
+code's row predicts the acoustic EOS, which is never an input. Only acoustic
+positions contribute to the loss. The model is one `lm_core.lm_forward` pass
+whose head is the acoustic embedding table itself, so the tying is structural.
 """
 
 from dataclasses import dataclass
@@ -47,17 +47,12 @@ def init_ar_params(cfg: ModelConfig, rng: np.random.Generator) -> dict:
 
 
 def _check_prompt(phon_ids, acoustic_ids, cfg: ModelConfig):
-    """The checked phoneme ids with the phoneme EOS appended, and the checked
-    acoustic ids; both and one more token must fit in max_len."""
+    """The checked phoneme ids, the phoneme EOS appended, and acoustic ids."""
     phon_ids = lm_core.check_ids(phon_ids, cfg.phoneme_vocab, "phoneme")
     if phon_ids.size == 0:
         raise ValidationError("phoneme sequence is empty")
     acoustic_ids = lm_core.check_ids(acoustic_ids, cfg.codebook_size, "acoustic")
-    phon_part = np.concatenate([phon_ids, [cfg.phoneme_eos]])
-    n = len(phon_part) + len(acoustic_ids) + 1
-    if n > cfg.max_len:
-        raise ValidationError(f"sequence length {n} exceeds max_len {cfg.max_len}")
-    return phon_part, acoustic_ids
+    return np.concatenate([phon_ids, [cfg.phoneme_eos]]), acoustic_ids
 
 
 def _pass(params, cfg: ModelConfig, phon_part, ac_part, rows, **kw):
@@ -71,15 +66,14 @@ def _pass(params, cfg: ModelConfig, phon_part, ac_part, rows, **kw):
 def ar_forward(params, cfg: ModelConfig, phon_ids, acoustic_ids, *, rng=None, return_cache=False):
     """Teacher-forced forward pass.
 
-    Returns next-token logits of shape (A, K+1) where A = len(acoustic_ids)+1:
-    row j is the prediction of the j-th acoustic token (the final row predicts
-    the acoustic EOS). With `return_cache`, returns (logits, cache), the cache
-    for one `ar_backward`; without, the pass keeps no activations.
+    Returns next-token logits of shape (A, K+1) where A = len(acoustic_ids)+1,
+    the rows from the phoneme EOS on: row j predicts the j-th acoustic token
+    (the last code's row predicts the acoustic EOS). With `return_cache`,
+    returns (logits, cache), the cache for one `ar_backward`; without, the
+    pass keeps no activations.
     """
     phon_part, acoustic_ids = _check_prompt(phon_ids, acoustic_ids, cfg)
-    ac_part = np.concatenate([acoustic_ids, [cfg.acoustic_eos]])
-    p = len(phon_part)
-    logits, cache = _pass(params, cfg, phon_part, ac_part, slice(p - 1, p + len(acoustic_ids)),
+    logits, cache = _pass(params, cfg, phon_part, acoustic_ids, slice(len(phon_part) - 1, None),
                           rng=rng, return_cache=return_cache)
     return (logits, cache) if return_cache else logits
 
@@ -118,8 +112,8 @@ class ArDecoder:
     is a `lm_core.KVCache`, which the trunk fills in place. `next_logits`
     returns the logits of the last pass, the same array until the next push.
     `kv.length` is the one length kept: `ac_len` (the codes after the `p`
-    phoneme positions) and `room` (the codes that still fit, one position
-    kept for the acoustic EOS as in `ar_forward`) derive from it.
+    phoneme positions) and `room` (the codes that still fit in max_len) derive
+    from it. A push past max_len is the trunk's to refuse, before it writes.
     """
 
     def __init__(self, params, cfg: ModelConfig, phon_ids, prefix_codes):
@@ -137,7 +131,7 @@ class ArDecoder:
 
     @property
     def room(self) -> int:
-        return self.cfg.max_len - self.kv.length - 1
+        return self.cfg.max_len - self.kv.length
 
     def next_logits(self) -> np.ndarray:
         return self._logits
@@ -148,9 +142,6 @@ class ArDecoder:
         if not 0 <= token < self.cfg.codebook_size:
             raise ValidationError(
                 f"acoustic token {token} out of range [0, {self.cfg.codebook_size})")
-        if self.room < 1:
-            raise ValidationError(
-                f"sequence length {self.kv.length + 2} exceeds max_len {self.cfg.max_len}")
         logits, _ = lm_core.lm_forward(
             self.params, self.cfg, [("acoustic_emb", [token], 0)], [(1, self.ac_len)],
             "acoustic_emb", slice(-1, None), causal=True, kv=self.kv,

@@ -79,12 +79,12 @@ def cmd_train_codec(args) -> int:
 def _train_lm(args) -> int:
     run = _load_run_config(args)
     out = _guard_out(args.out, args.force)
-    log_path = Path(args.log) if args.log else Path(str(out) + ".log")
-    if log_path.exists() and not args.force:
-        raise UsageError(f"loss log {log_path} exists; pass --force")
+    log_path = _guard_out(args.log or f"{out}.log", args.force)
+    train_cfg = run.build("train")
+    for path in pipeline.step_checkpoint_paths(out, train_cfg).values():
+        _guard_out(path, args.force)
     cs = codec.CodebookSet.load(args.codec)
     model_cfg = run.build("model", codebook_size=cs.codebook_size, quantizers=cs.quantizers)
-    train_cfg = run.build("train")
     trainer = pipeline.train_ar if args.kind == "ar" else pipeline.train_nar
     summary = trainer(args.corpus, cs, model_cfg, train_cfg, out_path=out, log_path=log_path)
     log.info("%s training done: loss %.4f -> %.4f", args.kind,

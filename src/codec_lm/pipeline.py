@@ -230,12 +230,20 @@ def _draw_batch(items, sample, tokens_of, train_cfg, frame_rate, rng):
     return batch
 
 
+def step_checkpoint_paths(out_path, train_cfg: TrainConfig) -> dict:
+    """{step: path} of the step checkpoints a run writes, one every `checkpoint_every` steps."""
+    every = train_cfg.checkpoint_every
+    steps = range(every, train_cfg.total_steps + 1, every) if every else ()
+    return {k: f"{out_path}.step{k}" for k in steps}
+
+
 def _fit(kind, params, model_cfg, train_cfg, out_path, log_path, step_fn):
     """AdamW over `step_fn() -> (loss, grads, note)`, one call per step; `note`
     goes into the log line. Logs and keeps a (step, loss, lr) row every
     `log_every` steps and at the last, writes the step checkpoints, then the
     final checkpoint and the loss log; each checkpoint records its step."""
     state = lm_core.AdamWState()
+    step_paths = step_checkpoint_paths(out_path, train_cfg)
     rows = []
     first_loss = None
     loss = float("nan")
@@ -248,8 +256,8 @@ def _fit(kind, params, model_cfg, train_cfg, out_path, log_path, step_fn):
             if step % train_cfg.log_every == 0 or step == train_cfg.total_steps:
                 rows.append((step, loss, lr))
                 log.info("%s step %d%s loss %.4f lr %.3g", kind, step, note, loss, lr)
-            if train_cfg.checkpoint_every and step % train_cfg.checkpoint_every == 0:
-                lm_core.save_model(f"{out_path}.step{step}", kind, model_cfg, params,
+            if step in step_paths:
+                lm_core.save_model(step_paths[step], kind, model_cfg, params,
                                    {"trained_steps": step})
     if out_path is not None:
         lm_core.save_model(out_path, kind, model_cfg, params,
@@ -262,7 +270,7 @@ def _fit(kind, params, model_cfg, train_cfg, out_path, log_path, step_fn):
 
 def train_ar(corpus_dir, cs: CodebookSet, model_cfg: ModelConfig, train_cfg: TrainConfig,
              out_path=None, log_path=None):
-    """Pure causal training over [phonemes, EOS, stage-1 codes, EOS] crops."""
+    """Pure causal training over [phonemes, EOS, stage-1 codes] crops."""
     items = _train_common(corpus_dir, cs, model_cfg, train_cfg, out_path)
     rng_init = np.random.default_rng(np.random.SeedSequence([train_cfg.seed, 31]))
     rng_batch = np.random.default_rng(np.random.SeedSequence([train_cfg.seed, 37]))
@@ -334,8 +342,8 @@ def synthesize(spec: PromptSpec, ar: ModelBundle, nar: ModelBundle, cs: Codebook
     AR consumes the stage-1 prompt codes as a prefix and samples stage-1
     target codes; NAR then fills stages 2..Q greedily, conditioned on the full
     Q-stage prompt matrix; the codec decodes the target codes alone. When the
-    AR model emits the acoustic EOS first, or the prompt leaves no room in
-    max_len, the waveform is empty and a warning says so.
+    AR model emits the acoustic EOS first, or the prompt fills max_len, the
+    waveform is empty and a warning says so.
     """
     _check_dims(ar.cfg, cs)
     _check_dims(nar.cfg, cs)

@@ -64,6 +64,33 @@ class TestForward:
         with pytest.raises(ValidationError):
             ar_model.ar_forward(params, cfg, [1], np.zeros(cfg.max_len, dtype=int))
 
+    def test_exactly_max_len_positions_accepted(self, params, cfg):
+        """The input is the phonemes, their EOS and the codes: 4 + 5 positions
+        fill max_len 9, and one more code is the trunk's to refuse."""
+        small = replace(cfg, max_len=9)
+        logits = ar_model.ar_forward(params, small, [2, 9, 4], [3, 1, 4, 1, 5])
+        assert logits.shape == (6, cfg.codebook_size + 1)
+        with pytest.raises(ValidationError, match="sequence length 10 exceeds max_len 9"):
+            ar_model.ar_forward(params, small, [2, 9, 4], [3, 1, 4, 1, 5, 9])
+
+    @pytest.mark.parametrize("n_phon, n_codes", [(1, 1), (3, 10), (7, 2), (12, 25)])
+    def test_matches_the_layout_with_an_eos_input_row(self, params64, cfg, n_phon, n_codes):
+        """Oracle: the logits equal those of a pass that also feeds the
+        acoustic EOS as a last input row and reads the same rows, since under
+        the causal mask no read row attends to that row."""
+        rng = np.random.default_rng(n_phon * 100 + n_codes)
+        phon = rng.integers(0, cfg.phoneme_vocab, size=n_phon)
+        codes = rng.integers(0, cfg.codebook_size, size=n_codes)
+        phon_part = np.append(phon, cfg.phoneme_eos)
+        ac_part = np.append(codes, cfg.acoustic_eos)
+        p = len(phon_part)
+        old, _ = lm_core.lm_forward(
+            params64, cfg, [("phoneme_emb", phon_part, 0), ("acoustic_emb", ac_part, p)],
+            [(p, 0), (len(ac_part), 0)], "acoustic_emb", slice(p - 1, p + n_codes), causal=True)
+        new = ar_model.ar_forward(params64, cfg, phon, codes)
+        assert new.dtype == np.float64
+        np.testing.assert_allclose(new, old, rtol=1e-12)
+
     def test_id_range_checked(self, params, cfg):
         with pytest.raises(ValidationError):
             ar_model.ar_forward(params, cfg, [1], [cfg.codebook_size + 5])
@@ -186,15 +213,15 @@ class TestGeneration:
         phon, prefix = [2, 9, 4], [3, 1]
         spec = SamplingSpec(temperature=1.0, top_p=1.0, seed=4, max_new_tokens=9)
         out = ar_model.ar_generate(params, small, phon, prefix, spec)
-        assert len(out) == small.max_len - (len(phon) + 1) - len(prefix) - 1 == 2
+        assert len(out) == small.max_len - (len(phon) + 1) - len(prefix) == 3
         ar_model.ar_forward(params, small, phon, prefix + out.tolist())
-        roomy = ar_model.ar_generate(params, cfg, phon, prefix, replace(spec, max_new_tokens=2))
+        roomy = ar_model.ar_generate(params, cfg, phon, prefix, replace(spec, max_new_tokens=3))
         np.testing.assert_array_equal(out, roomy)
 
     @pytest.mark.parametrize("draws, max_len, codes, pushes", [
         ([3, 5, 1, 2, 0, 4, 4, 6, 7, 9], 4096, 9, 8),
         ([3, 5, 1, 17, 2], 4096, 3, 3),
-        ([3, 5, 1, 2], 9, 2, 1),
+        ([3, 5, 1, 2], 9, 3, 2),
     ], ids=["max_new_tokens", "eos", "context_limit"])
     def test_pushes_only_codes_whose_logits_are_read(self, params, cfg, monkeypatch, draws,
                                                      max_len, codes, pushes):
@@ -249,22 +276,24 @@ class TestGeneration:
         self._check_decoder_rows(params, cfg, dict(rtol=1e-5, atol=1e-5))
 
     def test_push_past_max_len_rejected(self, params):
-        """The decoder's context stops one short of max_len, the longest
-        ar_forward accepts (it appends the acoustic EOS); the push that would
-        pass it raises and leaves the decoder as it was."""
+        """The decoder's context fills max_len, the longest ar_forward
+        accepts; the trunk refuses the push that would pass it, and the
+        decoder is left as it was."""
         small = ModelConfig(layers=2, heads=2, embed_dim=32, ffn_dim=64, dropout=0.0,
                             codebook_size=17, quantizers=4, max_len=9)
         phon, codes = [2, 9, 4], [3, 1]
         dec = ar_model.ArDecoder(params, small, phon, codes)
-        while dec.p + dec.ac_len + 1 < small.max_len:
+        while dec.p + dec.ac_len < small.max_len:
             dec.push(5)
             codes.append(5)
-        assert dec.p + dec.ac_len == dec.kv.length == small.max_len - 1
+        assert dec.p + dec.ac_len == dec.kv.length == small.max_len
         assert dec.room == 0
         held, logits = dec.ac_len, dec.next_logits()
+        keys = [k.copy() for k in dec.kv.keys]
         with pytest.raises(ValidationError, match="sequence length 10 exceeds max_len 9"):
             dec.push(5)
-        assert dec.ac_len == held and dec.room == 0
+        assert dec.ac_len == held and dec.kv.length == small.max_len and dec.room == 0
+        assert all(np.array_equal(a, b) for a, b in zip(dec.kv.keys, keys))
         np.testing.assert_array_equal(dec.next_logits(), logits)
         ar_model.ar_forward(params, small, phon, codes)
         with pytest.raises(ValidationError):

@@ -2,6 +2,7 @@
 model, in process."""
 
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -411,6 +412,23 @@ def test_diverging_run_exits_1(chain, tmp_path, capsys):
     assert "RuntimeWarning" not in err
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_existing_step_checkpoint_needs_force(chain, tmp_path, capsys):
+    """A rerun whose final checkpoint and loss log are gone still refuses to
+    overwrite the step checkpoints it would write, before the first step."""
+    out = tmp_path / "ar.ckp"
+    argv = ["train-ar", "--corpus", chain["corpus"], "--codec", chain["codec"], "--out", out,
+            *_sets([*SMALL_MODEL, "train.checkpoint_every=5"])]
+    _run([*argv, "--seed", 1])
+    out.unlink()
+    Path(f"{out}.log").unlink()
+    steps = {name: (tmp_path / name).read_bytes() for name in ("ar.ckp.step5", "ar.ckp.step10")}
+    capsys.readouterr()
+    assert cli.main([str(a) for a in [*argv, "--seed", 2]]) == 2
+    assert _error_lines(capsys.readouterr().err) == [
+        f"error: output {out}.step5 already exists; pass --force to overwrite"]
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == steps
 
 
 def _synthesize_argv(chain, out, *flags):

@@ -360,24 +360,46 @@ def test_empty_synthesis_is_logged(tiny_corpus_dir, tiny_codec, caplog):
     assert wav.samples.size == 0 and wav.sample_rate == tiny_codec.sample_rate
 
 
+def _prompt_of_known_length(corpus_dir, cs):
+    """A standard prompt of 50 frames, and its AR length: the phonemes, their
+    EOS and the 50 codes."""
+    wav = corpus.read_waveform(corpus.load_corpus(corpus_dir).split_records("eval")[0].path)
+    frames = 50
+    spec = pipeline.PromptSpec(
+        mode="standard", enrolled_text="abd", target_text="abdo",
+        enrolled_waveform=corpus.Waveform(wav.samples[: frames * cs.stride], wav.sample_rate))
+    return spec, len(pipeline.build_phoneme_prompt(spec)) + 1 + frames
+
+
 def test_synthesis_of_a_prompt_that_fills_max_len_is_logged(tiny_corpus_dir, tiny_codec,
                                                              caplog):
     """A prompt that leaves the AR context no room for a code gives an empty
     waveform, and the warning says so."""
-    rec = corpus.load_corpus(tiny_corpus_dir).split_records("eval")[0]
-    wav = corpus.read_waveform(rec.path)
-    frames = 50
-    spec = pipeline.PromptSpec(
-        mode="standard", enrolled_text="abd", target_text="abdo",
-        enrolled_waveform=corpus.Waveform(wav.samples[: frames * tiny_codec.stride],
-                                          wav.sample_rate))
-    n_phon = len(pipeline.build_phoneme_prompt(spec)) + 1
-    cfg = replace(_small_cfg(tiny_codec), max_len=n_phon + frames + 1)
+    spec, length = _prompt_of_known_length(tiny_corpus_dir, tiny_codec)
+    cfg = replace(_small_cfg(tiny_codec), max_len=length)
     ar, nar = _bundles(cfg)
     with caplog.at_level(logging.WARNING, logger="codec_lm.pipeline"):
         out = pipeline.synthesize(spec, ar, nar, tiny_codec, SamplingSpec(seed=1))
     assert "the prompt fills max_len" in caplog.text
     assert out.samples.size == 0
+
+
+def test_a_prompt_one_short_of_max_len_synthesizes_one_code(tiny_corpus_dir, tiny_codec,
+                                                            caplog):
+    """A prompt of max_len - 1 positions leaves room for one code: the
+    synthesis is one frame long, and no warning is given. Every AR hidden
+    state is ln_f's shift, which scores the acoustic EOS far below every
+    code."""
+    spec, length = _prompt_of_known_length(tiny_corpus_dir, tiny_codec)
+    cfg = replace(_small_cfg(tiny_codec), max_len=length + 1)
+    ar, nar = _bundles(cfg)
+    ar.params["ln_f.affine"][0] = 0.0
+    ar.params["ln_f.affine"][1] = 1.0
+    ar.params["acoustic_emb"][cfg.acoustic_eos] = -10.0
+    with caplog.at_level(logging.WARNING, logger="codec_lm.pipeline"):
+        out = pipeline.synthesize(spec, ar, nar, tiny_codec, SamplingSpec(seed=1))
+    assert caplog.text == ""
+    assert out.samples.size == tiny_codec.stride
 
 
 def _ramp(n, sample_rate=100):
