@@ -2,14 +2,14 @@
 update and cluster accumulation.
 
 One numpy implementation of each. `nearest_codeword` returns, for each row,
-the index of the book row at the smallest direct L2 distance
-sum((r - c)**2), the smallest such index on ties; it returns only the codes,
-and a caller that needs the residual forms `frames - book[codes]` itself.
-`shrink_sq_dist` updates `d2` in place to a result bitwise equal to
-`np.minimum(d2, ((data - center)**2).sum(axis=1))`. `cluster_accumulate`
-returns per-cluster row sums and counts bitwise equal to `np.bincount` of the
-codes (weighted by each column for the sums), and rejects codes outside
-[0, k).
+the index of the book row at the smallest direct L2 distance sum((r - c)**2),
+the smallest such index on ties; a caller that needs the residual forms
+`frames - book[codes]` itself. `shrink_sq_dist` updates `d2` in place to a
+result bitwise equal to `np.minimum(d2, ((data - center)**2).sum(axis=1))`;
+its caller, `codec._kmeans_plusplus`, passes it only the rows that the
+triangle inequality cannot rule out. `cluster_accumulate` returns per-cluster
+row sums and counts bitwise equal to `np.bincount` of the codes (weighted by
+each column for the sums), and rejects codes outside [0, k).
 
 The first two score rows by the expanded form ||x||^2 - 2 x.c + ||c||^2,
 one GEMM or GEMV with the -2 folded into the codeword operand (a power-of-two

@@ -427,16 +427,19 @@ def lm_forward(params, cfg: ModelConfig, lookups, segments, head: str, rows: sli
     the head's input as it stands. Dropout is on exactly when a dropout `rng`
     is given. Returns (logits (len(rows), V), cache): the cache is for one
     lm_backward, which consumes it, and is built only with `return_cache`
-    (else None; see `stack_forward`)."""
+    (else None; see `stack_forward`). The pass's end, KV length + rows, is
+    checked against max_len before any lookup; every caller's segment windows
+    end within it, so they are not checked again."""
     n = sum(length for length, _ in segments)
+    end = n + (0 if kv is None else kv.length)
+    if end > cfg.max_len:
+        raise ValidationError(f"sequence length {end} exceeds max_len {cfg.max_len}")
     x = np.zeros((n, cfg.embed_dim), params[head].dtype)
     for table, ids, first in lookups:
         x[first : first + len(ids)] += params[table][ids]
     positions = sinusoidal_positions(cfg.max_len, cfg.embed_dim)
     row = 0
     for length, start in segments:
-        if start + length > cfg.max_len:
-            raise ValidationError(f"sequence length {start + length} exceeds max_len {cfg.max_len}")
         x[row : row + length] += positions[start : start + length]
         row += length
     stage_vec = None if stage is None else params["stage_emb"][stage]

@@ -73,6 +73,13 @@ class TestForward:
         with pytest.raises(ValidationError, match="sequence length 10 exceeds max_len 9"):
             ar_model.ar_forward(params, small, [2, 9, 4], [3, 1, 4, 1, 5, 9])
 
+    def test_over_length_reports_the_whole_sequence(self, params, cfg):
+        """The refused length is the pass's, 3 phonemes, their EOS and 10
+        codes: 14 positions, not the code segment's 10."""
+        small = replace(cfg, max_len=9)
+        with pytest.raises(ValidationError, match="sequence length 14 exceeds max_len 9"):
+            ar_model.ar_forward(params, small, [2, 9, 4], [3] * 10)
+
     @pytest.mark.parametrize("n_phon, n_codes", [(1, 1), (3, 10), (7, 2), (12, 25)])
     def test_matches_the_layout_with_an_eos_input_row(self, params64, cfg, n_phon, n_codes):
         """Oracle: the logits equal those of a pass that also feeds the

@@ -310,9 +310,72 @@ class TestKmeansOracles:
     def test_plusplus_matches_direct_distance_loop(self, make_rows):
         for seed in range(60):
             data = make_rows(np.random.default_rng(seed))
-            got = codec._kmeans_plusplus(data, 32, np.random.default_rng(seed + 1000))
+            got, _ = codec._kmeans_plusplus(data, 32, np.random.default_rng(seed + 1000))
             want = _oracle_kmeans_plusplus(data, 32, np.random.default_rng(seed + 1000))
             np.testing.assert_array_equal(got, want)
+
+    def test_near_is_the_nearest_codeword(self, make_rows):
+        """The init's `near` is the direct-distance argmin over its centers,
+        the smallest index on ties, which the first Lloyd iteration uses."""
+        for seed in range(20):
+            data = make_rows(np.random.default_rng(seed))
+            centers, near = codec._kmeans_plusplus(data, 32, np.random.default_rng(seed + 1000))
+            np.testing.assert_array_equal(near, _kernels.nearest_codeword(data, centers))
+
+    def test_near_with_duplicate_rows_and_centers(self):
+        """Exact duplicate rows, and rows 1e-170 apart whose distances
+        underflow to 0: the init runs out after three picks and draws the
+        rest as random rows, so centers repeat and every row ties several."""
+        rng = np.random.default_rng(4)
+        points = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        data = points[rng.integers(0, 3, size=300)]
+        data[:150] += 1e-170 * rng.normal(size=(150, 3))
+        tiny = rng.normal(size=(50, 3)) * 1e-170
+        for rows, k in ((data, 16), (tiny, 8)):
+            centers, near = codec._kmeans_plusplus(rows, k, np.random.default_rng(9))
+            np.testing.assert_array_equal(
+                centers, _oracle_kmeans_plusplus(rows, k, np.random.default_rng(9)))
+            np.testing.assert_array_equal(near, _kernels.nearest_codeword(rows, centers))
+            if k == 16:
+                assert np.unique(centers, axis=0).shape[0] < k
+
+    @staticmethod
+    def _shrunk_rows(monkeypatch):
+        """A list that gets the row count of every later `shrink_sq_dist` call."""
+        seen = []
+        shrink = _kernels.shrink_sq_dist
+
+        def counted(data, *args):
+            seen.append(data.shape[0])
+            return shrink(data, *args)
+
+        monkeypatch.setattr(_kernels, "shrink_sq_dist", counted)
+        return seen
+
+    def test_isotropic_rows_score_every_row(self, monkeypatch):
+        """In D=80 an isotropic Gaussian row is about as far from every
+        center, so the bound rules out no row and each pick scores them all."""
+        seen = self._shrunk_rows(monkeypatch)
+        data = np.random.default_rng(5).normal(size=(1000, 80))
+        centers, near = codec._kmeans_plusplus(data, 32, np.random.default_rng(6))
+        assert seen == [1000] * 31
+        np.testing.assert_array_equal(centers,
+                                      _oracle_kmeans_plusplus(data, 32, np.random.default_rng(6)))
+        np.testing.assert_array_equal(near, _kernels.nearest_codeword(data, centers))
+
+    def test_clustered_rows_are_pruned(self, monkeypatch):
+        """Eight well-separated clusters and 32 centers: once each cluster has
+        a center, a pick in one cluster scores none of the others' rows."""
+        seen = self._shrunk_rows(monkeypatch)
+        rng = np.random.default_rng(7)
+        means = rng.normal(size=(8, 8)) * 10.0
+        data = means[rng.integers(0, 8, size=2000)] + rng.normal(size=(2000, 8)) * 0.1
+        centers, near = codec._kmeans_plusplus(data, 32, np.random.default_rng(8))
+        assert len(seen) == 31 and sum(seen) < 2000 * 31 / 2
+        assert max(seen[8:]) < 2000 / 4  # about one cluster's rows per pick
+        np.testing.assert_array_equal(centers,
+                                      _oracle_kmeans_plusplus(data, 32, np.random.default_rng(8)))
+        np.testing.assert_array_equal(near, _kernels.nearest_codeword(data, centers))
 
     @pytest.mark.parametrize("iters", [1, 2, 20])
     def test_fit_matches_fixed_iteration_loop(self, make_rows, iters):
